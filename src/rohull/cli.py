@@ -148,7 +148,11 @@ def cmd_sym_spiral(args, out_dir):
 
 
 def cmd_five_point(args, out_dir):
-    eps = parse_scalar(args.epsilon, EXACT)
+    try:
+        eps = parse_scalar(args.epsilon, EXACT)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("--epsilon must be a rational number, "
+                         f"got {args.epsilon!r}")
     cfg = constructions.five_point_build(eps)
     w = cfg.witness()
     lam = t4.laminate_unroll(cfg.x, w, 0, args.rounds)
@@ -266,6 +270,16 @@ def cmd_usc_probe(args, out_dir):
                    results, passed), passed, {}
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rohull",
@@ -278,22 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("staircase")
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=30)
+    p.add_argument("--N", type=_int_at_least(1), default=10)
+    p.add_argument("--n-max", type=_int_at_least(1), default=30)
     p.set_defaults(func=cmd_staircase)
 
     p = sub.add_parser("tri-spiral")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_int_at_least(0), default=16)
     p.set_defaults(func=cmd_tri_spiral)
 
     p = sub.add_parser("sym-spiral")
     p.add_argument("--xi3", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=12)
+    p.add_argument("--iters", type=_int_at_least(0), default=12)
     p.set_defaults(func=cmd_sym_spiral)
 
     p = sub.add_parser("five-point")
     p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--rounds", type=_int_at_least(0), default=10)
     p.set_defaults(func=cmd_five_point)
 
     p = sub.add_parser("t4-detect")
@@ -310,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("usc-probe")
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=30)
+    p.add_argument("--N", type=_int_at_least(1), default=10)
+    p.add_argument("--n-max", type=_int_at_least(1), default=30)
     p.set_defaults(func=cmd_usc_probe)
 
     return parser

@@ -273,7 +273,7 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
     iterates = [y]
     cycles = []
     xi3 = cfg.xi3
-    for _ in range(n_iters):
+    for cycle in range(1, n_iters + 1):
         b = y
         ts = []
         residuals = []
@@ -294,6 +294,9 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
             ts.append(t)
         eta = b - p0
         eta1, eta2, eta3 = eta.a11, eta.a22, eta.a12
+        if eta3 == 0:
+            raise ConstructionError(
+                f"z underflowed to 0 in cycle {cycle}; use fewer iterations")
         t_prod = ts[0] * ts[1] * ts[2] * ts[3]
         if not t_prod < bound:
             raise ConstructionError("xi3 too large (epsilon_2 exceeded)")

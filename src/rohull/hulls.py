@@ -39,10 +39,6 @@ class RankOneSegment:
     generation: int
     approx: bool = False
 
-    def midpoint(self) -> Mat2:
-        half = Fraction(1, 2) if self.a.mode == EXACT else 0.5
-        return combine(self.a, self.b, half)
-
 
 @dataclass(frozen=True)
 class LaminateSet:
@@ -57,11 +53,6 @@ class LaminateSet:
             raise GeometryError("order must be nonnegative")
         if self.order == 0 and self.segments:
             raise GeometryError("order-0 sets have no segments")
-
-    def validate(self, tol: Scalar = DEFAULT_TOL) -> None:
-        for seg in self.segments:
-            if not rank_one_connected(seg.a, seg.b, tol):
-                raise GeometryError("segment endpoints are not rank-one connected")
 
     def is_empty(self) -> bool:
         return not self.points and not self.segments

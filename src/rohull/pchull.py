@@ -25,10 +25,6 @@ def to_rows(m) -> Matrix:
     return tuple(tuple(e for e in row) for row in m)
 
 
-def rows_to_mat2(rows: Matrix) -> Mat2:
-    return Mat2.from_rows(rows)
-
-
 def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -82,10 +78,6 @@ class RankOnePlane:
 
     def shape(self) -> tuple[int, int]:
         return len(self.basepoint), len(self.basepoint[0])
-
-    def dimension(self) -> int:
-        m, n = self.shape()
-        return m if self.kind == "left" else n
 
     def contains(self, mat, tol: Scalar = 0) -> bool:
         d = _mat_sub(to_rows(mat), self.basepoint)

@@ -45,10 +45,6 @@ def as_exact(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     """Parse "p/q", integer, or decimal literals. Decimal literals are exact
     in exact mode (e.g. "0.25" -> 1/4)."""
@@ -56,12 +52,6 @@ def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
     if mode == EXACT:
         return value
     return float(value)
-
-
-def format_scalar(x: Scalar) -> str:
-    if mode_of(x) == EXACT:
-        return str(Fraction(x))
-    return repr(x)
 
 
 def sign(x: Scalar) -> int:

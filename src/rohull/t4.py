@@ -1,10 +1,11 @@
 """T4-configuration detection, witness validation, and laminate unrolling.
 
 For fixed mu the defining system is linear in the base point and the four
-rank-one increments, and it decouples entrywise into a shared 5x5 solve.
-Detection runs a multi-start Newton iteration on mu over a seed grid,
-vectorized across seeds; a "not found" result is not a certificate of
-absence.
+rank-one increments, and one closed form solves it for a batch of mu, in
+float or in exact rationals; its Jacobian in mu comes from the same
+coefficients.  Detection runs a multi-start Newton iteration on mu over a
+seed grid, vectorized across seeds; a "not found" result is not a
+certificate of absence.
 """
 from __future__ import annotations
 
@@ -89,96 +90,48 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
 
 
-def _system_matrix(mu: np.ndarray) -> np.ndarray:
-    n = mu.shape[0]
-    a = np.zeros((n, 5, 5))
-    for k in range(4):
-        a[:, k, 0] = 1.0
-        a[:, k, 1:k + 1] = 1.0
-        a[:, k, k + 1] = mu[:, k]
-    a[:, 4, 1:5] = 1.0
-    return a
+def _solve(mu: np.ndarray, xflat: np.ndarray, jacobian: bool = False):
+    """Closed-form solution for (P, C) at each mu in the batch.
 
+    The system X_k = Q_k + mu_k C_k with corners Q_0 = P, Q_{k+1} = Q_k + C_k
+    and sum C_k = 0 has determinant -D, D = prod mu_j - prod (mu_j - 1).
+    Closing the cycle gives P = sum_k w_k X_k with
+    w_k = prod_{j<k} mu_j prod_{j>k} (mu_j - 1) / D; walking the corners
+    then gives C_k = (X_k - Q_k) / mu_k.  Both are kept as coefficients,
+    P = w @ X and C = G @ X, so G[i, k] is the entry (i+1, k) of A^-1 and
+    the Jacobian d det(C_i) / d mu_k = -G[i, k] <adj C_i, C_k> needs no
+    further solve.
 
-def _batched_solve(mu: np.ndarray, xflat: np.ndarray, jacobian: bool = False):
-    """Solve the linear system for (P, C) at each mu in the batch.
-
-    mu: (N, 4); xflat: (4, 4) flattened input matrices.  Returns
-    (P, C, dets[, jac]) with shapes (N, 4), (N, 4, 4), (N, 4)[, (N, 4, 4)].
-    The Jacobian d det(C_i) / d mu_k comes from the same factorization:
-    dA/dmu_k is a single entry, so the sensitivity of the solution is
-    -(A^-1 e_k) outer the (k+1)-th solution row.
+    mu: (N, 4), every mu_k nonzero (callers keep mu > 1); xflat: (4, 4)
+    flattened input matrices.  Float arrays and object arrays of Fractions
+    both work.  Returns (P, C, dets[, jac]) with shapes (N, 4), (N, 4, 4),
+    (N, 4)[, (N, 4, 4)].  Float rows with D == 0 come out non-finite; an
+    exact D == 0 returns None.
     """
-    n = mu.shape[0]
-    a = _system_matrix(mu)
-    ncols = 8 if jacobian else 4
-    rhs = np.zeros((n, 5, ncols))
-    rhs[:, 0:4, 0:4] = xflat[None, :, :]
-    if jacobian:
-        rhs[:, :, 4:8] = np.eye(5, 4)[None, :, :]
-    try:
-        full = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        bad = np.abs(np.linalg.det(a)) < 1e-12
-        a[bad] = np.eye(5)
-        full = np.linalg.solve(a, rhs)
-        full[bad] = np.nan
-    sol = full[:, :, 0:4]
-    p = sol[:, 0, :]
-    c = sol[:, 1:5, :]
-    dets = c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2]
-    if not jacobian:
-        return p, c, dets
-    y = full[:, 1:5, 4:8]  # y[n, i, k] = (A^-1 e_k)[i+1]
-    adj = np.stack([c[:, :, 3], -c[:, :, 2], -c[:, :, 1], c[:, :, 0]],
-                   axis=-1)
-    g = np.einsum("nie,nke->nik", adj, c)
-    jac = -y * g
+    m1 = mu - 1
+    d = mu.prod(axis=1) - m1.prod(axis=1)
+    if mu.dtype == object and (d == 0).any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.stack([mu[:, :k].prod(axis=1) * m1[:, k + 1:].prod(axis=1)
+                      for k in range(4)], axis=1) / d[:, None]
+        q = w  # coefficients of the corner Q_k
+        g = []
+        for k in range(4):
+            gk = -q / mu[:, k:k + 1]
+            gk[:, k] += 1 / mu[:, k]
+            g.append(gk)
+            q = q + gk
+        g = np.stack(g, axis=1)
+        p = w @ xflat
+        c = g @ xflat
+        dets = c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2]
+        if not jacobian:
+            return p, c, dets
+        adj = np.stack([c[:, :, 3], -c[:, :, 2], -c[:, :, 1], c[:, :, 0]],
+                       axis=-1)
+        jac = -g * np.einsum("nie,nke->nik", adj, c)
     return p, c, dets, jac
-
-
-def _exact_solve(mu, x):
-    """Entrywise 5x5 Gaussian elimination over the rationals.
-
-    mu: four Fractions; x: four exact Mat2.  Returns (P, C_list) or None when
-    the system is singular.
-    """
-    a = [[Fraction(0)] * 5 for _ in range(5)]
-    for k in range(4):
-        a[k][0] = Fraction(1)
-        for j in range(1, k + 1):
-            a[k][j] = Fraction(1)
-        a[k][k + 1] = Fraction(mu[k])
-    for j in range(1, 5):
-        a[4][j] = Fraction(1)
-    rhs = [[Fraction(e) for e in x[k].entries()] for k in range(4)]
-    rhs.append([Fraction(0)] * 4)
-    # forward elimination with partial (first nonzero) pivoting
-    m = [row[:] for row in a]
-    b = [row[:] for row in rhs]
-    for col in range(5):
-        piv = next((r for r in range(col, 5) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, 5):
-            f = m[r][col] / m[col][col]
-            if f:
-                for cc in range(col, 5):
-                    m[r][cc] -= f * m[col][cc]
-                for cc in range(4):
-                    b[r][cc] -= f * b[col][cc]
-    sol = [[Fraction(0)] * 4 for _ in range(5)]
-    for r in range(4, -1, -1):
-        for cc in range(4):
-            acc = b[r][cc]
-            for k in range(r + 1, 5):
-                acc -= m[r][k] * sol[k][cc]
-            sol[r][cc] = acc / m[r][r]
-    p = Mat2(*sol[0])
-    c = [Mat2(*sol[k]) for k in range(1, 5)]
-    return p, c
 
 
 def _default_seed_grid():
@@ -207,7 +160,7 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9,
     for _ in range(max_iter):
         if mu.shape[0] == 0:
             break
-        _, _, f0, jac = _batched_solve(mu, xflat, jacobian=True)
+        _, _, f0, jac = _solve(mu, xflat, jacobian=True)
         good = np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
         hit = good & (np.abs(f0).max(axis=1) <= tol * scale) & \
             (mu > 1.0 + tol).all(axis=1) & (mu < MU_CAP).all(axis=1)
@@ -216,7 +169,7 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9,
             # polish: quadratic convergence makes a few extra steps enough
             # for the exact-rational recovery below
             for _ in range(3):
-                _, _, fc, jc = _batched_solve(converged, xflat, jacobian=True)
+                _, _, fc, jc = _solve(converged, xflat, jacobian=True)
                 fine = np.isfinite(fc).all(axis=1) & \
                     np.isfinite(jc).all(axis=(1, 2)) & \
                     (np.abs(np.linalg.det(jc)) > 1e-14)
@@ -251,27 +204,26 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9,
 
 
 def _build_witness(x, mu_float, tol):
-    ordering = (0, 1, 2, 3)
+    def witness(mu, xflat):
+        sol = _solve(np.array([mu], dtype=xflat.dtype), xflat)
+        if sol is None:
+            return None
+        p, c, _ = sol
+        return T4Witness((0, 1, 2, 3), Mat2(*p[0]),
+                         tuple(Mat2(*c[0, k]) for k in range(4)), mu)
+
     if all(xi.mode == EXACT for xi in x):
+        xq = np.array([[Fraction(e) for e in xi.entries()] for xi in x],
+                      dtype=object)
         for cap in (10, 100, 10 ** 3, 10 ** 4, 10 ** 6):
-            mu_exact = tuple(Fraction(m).limit_denominator(cap)
-                             for m in mu_float)
-            sol = _exact_solve(mu_exact, x)
-            if sol is None:
-                continue
-            p, c = sol
-            w = T4Witness(ordering, p, tuple(c), mu_exact)
-            if check_t4_witness(x, w, 0).accepted:
+            w = witness(tuple(Fraction(m).limit_denominator(cap)
+                              for m in mu_float), xq)
+            if w is not None and check_t4_witness(x, w, 0).accepted:
                 return w
-    xf = [Mat2(*(float(e) for e in xi.entries())) for xi in x]
-    p, c, _ = _batched_solve(np.array([mu_float]),
-                             np.array([[float(e) for e in xi.entries()]
-                                       for xi in x]))
-    pw = Mat2(*p[0])
-    cw = tuple(Mat2(*c[0, k]) for k in range(4))
-    w = T4Witness(ordering, pw, cw, tuple(float(m) for m in mu_float))
-    report = check_t4_witness(xf, w, max(float(tol) ** 0.5, 1e-6))
-    if report.accepted:
+    xf = [_float_mat(xi) for xi in x]
+    w = witness(tuple(float(m) for m in mu_float),
+                np.array([xi.entries() for xi in xf]))
+    if check_t4_witness(xf, w, max(float(tol) ** 0.5, 1e-6)).accepted:
         return w
     return None
 
@@ -313,16 +265,6 @@ class DiscreteLaminate:
     atoms: tuple  # ((Mat2, weight), ...)
     barycenter: Mat2
     off_support_mass: Scalar
-
-    def total_mass(self) -> Scalar:
-        return sum(w for _, w in self.atoms)
-
-    def mean(self) -> Mat2:
-        acc = None
-        for m, w in self.atoms:
-            term = m.scale(w)
-            acc = term if acc is None else acc + term
-        return acc
 
 
 def laminate_unroll(x, w: T4Witness, target_corner: int,

@@ -1,6 +1,8 @@
 """Command line interface: exit codes, report structure, artifacts."""
 import json
 
+import pytest
+
 from rohull.cli import main
 
 T4_INPUT = [[["-1", "0"], ["0", "3"]], [["3", "0"], ["0", "1"]],
@@ -88,6 +90,31 @@ class TestSubcommands:
         code = main(["--out", str(tmp_path), "t4-detect",
                      "--input", str(tmp_path / "missing.json")])
         assert code == 1
+
+    def test_sym_spiral_underflow_names_the_cycle(self, tmp_path, capsys):
+        code, report, _ = run(tmp_path, "--mode", "float", "sym-spiral",
+                              "--iters", "300")
+        assert code == 2
+        assert report is None
+        assert "z underflowed to 0 in cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["five-point", "--epsilon", "abc"],
+    ["five-point", "--epsilon", "1/0"],
+    ["five-point", "--rounds", "-1"],
+    ["tri-spiral", "--steps", "-3"],
+    ["staircase", "--N", "0"],
+    ["staircase", "--n-max", "0"],
+    ["usc-probe", "--N", "0"],
+    ["--mode", "float", "sym-spiral", "--iters", "-1"],
+])
+def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 class TestArtifacts:

@@ -1,9 +1,13 @@
-"""T4 witness checking, Newton detection, laminate unrolling."""
+"""T4 witness checks, scaffold solve, Newton detection, laminate unrolling."""
+import random
 from fractions import Fraction as F
+
+import numpy as np
 
 from rohull.core import Mat2
 from rohull.t4 import (
     T4Witness,
+    _solve,
     check_t4_witness,
     cyclic_class,
     detect_t4,
@@ -47,6 +51,77 @@ class TestWitnessCheck:
     def test_reconstructed_matches_input(self):
         w = classic_witness()
         assert list(w.reconstructed()) == CLASSIC
+
+
+def _reference_system(mu):
+    """The 5x5 system in the unknowns (P, C_1, .., C_4): row k reads
+    X_k = P + C_1 + .. + C_{k-1} + mu_k C_k, and the last row sum C = 0."""
+    a = np.zeros((5, 5))
+    for k in range(4):
+        a[k, 0] = 1.0
+        a[k, 1:k + 1] = 1.0
+        a[k, k + 1] = mu[k]
+    a[4, 1:] = 1.0
+    return a
+
+
+class TestClosedFormSolve:
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.mu = 1 + 4 * rng.random((64, 4))
+        self.x = rng.normal(size=(4, 4))
+
+    def test_float_matches_reference_solve(self):
+        p, c, dets = _solve(self.mu, self.x)
+        rhs = np.vstack([self.x, np.zeros((1, 4))])
+        for n, mu in enumerate(self.mu):
+            ref = np.linalg.solve(_reference_system(mu), rhs)
+            np.testing.assert_allclose(p[n], ref[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(c[n], ref[1:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            dets, c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2])
+
+    def test_jacobian_matches_central_differences(self):
+        _, _, _, jac = _solve(self.mu, self.x, jacobian=True)
+        h = 1e-6
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = h
+            ahead = _solve(self.mu + step, self.x)[2]
+            behind = _solve(self.mu - step, self.x)[2]
+            slope = (ahead - behind) / (2 * h)
+            np.testing.assert_allclose(jac[:, :, k], slope,
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_exact_solution_satisfies_the_equations(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            mu = [1 + F(rng.randint(1, 40), rng.randint(1, 9))
+                  for _ in range(4)]
+            x = np.array([[F(rng.randint(-9, 9), rng.randint(1, 5))
+                           for _ in range(4)] for _ in range(4)],
+                         dtype=object)
+            p, c, _ = _solve(np.array([mu], dtype=object), x)
+            p, c = p[0], c[0]
+            assert all(isinstance(e, F) for e in (*p, *c.ravel()))
+            q = p
+            for k in range(4):
+                assert list(q + mu[k] * c[k] - x[k]) == [0] * 4
+                q = q + c[k]
+            assert list(c.sum(axis=0)) == [0] * 4
+
+    def test_singular_mu(self):
+        # prod mu = prod (mu - 1) = -8/7: the system has no unique solution
+        mu = (F(2), F(2), F(2), F(-1, 7))
+        x = np.array([[F(e) for e in xi.entries()] for xi in CLASSIC],
+                     dtype=object)
+        assert _solve(np.array([mu], dtype=object), x) is None
+        p, c, dets, jac = _solve(np.array([mu], dtype=float),
+                                 x.astype(float), jacobian=True)
+        assert not np.isfinite(p).any()
+        assert not np.isfinite(c).any()
+        assert not np.isfinite(dets).any()
+        assert not np.isfinite(jac).any()
 
 
 class TestSolveOrdering:
