@@ -61,6 +61,11 @@ def _load_matrices(path: str, mode: str):
         raise UsageError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise UsageError(f"invalid JSON in {path}: {e}")
+    if not isinstance(data, list):
+        found = {dict: "an object", str: "a string", bool: "a boolean",
+                 type(None): "null"}.get(type(data), "a number")
+        raise UsageError(f"{path} must hold a JSON list of 2x2 matrices, "
+                         f"found {found}")
     try:
         return [matrix_from_json(m, mode) for m in data]
     except (ValueError, TypeError) as e:
@@ -153,6 +158,8 @@ def cmd_five_point(args, out_dir):
     except (ValueError, ZeroDivisionError):
         raise UsageError("--epsilon must be a rational number, "
                          f"got {args.epsilon!r}")
+    if not 0 < eps < 1:
+        raise UsageError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     cfg = constructions.five_point_build(eps)
     w = cfg.witness()
     lam = t4.laminate_unroll(cfg.x, w, 0, args.rounds)
@@ -184,7 +191,8 @@ def cmd_t4_detect(args, out_dir):
     mats = _load_matrices(args.input, args.mode)
     if len(mats) != 4:
         raise UsageError("t4-detect expects exactly 4 matrices")
-    det = t4.detect_t4(mats, tol=args.tol if args.mode == FLOAT else 1e-9)
+    tol = args.tol if args.mode == FLOAT else 1e-9
+    det = t4.detect_t4(mats, tol=tol)
     results = {
         "witnesses": [{
             "ordering": list(w.ordering),
@@ -196,8 +204,9 @@ def cmd_t4_detect(args, out_dir):
         "failures": {"-".join(map(str, k)): v
                      for k, v in sorted(det.failures.items())},
     }
+    passed = all(t4.witness_certified(mats, w, tol) for w in det.witnesses)
     return _report("t4-detect", {"input": os.path.basename(args.input)},
-                   results, True), True, {}
+                   results, passed), passed, {}
 
 
 def cmd_pc_hull(args, out_dir):
@@ -229,7 +238,8 @@ def cmd_hausdorff(args, out_dir):
         try:
             with open(path) as f:
                 return laminate_from_json(json.load(f), args.mode)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError,
+                TypeError) as e:
             raise UsageError(f"cannot load laminate set from {path}: {e}")
     s1 = load_set(args.input_a)
     s2 = load_set(args.input_b)

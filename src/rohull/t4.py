@@ -4,8 +4,9 @@ For fixed mu the defining system is linear in the base point and the four
 rank-one increments, and one closed form solves it for a batch of mu, in
 float or in exact rationals; its Jacobian in mu comes from the same
 coefficients.  Detection runs a multi-start Newton iteration on mu over a
-seed grid, vectorized across seeds; a "not found" result is not a
-certificate of absence.
+seed grid, vectorized across seeds, once per cyclic class of orderings; the
+other rotations are read off the same scaffold and re-checked.  A "not
+found" result is not a certificate of absence.
 """
 from __future__ import annotations
 
@@ -218,20 +219,32 @@ def _build_witness(x, mu_float, tol):
         for cap in (10, 100, 10 ** 3, 10 ** 4, 10 ** 6):
             w = witness(tuple(Fraction(m).limit_denominator(cap)
                               for m in mu_float), xq)
-            if w is not None and check_t4_witness(x, w, 0).accepted:
+            if w is not None and witness_certified(x, w, tol):
                 return w
     xf = [_float_mat(xi) for xi in x]
     w = witness(tuple(float(m) for m in mu_float),
                 np.array([xi.entries() for xi in xf]))
-    if check_t4_witness(xf, w, max(float(tol) ** 0.5, 1e-6)).accepted:
+    if witness_certified(xf, w, tol):
         return w
     return None
 
 
+def witness_certified(x, w: T4Witness, tol: float = 1e-9) -> bool:
+    """Whether w passes check_t4_witness on x taken in w's ordering, at the
+    tolerance detection accepts a witness at: 0 for an exact witness,
+    max(sqrt(tol), 1e-6) for a float one, tol being the Newton tolerance."""
+    ordered = [x[i] for i in w.ordering]
+    check_tol = 0 if w.p.mode == EXACT else max(float(tol) ** 0.5, 1e-6)
+    return check_t4_witness(ordered, w, check_tol).accepted
+
+
+def _rotate(seq, r: int) -> tuple:
+    return tuple(seq[r:]) + tuple(seq[:r])
+
+
 def cyclic_class(ordering) -> tuple:
     """Canonical representative of the cyclic rotation class of an ordering."""
-    rots = [tuple(ordering[i:]) + tuple(ordering[:i]) for i in range(4)]
-    return min(rots)
+    return min(_rotate(ordering, r) for r in range(4))
 
 
 @dataclass(frozen=True)
@@ -243,18 +256,45 @@ class Detection:
         return bool(self.witnesses)
 
 
+def _search(x, perm, seeds, tol):
+    """Newton search for x taken in the order perm: a witness carrying perm,
+    or the failure reason."""
+    w, reason = solve_t4_ordering([x[i] for i in perm], seeds=seeds, tol=tol)
+    return reason if w is None else T4Witness(perm, w.p, w.c, w.mu)
+
+
 def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
-    """Try all 24 orderings; duplicates from cyclic rotations are retained."""
-    witnesses = []
-    failures = {}
-    for perm in itertools.permutations(range(4)):
-        ordered = [x[i] for i in perm]
-        w, reason = solve_t4_ordering(ordered, seeds=seeds, tol=tol)
-        if w is None:
-            failures[perm] = reason
-        else:
-            witnesses.append(T4Witness(perm, w.p, w.c, w.mu))
-    return Detection(tuple(witnesses), failures)
+    """Witnesses for all 24 orderings, from one Newton search per cyclic class.
+
+    A T4 is a cycle, so the four rotations of an ordering describe one
+    scaffold read from different corners.  Only the class representative
+    (the rotation that starts with 0) is searched.  Rotation r of its
+    witness starts at the corner Q_r, with C and mu rotated by r; each such
+    derived witness is re-checked with witness_certified, and one that fails
+    gets a search of its own.  A failure reason holds for the whole class:
+    the preconditions do not depend on the ordering, and rotating the
+    ordering rotates the Newton iteration in mu, which maps the default
+    seed grid onto itself.  Witnesses come in itertools.permutations order;
+    rotations of one scaffold are all reported.
+    """
+    outcome = {}
+    for tail in itertools.permutations(range(1, 4)):
+        rep = (0,) + tail
+        found = _search(x, rep, seeds, tol)
+        outcome[rep] = found
+        if isinstance(found, str):
+            outcome.update((_rotate(rep, r), found) for r in range(1, 4))
+            continue
+        corners = found.corners()
+        for r in range(1, 4):
+            w = T4Witness(_rotate(rep, r), corners[r], _rotate(found.c, r),
+                          _rotate(found.mu, r))
+            outcome[w.ordering] = (w if witness_certified(x, w, tol)
+                                   else _search(x, w.ordering, seeds, tol))
+    perms = list(itertools.permutations(range(4)))
+    return Detection(
+        tuple(outcome[p] for p in perms if not isinstance(outcome[p], str)),
+        {p: outcome[p] for p in perms if isinstance(outcome[p], str)})
 
 
 # --- laminate measures ---------------------------------------------------

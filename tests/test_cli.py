@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rohull import t4
 from rohull.cli import main
 
 T4_INPUT = [[["-1", "0"], ["0", "3"]], [["3", "0"], ["0", "1"]],
@@ -108,6 +109,7 @@ class TestSubcommands:
     ["staircase", "--n-max", "0"],
     ["usc-probe", "--N", "0"],
     ["--mode", "float", "sym-spiral", "--iters", "-1"],
+    ["five-point", "--epsilon", "1"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
@@ -115,6 +117,47 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert "error" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+SEGMENT_AS_LIST = {"points": [], "segments": [[SET_B["points"][0],
+                                               SET_B["points"][1]]],
+                   "order": 1}
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["t4-detect", "--input", "{}"], {"a": 1},
+     "list of 2x2 matrices, found an object"),
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"], SEGMENT_AS_LIST,
+     "cannot load laminate set"),
+], ids=["t4-detect-object", "hausdorff-segment-list"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, data,
+                                             message):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = [a.format(src) for a in argv]
+    assert main(["--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_t4_detect_checks_its_witnesses(tmp_path, monkeypatch):
+    detect = t4.detect_t4
+
+    def corrupted(x, **kwargs):
+        det = detect(x, seeds=[(2, 2, 2, 2)], **kwargs)
+        w = det.witnesses[0]
+        bad = t4.T4Witness(w.ordering, w.p, w.c, (w.mu[0] + 1,) + w.mu[1:])
+        return t4.Detection((bad,) + det.witnesses[1:], det.failures)
+
+    src = tmp_path / "quad.json"
+    src.write_text(json.dumps(T4_INPUT))
+    monkeypatch.setattr(t4, "detect_t4", corrupted)
+    code, report, _ = run(tmp_path, "t4-detect", "--input", str(src))
+    assert code == 2
+    assert report["certificates"]["passed"] is False
 
 
 class TestArtifacts:

@@ -1,11 +1,15 @@
 """T4 witness checks, scaffold solve, Newton detection, laminate unrolling."""
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
+from rohull import constructions, t4
 from rohull.core import Mat2
 from rohull.t4 import (
+    SEED_GRID_1D,
     T4Witness,
     _solve,
     check_t4_witness,
@@ -210,3 +214,76 @@ class TestDetect:
         assert det_res.witnesses == ()
         assert len(det_res.failures) == 24
         assert all(det_res.failures.values())
+
+
+def _counting_solver(monkeypatch):
+    """Record the ordering of every solve_t4_ordering call detect_t4 makes."""
+    calls = []
+    solve = t4.solve_t4_ordering
+
+    def counted(x, *args, **kwargs):
+        calls.append(tuple(x))
+        return solve(x, *args, **kwargs)
+
+    monkeypatch.setattr(t4, "solve_t4_ordering", counted)
+    return calls
+
+
+def _rotate(seq, r):
+    return tuple(seq[r:]) + tuple(seq[:r])
+
+
+class TestCyclicSearch:
+    def test_one_search_per_cyclic_class(self, monkeypatch):
+        calls = _counting_solver(monkeypatch)
+        det_res = detect_t4(CLASSIC)
+        assert len(calls) == 6
+        searched = {tuple(CLASSIC.index(m) for m in x) for x in calls}
+        assert searched == {(0,) + p
+                            for p in itertools.permutations(range(1, 4))}
+        assert [w.ordering for w in det_res.witnesses] == [
+            (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+        assert set(det_res.failures) == \
+            set(itertools.permutations(range(4))) - \
+            {w.ordering for w in det_res.witnesses}
+
+    @pytest.mark.parametrize("x", [
+        CLASSIC, list(constructions.five_point_build(F(1, 2)).x)],
+        ids=["classic", "five-point"])
+    def test_rotations_start_at_the_corners(self, x):
+        witnesses = {w.ordering: w for w in detect_t4(x).witnesses}
+        assert witnesses
+        for w in witnesses.values():
+            corners = w.corners()
+            for r in range(1, 4):
+                rotated = witnesses[_rotate(w.ordering, r)]
+                assert rotated.p == corners[r]
+                assert rotated.c == _rotate(w.c, r)
+                assert rotated.mu == _rotate(w.mu, r)
+            ordered = [x[i] for i in w.ordering]
+            assert check_t4_witness(ordered, w, 0).accepted
+
+    def test_failed_rotation_gets_its_own_search(self, monkeypatch):
+        seeds = list(itertools.product(SEED_GRID_1D[1:9:2], repeat=4))
+        expected = detect_t4(CLASSIC, seeds=seeds)
+        check = t4.check_t4_witness
+        rejected = []
+
+        def reject_one_rotation(x, w, tol=0):
+            if w.ordering == (1, 2, 3, 0) and not rejected:
+                rejected.append(w)
+                return check(x, T4Witness(w.ordering, w.p, w.c,
+                                          (F(1),) + w.mu[1:]), tol)
+            return check(x, w, tol)
+
+        monkeypatch.setattr(t4, "check_t4_witness", reject_one_rotation)
+        calls = _counting_solver(monkeypatch)
+        det_res = detect_t4(CLASSIC, seeds=seeds)
+        assert len(rejected) == 1
+        assert len(calls) == 7
+        assert tuple(CLASSIC[i] for i in (1, 2, 3, 0)) in calls
+        redone = next(w for w in det_res.witnesses
+                      if w.ordering == (1, 2, 3, 0))
+        ordered = [CLASSIC[i] for i in redone.ordering]
+        assert check(ordered, redone, 0).accepted
+        assert det_res == expected
