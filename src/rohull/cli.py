@@ -209,10 +209,20 @@ def cmd_t4_detect(args, out_dir):
                    results, passed), passed, {}
 
 
+def _pc_hull_certified(mats, hull, tol) -> bool:
+    """Every input is a member of the hull, and every plane holds the points
+    it indexes."""
+    plane_tol = 0 if all(m.mode == EXACT for m in mats) else tol
+    return (all(hull.membership(m, plane_tol) for m in mats)
+            and all(ph.plane.contains(hull.points[i], plane_tol)
+                    for ph in hull.planes for i in ph.indices))
+
+
 def cmd_pc_hull(args, out_dir):
     mats = _load_matrices(args.input, args.mode)
+    tol = args.tol if args.mode == FLOAT else 1e-9
     try:
-        hull = pchull.pc_hull(mats)
+        hull = pchull.pc_hull(mats, tol=tol)
     except GeometryError as e:
         return _report("pc-hull", {"input": os.path.basename(args.input)},
                        {"error": str(e)}, False), False, {}
@@ -229,8 +239,9 @@ def cmd_pc_hull(args, out_dir):
         "singletons": [matrix_to_json(hull.points[i])
                        for i in hull.singleton_indices],
     }
+    passed = _pc_hull_certified(mats, hull, tol)
     return _report("pc-hull", {"input": os.path.basename(args.input)},
-                   results, True), True, {}
+                   results, passed), passed, {}
 
 
 def cmd_hausdorff(args, out_dir):

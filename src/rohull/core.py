@@ -7,10 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalar import (
     DEFAULT_TOL,
     EXACT,
+    FLOAT,
+    MixedModeError,
     Scalar,
     common_mode,
     mode_of,
@@ -30,25 +33,59 @@ def _coerce(x: Scalar) -> Scalar:
     return x
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """A real 2x2 matrix [[a11, a12], [a21, a22]]."""
+    """A real 2x2 matrix [[a11, a12], [a21, a22]] in one scalar mode.
 
-    a11: Scalar
-    a12: Scalar
-    a21: Scalar
-    a22: Scalar
+    An exact matrix is stored as four int numerators over one positive int
+    denominator in lowest terms, gcd(n11, n12, n21, n22, d) == 1, so equal
+    values have equal storage.  A float matrix is stored as its four floats
+    and no denominator.  Arithmetic, ``det``, ``frob_sq``, ``inner``,
+    ``det_cross``, ``combine`` and the sign predicates work on the stored
+    numbers; Fractions appear only where a value leaves the kernel: the
+    entries ``a11``..``a22``, ``entries()``, ``rows()`` and scalar results.
+    The mode is checked once, when a matrix is built from scalars.
+    """
+
+    __slots__ = ("_n11", "_n12", "_n21", "_n22", "_d")
+
+    def __init__(self, a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar):
+        if common_mode(a11, a12, a21, a22) == EXACT:
+            d = lcm(a11.denominator, a12.denominator,
+                    a21.denominator, a22.denominator)
+            self._n11 = a11.numerator * (d // a11.denominator)
+            self._n12 = a12.numerator * (d // a12.denominator)
+            self._n21 = a21.numerator * (d // a21.denominator)
+            self._n22 = a22.numerator * (d // a22.denominator)
+            self._d = d
+        else:
+            self._n11, self._n12, self._n21, self._n22 = a11, a12, a21, a22
+            self._d = None
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "a11", _coerce(self.a11))
-        object.__setattr__(self, "a12", _coerce(self.a12))
-        object.__setattr__(self, "a21", _coerce(self.a21))
-        object.__setattr__(self, "a22", _coerce(self.a22))
-        common_mode(self.a11, self.a12, self.a21, self.a22)
+        """Bring an exact value to lowest terms.  Every construction,
+        arithmetic results included, calls this exactly once."""
+        d = self._d
+        if d is not None:
+            g = gcd(self._n11, self._n12, self._n21, self._n22, d)
+            if g != 1:
+                self._n11 //= g
+                self._n12 //= g
+                self._n21 //= g
+                self._n22 //= g
+                self._d = d // g
 
     @property
     def mode(self) -> str:
-        return mode_of(self.a11)
+        return FLOAT if self._d is None else EXACT
+
+    def _entry(self, n) -> Scalar:
+        return n if self._d is None else Fraction(n, self._d)
+
+    a11 = property(lambda self: self._entry(self._n11))
+    a12 = property(lambda self: self._entry(self._n12))
+    a21 = property(lambda self: self._entry(self._n21))
+    a22 = property(lambda self: self._entry(self._n22))
 
     @staticmethod
     def from_rows(rows) -> "Mat2":
@@ -67,40 +104,112 @@ class Mat2:
         return Mat2(x, z, z, y)
 
     def rows(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
+        a11, a12, a21, a22 = self.entries()
+        return ((a11, a12), (a21, a22))
 
     def entries(self):
-        return (self.a11, self.a12, self.a21, self.a22)
+        d = self._d
+        if d is None:
+            return (self._n11, self._n12, self._n21, self._n22)
+        return (Fraction(self._n11, d), Fraction(self._n12, d),
+                Fraction(self._n21, d), Fraction(self._n22, d))
+
+    def __repr__(self) -> str:
+        return (f"Mat2(a11={self.a11!r}, a12={self.a12!r}, "
+                f"a21={self.a21!r}, a22={self.a22!r})")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        if (self._d is None) != (other._d is None):
+            return self.entries() == other.entries()
+        return (self._n11 == other._n11 and self._n12 == other._n12
+                and self._n21 == other._n21 and self._n22 == other._n22
+                and self._d == other._d)
+
+    def __hash__(self) -> int:
+        # by value, so an exact matrix hashes like the equal float matrix
+        return hash(self.entries())
+
+    def __reduce__(self):
+        return _make, (self._d, self._n11, self._n12, self._n21, self._n22)
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        common_mode(self.a11, other.a11)
-        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
-                    self.a21 + other.a21, self.a22 + other.a22)
+        d, e = self._d, other._d
+        if d == e:  # one denominator, or two floats
+            return _make(d, self._n11 + other._n11, self._n12 + other._n12,
+                         self._n21 + other._n21, self._n22 + other._n22)
+        _same_mode(d, e)
+        return _make(d * e, self._n11 * e + other._n11 * d,
+                     self._n12 * e + other._n12 * d,
+                     self._n21 * e + other._n21 * d,
+                     self._n22 * e + other._n22 * d)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        common_mode(self.a11, other.a11)
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
+        d, e = self._d, other._d
+        if d == e:  # one denominator, or two floats
+            return _make(d, self._n11 - other._n11, self._n12 - other._n12,
+                         self._n21 - other._n21, self._n22 - other._n22)
+        _same_mode(d, e)
+        return _make(d * e, self._n11 * e - other._n11 * d,
+                     self._n12 * e - other._n12 * d,
+                     self._n21 * e - other._n21 * d,
+                     self._n22 * e - other._n22 * d)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
+        return _make(self._d, -self._n11, -self._n12, -self._n21, -self._n22)
 
     def scale(self, s: Scalar) -> "Mat2":
-        common_mode(self.a11, s)
-        return Mat2(s * self.a11, s * self.a12, s * self.a21, s * self.a22)
+        q = _denominator(s)
+        _same_mode(self._d, q)
+        if q is None:
+            return _make(None, s * self._n11, s * self._n12,
+                         s * self._n21, s * self._n22)
+        p = s.numerator
+        return _make(self._d * q, p * self._n11, p * self._n12,
+                     p * self._n21, p * self._n22)
 
     def det(self) -> Scalar:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        n, d = self._det_num(), self._d
+        return n if d is None else Fraction(n, d * d)
+
+    def _det_num(self):
+        # det times d^2, so it has the sign of det
+        return self._n11 * self._n22 - self._n12 * self._n21
 
     def frob_sq(self) -> Scalar:
-        return (self.a11 * self.a11 + self.a12 * self.a12
-                + self.a21 * self.a21 + self.a22 * self.a22)
+        s = (self._n11 * self._n11 + self._n12 * self._n12
+             + self._n21 * self._n21 + self._n22 * self._n22)
+        d = self._d
+        return s if d is None else Fraction(s, d * d)
 
     def frob(self) -> Scalar:
         return scalar_sqrt(self.frob_sq())
 
     def is_zero(self) -> bool:
-        return self.frob_sq() == 0
+        if self._d is None:
+            return self.frob_sq() == 0
+        return not (self._n11 or self._n12 or self._n21 or self._n22)
+
+
+def _denominator(s: Scalar):
+    """The denominator of an exact scalar, None for a float."""
+    return None if mode_of(s) == FLOAT else s.denominator
+
+
+def _same_mode(d, e):
+    """Raise unless both denominators are None (float) or neither is."""
+    if (d is None) != (e is None):
+        raise MixedModeError("cannot mix exact and float scalars")
+
+
+def _make(d, n11, n12, n21, n22) -> Mat2:
+    """A Mat2 from stored numbers: int numerators over d, or floats with d
+    None."""
+    m = object.__new__(Mat2)
+    m._n11, m._n12, m._n21, m._n22, m._d = n11, n12, n21, n22, d
+    m.__post_init__()
+    return m
 
 
 def det(m: Mat2) -> Scalar:
@@ -109,18 +218,35 @@ def det(m: Mat2) -> Scalar:
 
 def inner(x: Mat2, y: Mat2) -> Scalar:
     """Frobenius inner product."""
-    return (x.a11 * y.a11 + x.a12 * y.a12 + x.a21 * y.a21 + x.a22 * y.a22)
+    d, e = x._d, y._d
+    _same_mode(d, e)
+    s = (x._n11 * y._n11 + x._n12 * y._n12
+         + x._n21 * y._n21 + x._n22 * y._n22)
+    return s if d is None else Fraction(s, d * e)
 
 
 def det_cross(m: Mat2, n: Mat2) -> Scalar:
     """Bilinear polarization of det: det(M + tN) = det M + t*det_cross + t^2 det N."""
-    return (m.a11 * n.a22 + n.a11 * m.a22 - m.a12 * n.a21 - n.a12 * m.a21)
+    d, e = m._d, n._d
+    _same_mode(d, e)
+    s = (m._n11 * n._n22 + n._n11 * m._n22
+         - m._n12 * n._n21 - n._n12 * m._n21)
+    return s if d is None else Fraction(s, d * e)
 
 
 def combine(a: Mat2, b: Mat2, t: Scalar) -> Mat2:
     """Convex combination (1-t)*a + t*b."""
-    one = Fraction(1) if mode_of(t) == EXACT else 1.0
-    return a.scale(one - t) + b.scale(t)
+    d, e, q = a._d, b._d, _denominator(t)
+    _same_mode(d, q)
+    _same_mode(e, q)
+    if q is None:
+        s = 1.0 - t
+        return _make(None, s * a._n11 + t * b._n11, s * a._n12 + t * b._n12,
+                     s * a._n21 + t * b._n21, s * a._n22 + t * b._n22)
+    # with t = p/q: (1 - t) a + t b = ((q - p) e a_n + p d b_n) / (q d e)
+    u, v = (q - t.numerator) * e, t.numerator * d
+    return _make(q * d * e, u * a._n11 + v * b._n11, u * a._n12 + v * b._n12,
+                 u * a._n21 + v * b._n21, u * a._n22 + v * b._n22)
 
 
 def rank_one_connected(x: Mat2, y: Mat2, tol: Scalar = DEFAULT_TOL) -> bool:
@@ -129,7 +255,7 @@ def rank_one_connected(x: Mat2, y: Mat2, tol: Scalar = DEFAULT_TOL) -> bool:
         raise GeometryError("identical matrices have rank-0 difference")
     d = x - y
     if d.mode == EXACT:
-        return d.det() == 0
+        return d._det_num() == 0
     return abs(d.det()) <= tol * d.frob_sq()
 
 
@@ -138,7 +264,7 @@ def rank2x2(m: Mat2, tol: Scalar = DEFAULT_TOL) -> int:
     if m.is_zero():
         return 0
     if m.mode == EXACT:
-        return 1 if m.det() == 0 else 2
+        return 1 if m._det_num() == 0 else 2
     return 1 if abs(m.det()) <= tol * m.frob_sq() else 2
 
 
@@ -149,19 +275,24 @@ def crossing_parameter(a: Mat2, a_next: Mat2, b: Mat2) -> Scalar:
     returned t is the exact root when a and b are rank-one connected (det is
     then linear along the segment), which is the only use made of it here.
     """
-    d_a = (a - a_next).det()
-    d_b = (b - a_next).det()
-    if d_a == 0:
+    m_a = a - a_next
+    m_b = b - a_next
+    exact = m_a.mode == EXACT
+    # an exact det(m) is m._det_num() / m._d^2: the numerator has its sign
+    n_a, n_b = ((m_a._det_num(), m_b._det_num()) if exact
+                else (m_a.det(), m_b.det()))
+    if n_a == 0:
         raise GeometryError("degenerate pivot pair")
-    if d_b == 0 or sign(d_a) == sign(d_b):
+    if n_b == 0 or sign(n_a) == sign(n_b):
         raise GeometryError("no sign change")
-    t = d_a / (d_a - d_b)
-    if mode_of(t) == EXACT:
-        residual = combine(a, b, t) - a_next
-        if residual.det() != 0:
-            raise GeometryError(
-                "crossing parameter is not an exact root; "
-                "segment endpoints are not rank-one connected")
+    if not exact:
+        return n_a / (n_a - n_b)
+    u, v = n_a * m_b._d ** 2, n_b * m_a._d ** 2
+    t = Fraction(u, u - v)
+    if (combine(a, b, t) - a_next)._det_num() != 0:
+        raise GeometryError(
+            "crossing parameter is not an exact root; "
+            "segment endpoints are not rank-one connected")
     return t
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rohull import t4
+from rohull import pchull, t4
 from rohull.cli import main
 
 T4_INPUT = [[["-1", "0"], ["0", "3"]], [["3", "0"], ["0", "1"]],
@@ -158,6 +158,58 @@ def test_t4_detect_checks_its_witnesses(tmp_path, monkeypatch):
     code, report, _ = run(tmp_path, "t4-detect", "--input", str(src))
     assert code == 2
     assert report["certificates"]["passed"] is False
+
+
+
+def _shift_first_plane(hull):
+    """Move the first plane off the points it indexes."""
+    ph = hull.planes[0]
+    plane = pchull.RankOnePlane(((0, 0), (1, 0)), ph.plane.kind,
+                                ph.plane.generator)
+    return pchull.HullDescription(
+        hull.points, (pchull.PlaneHull(plane, ph.indices, ph.vertices),)
+        + hull.planes[1:], hull.singleton_indices)
+
+
+def _drop_last_point(hull):
+    """A hull of all but the last input point, with no planes."""
+    n = len(hull.points) - 1
+    return pchull.HullDescription(hull.points[:n], (), tuple(range(n)))
+
+
+@pytest.mark.parametrize("corrupt", [_shift_first_plane, _drop_last_point])
+def test_pc_hull_checks_its_certificate(tmp_path, monkeypatch, corrupt):
+    build = pchull.pc_hull
+    monkeypatch.setattr(pchull, "pc_hull",
+                        lambda k, **kwargs: corrupt(build(k, **kwargs)))
+    src = tmp_path / "set.json"
+    src.write_text(json.dumps(PC_INPUT))
+    code, report, _ = run(tmp_path, "pc-hull", "--input", str(src))
+    assert code == 2
+    assert report["certificates"]["passed"] is False
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["--mode", "float", "--tol", "1e-3"], 1e-3),
+    (["--tol", "1e-3"], 1e-9),  # exact mode keeps the library default
+])
+def test_pc_hull_honours_tol(tmp_path, monkeypatch, argv, tol):
+    build = pchull.pc_hull
+    seen = []
+
+    def recording(k, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return build(k, **kwargs)
+
+    monkeypatch.setattr(pchull, "pc_hull", recording)
+    src = tmp_path / "set.json"
+    src.write_text(json.dumps(PC_INPUT))
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *argv, "pc-hull", "--input", str(src)])
+    assert code == 0
+    report = json.loads((out / "pc-hull.json").read_text())
+    assert report["certificates"]["passed"] is True
+    assert seen == [tol]
 
 
 class TestArtifacts:

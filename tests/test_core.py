@@ -1,5 +1,6 @@
 """Matrix arithmetic, rank predicates, subspace embeddings, crossing roots."""
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from rohull.core import (
     crossing_parameter,
     det,
     det_cross,
+    inner,
     project_diag,
     project_sym,
     project_tri,
@@ -63,6 +65,139 @@ class TestMat2:
         assert Mat2.zero().is_zero()
         assert Mat2.from_rows([[1, 2], [3, 4]]) == Mat2(1, 2, 3, 4)
         assert Mat2(1, 2, 3, 4).rows() == ((1, 2), (3, 4))
+
+
+# --- the integer kernel against plain Fraction arithmetic -----------------
+
+exact_scalars = st.one_of(st.integers(-50, 50), rationals)
+floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+entries4 = st.tuples(*[exact_scalars] * 4)
+float4 = st.tuples(*[floats] * 4)
+
+
+def ref_det(e):
+    return e[0] * e[3] - e[1] * e[2]
+
+
+def ref_frob_sq(e):
+    return e[0] * e[0] + e[1] * e[1] + e[2] * e[2] + e[3] * e[3]
+
+
+def ref_inner(e, f):
+    return e[0] * f[0] + e[1] * f[1] + e[2] * f[2] + e[3] * f[3]
+
+
+def ref_det_cross(e, f):
+    return e[0] * f[3] + f[0] * e[3] - e[1] * f[2] - f[1] * e[2]
+
+
+def ref_combine(e, f, t):
+    s = 1 - t
+    return tuple(s * x + t * y for x, y in zip(e, f))
+
+
+class TestKernelAgainstFractions:
+    @given(entries4, entries4, exact_scalars)
+    def test_exact_ops(self, e, f, s):
+        a, b = Mat2(*e), Mat2(*f)
+        assert a.entries() == tuple(F(x) for x in e)
+        assert all(type(x) is F for x in a.entries())
+        assert a.rows() == ((e[0], e[1]), (e[2], e[3]))
+        assert (a + b).entries() == tuple(x + y for x, y in zip(e, f))
+        assert (a - b).entries() == tuple(x - y for x, y in zip(e, f))
+        assert (-a).entries() == tuple(-x for x in e)
+        assert a.scale(s).entries() == tuple(s * x for x in e)
+        assert combine(a, b, s).entries() == ref_combine(e, f, s)
+        for got, want in ((a.det(), ref_det(e)),
+                          (a.frob_sq(), ref_frob_sq(e)),
+                          (inner(a, b), ref_inner(e, f)),
+                          (det_cross(a, b), ref_det_cross(e, f))):
+            assert type(got) is F and got == want
+
+    @given(entries4, entries4)
+    def test_equal_values_equal_however_written(self, e, f):
+        a, b = Mat2(*e), Mat2(*f)
+        for same in ((a + b) - b, (a - b) + b, -(-a), a.scale(F(3, 7))
+                     .scale(F(7, 3)), combine(a, a, F(2, 5))):
+            assert same == a
+            assert hash(same) == hash(a)
+            assert same.entries() == a.entries()
+
+    def test_reducible_inputs(self):
+        a = Mat2(F(2, 4), F(6, 4), 0, 2)
+        b = Mat2(F(1, 2), F(3, 2), F(0, 5), F(8, 4))
+        assert a == b and hash(a) == hash(b)
+        half = Mat2(F(1, 4), F(3, 4), 0, 1)
+        assert half + half == a and hash(half + half) == hash(a)
+
+    def test_pickle_round_trip(self):
+        for m in (Mat2(F(1, 2), 3, F(-5, 6), 0), Mat2(0.5, 1.0, 2.0, 3.0)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(m, protocol))
+                assert back == m and back.mode == m.mode
+
+    @given(st.tuples(*[st.integers(-64, 64)] * 4), st.integers(0, 6))
+    def test_exact_equals_float_of_same_value(self, nums, k):
+        exact = Mat2(*(F(n, 2 ** k) for n in nums))
+        approx = Mat2(*(n / 2 ** k for n in nums))
+        assert exact == approx and approx == exact
+        assert hash(exact) == hash(approx)
+        assert exact != approx + Mat2(1.0, 0.0, 0.0, 0.0)
+
+    @given(float4, float4, floats)
+    def test_float_mode_matches_float_formulas(self, e, f, s):
+        a, b = Mat2(*e), Mat2(*f)
+        assert a.mode == "float" and a.entries() == e
+        assert a.rows() == ((e[0], e[1]), (e[2], e[3]))
+        assert (a + b).entries() == tuple(x + y for x, y in zip(e, f))
+        assert (a - b).entries() == tuple(x - y for x, y in zip(e, f))
+        assert (-a).entries() == tuple(-x for x in e)
+        assert a.scale(s).entries() == tuple(s * x for x in e)
+        assert combine(a, b, s).entries() == tuple(
+            (1.0 - s) * x + s * y for x, y in zip(e, f))
+        assert a.det() == ref_det(e)
+        assert a.frob_sq() == ref_frob_sq(e)
+        assert inner(a, b) == ref_inner(e, f)
+        assert det_cross(a, b) == ref_det_cross(e, f)
+
+    def test_mixed_modes_raise(self):
+        q = Mat2(1, F(1, 2), 0, 3)
+        x = Mat2(1.0, 0.5, 0.0, 3.0)
+        mixed = [lambda: q + x, lambda: x - q, lambda: q.scale(0.5),
+                 lambda: x.scale(F(1, 2)), lambda: combine(q, x, F(1, 2)),
+                 lambda: combine(q, q, 0.5), lambda: combine(x, x, F(1, 2)),
+                 lambda: inner(q, x), lambda: det_cross(x, q),
+                 lambda: Mat2(1, 2, 3, 4.0)]
+        for op in mixed:
+            with pytest.raises(MixedModeError):
+                op()
+
+
+class TestConstructionHook:
+    """Every Mat2 construction runs __post_init__ exactly once: the
+    benchmark's traced run counts constructions by patching it."""
+
+    @pytest.mark.parametrize("one", [F(1), 1.0])
+    def test_each_operation_constructs_once(self, monkeypatch, one):
+        a = Mat2(one, 2 * one, 3 * one, 5 * one)
+        b = Mat2(one / 4, 0 * one, one, one / 3)
+        s = one / 3
+        calls = []
+        post_init = Mat2.__post_init__
+
+        def counted(m):
+            calls.append(m)
+            post_init(m)
+
+        monkeypatch.setattr(Mat2, "__post_init__", counted)
+        ops = {"sub": lambda: a - b, "add": lambda: a + b, "neg": lambda: -a,
+               "scale": lambda: a.scale(s),
+               "combine": lambda: combine(a, b, s),
+               "init": lambda: Mat2(one, one, one, one)}
+        for name, op in ops.items():
+            calls.clear()
+            m = op()
+            assert calls == [m], name
 
 
 class TestRankPredicates:
@@ -166,6 +301,15 @@ class TestCrossingParameter:
         # det(A - C) = 6, det(B - C) = -6, rank(B - A) = 1
         t = crossing_parameter(a, c, b)
         assert t == F(1, 2)
+        assert det(combine(a, b, t) - c) == 0
+
+    def test_exact_root_with_unequal_denominators(self):
+        # det(A - C) = 2/3 over denominator 3, det(B - C) = -2/5 over 5
+        a = Mat2.diag(F(1, 3), 2)
+        b = Mat2.diag(F(-1, 5), 2)
+        c = Mat2.zero()
+        t = crossing_parameter(a, c, b)
+        assert t == F(5, 8)
         assert det(combine(a, b, t) - c) == 0
 
     def test_requires_sign_change(self):
