@@ -117,8 +117,9 @@ def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
 
 
 def _parallel4(u: Mat2, v: Mat2) -> bool:
-    e = u.entries()
-    f = v.entries()
+    # cross products are scale-invariant, so the stored numbers will do
+    e = (u._n11, u._n12, u._n21, u._n22)
+    f = (v._n11, v._n12, v._n21, v._n22)
     for i in range(4):
         for j in range(i + 1, 4):
             if e[i] * f[j] != e[j] * f[i]:
@@ -144,6 +145,12 @@ def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
             and combine(big.a, big.b, tb) == small.b)
 
 
+def _stored(m: Mat2):
+    # one set has one mode, and exact storage is in lowest terms, so equal
+    # matrices have equal stored numbers
+    return m._n11, m._n12, m._n21, m._n22, m._d
+
+
 def _dedup_segments(segments):
     # drop zero-length, exact duplicates, and exact segments contained in a
     # longer collinear exact segment
@@ -152,7 +159,7 @@ def _dedup_segments(segments):
     for seg in segments:
         if seg.a == seg.b:
             continue
-        key = frozenset([seg.a.entries(), seg.b.entries()]), seg.approx
+        key = frozenset([_stored(seg.a), _stored(seg.b)]), seg.approx
         if key in seen:
             continue
         seen.add(key)
@@ -232,15 +239,25 @@ def point_point_dist_sq(p: Mat2, q: Mat2) -> Scalar:
 
 
 def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
-    d = b - a
-    dd = d.frob_sq()
-    if dd == 0:
-        return (p - a).frob_sq()
-    t = inner(p - a, d) / dd
-    zero = Fraction(0) if mode_of(t) == EXACT else 0.0
-    one = Fraction(1) if mode_of(t) == EXACT else 1.0
-    t = min(max(t, zero), one)
-    return (p - combine(a, b, t)).frob_sq()
+    m = p - a
+    n = b - a
+    if n._d is None:
+        dd = n.frob_sq()
+        if dd == 0:
+            return m.frob_sq()
+        t = min(max(inner(m, n) / dd, 0.0), 1.0)
+        return (p - combine(a, b, t)).frob_sq()
+    # with m = M / dm and n = N / dn, the foot of p on the line through a
+    # and b is at t = (M.N) dn / ((N.N) dm); the clamp tests compare ints
+    dm, dn = m._d, n._d
+    mn = m._n11 * n._n11 + m._n12 * n._n12 + m._n21 * n._n21 + m._n22 * n._n22
+    if mn <= 0:
+        return m.frob_sq()
+    nn = n._n11 * n._n11 + n._n12 * n._n12 + n._n21 * n._n21 + n._n22 * n._n22
+    if mn * dn >= nn * dm:
+        return (p - b).frob_sq()
+    mm = m._n11 * m._n11 + m._n12 * m._n12 + m._n21 * m._n21 + m._n22 * m._n22
+    return Fraction(mm * nn - mn * mn, dm * dm * nn)
 
 
 def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .core import GeometryError, Mat2
-from .scalar import DEFAULT_TOL, EXACT, Scalar, mode_of
+from .core import GeometryError, Mat2, _same_mode
+from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, common_mode, mode_of
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -23,6 +23,16 @@ def to_rows(m) -> Matrix:
     if isinstance(m, Mat2):
         return m.rows()
     return tuple(tuple(e for e in row) for row in m)
+
+
+def _over_one_denominator(rows):
+    """Rows as stored numbers: int numerators over the least common
+    denominator when every entry is exact, else the floats over None."""
+    if common_mode(*(e for row in rows for e in row)) == FLOAT:
+        return tuple(tuple(row) for row in rows), None
+    d = lcm(*(e.denominator for row in rows for e in row))
+    return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+                 for row in rows), d
 
 
 def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -70,42 +80,95 @@ class RankOnePlane:
     kind "left": basepoint + x . generator^T over row coefficients x (the
     generator is the shared row direction); kind "right": basepoint +
     generator . y^T (the generator is the shared column direction).
+
+    An exact plane keeps its basepoint as int numerators over one positive
+    denominator and its generator as ints ``g`` with ``generator = g / gs``;
+    ``contains`` and ``coords`` work on those and on a query's own stored
+    numbers, so the only Fractions they build are the returned coordinates.
+    A float plane keeps its floats, with no denominator, as ``Mat2`` does.
     """
 
     basepoint: Matrix
     kind: str  # "left" or "right"
     generator: tuple[Scalar, ...]
 
+    def __post_init__(self):
+        base, bd = _over_one_denominator(self.basepoint)
+        if self.kind == "right":
+            base = tuple(zip(*base))
+        (g,), gs = _over_one_denominator((self.generator,))
+        _same_mode(bd, gs)
+        # the rows ("left") or columns ("right") of the basepoint
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_den", bd)
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "_gs", gs)
+        object.__setattr__(self, "_gg", sum(x * x for x in g))
+
     def shape(self) -> tuple[int, int]:
         return len(self.basepoint), len(self.basepoint[0])
 
-    def contains(self, mat, tol: Scalar = 0) -> bool:
-        d = _mat_sub(to_rows(mat), self.basepoint)
-        if self.kind == "left":
-            vectors = d
+    def _difference(self, mat):
+        """The rows ("left") or columns ("right") of mat - basepoint, as
+        stored numbers over one denominator: ints over a positive int, or
+        floats over None."""
+        if mat.__class__ is Mat2:
+            e = mat._d
+            if self.kind == "left":
+                q = ((mat._n11, mat._n12), (mat._n21, mat._n22))
+            else:
+                q = ((mat._n11, mat._n21), (mat._n12, mat._n22))
         else:
-            vectors = tuple(zip(*d))
-        g = self.generator
-        scale = max([abs(float(e)) for row in d for e in row] + [1.0])
+            q, e = _over_one_denominator(mat)
+            if self.kind == "right":
+                q = tuple(zip(*q))
+        d = self._den
+        if d == e:  # one denominator, or two floats
+            return tuple(tuple(x - y for x, y in zip(u, v))
+                         for u, v in zip(q, self._base)), d
+        _same_mode(d, e)
+        return tuple(tuple(x * d - y * e for x, y in zip(u, v))
+                     for u, v in zip(q, self._base)), d * e
+
+    def contains(self, mat, tol: Scalar = 0) -> bool:
+        """True iff mat lies on the plane.
+
+        Each row ("left") or column ("right") of mat - basepoint must be
+        parallel to the generator.  On an exact plane the 2x2 minors are
+        decided by their sign, so any nonzero minor rejects.  ``tol`` applies
+        to float planes only: there a minor counts as zero up to ``tol``
+        times the largest entry of the difference (at least 1).
+        """
+        return self._holds(*self._difference(mat), tol)
+
+    def _holds(self, vectors, den, tol) -> bool:
+        g = self._g
+        if den is None:
+            rows = vectors if self.kind == "left" else zip(*vectors)
+            bound = float(tol) * max([abs(float(e)) for row in rows
+                                      for e in row] + [1.0])
         for vec in vectors:
             for i in range(len(g)):
                 for j in range(i + 1, len(g)):
                     minor = vec[i] * g[j] - vec[j] * g[i]
-                    if abs(float(minor)) > float(tol) * scale:
-                        if minor != 0:
-                            return False
+                    if minor and (den is not None or abs(minor) > bound):
+                        return False
         return True
 
     def coords(self, mat):
-        """Coefficient vector of a member matrix (length m or n)."""
-        d = _mat_sub(to_rows(mat), self.basepoint)
-        g = self.generator
-        gg = sum(x * x for x in g)
-        if self.kind == "left":
-            vectors = d
-        else:
-            vectors = tuple(zip(*d))
-        return tuple(sum(a * b for a, b in zip(vec, g)) / gg for vec in vectors)
+        """Coefficient vector of a member matrix (length m or n); on an
+        exact plane, one Fraction per coefficient."""
+        return self._coords(*self._difference(mat))
+
+    def _coords(self, vectors, den):
+        g, gg = self._g, self._gg
+        if den is None:
+            return tuple(sum(a * b for a, b in zip(vec, g)) / gg
+                         for vec in vectors)
+        # <d/den, g/gs> / <g/gs, g/gs> = <vec, g> gs / (den <g, g>)
+        gs, q = self._gs, den * gg
+        return tuple(Fraction(sum(a * b for a, b in zip(vec, g)) * gs, q)
+                     for vec in vectors)
 
     def matrix_at(self, coeffs) -> Matrix:
         g = self.generator
@@ -264,10 +327,11 @@ class HullDescription:
         if any(m == p for p in self.points):
             return True
         for ph in self.planes:
-            if ph.plane.contains(m, tol):
-                q = ph.plane.coords(m)
-                if polygon_contains(ph.vertices, q):
-                    return True
+            plane = ph.plane
+            diff = plane._difference(m)
+            if (plane._holds(*diff, tol)
+                    and polygon_contains(ph.vertices, plane._coords(*diff))):
+                return True
         return False
 
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report structure, artifacts."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,39 @@ def test_pc_hull_honours_tol(tmp_path, monkeypatch, argv, tol):
     report = json.loads((out / "pc-hull.json").read_text())
     assert report["certificates"]["passed"] is True
     assert seen == [tol]
+
+
+def test_pc_hull_on_a_huge_entry(tmp_path, capsys):
+    # 10^400 overflows a float; the exact plane test must not convert it
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps([[["0", "0"], ["0", "0"]],
+                               [[str(10**400), "0"], ["0", "0"]],
+                               [["0", "1"], ["0", "0"]]]))
+    code, report, _ = run(tmp_path, "pc-hull", "--input", str(src))
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert report["certificates"]["passed"] is True
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_ARGV = {
+    "pc-hull": ["pc-hull", "--input", str(DATA / "golden_set.json")],
+    "hausdorff": ["hausdorff", "--input-a", str(DATA / "golden_a.json"),
+                  "--input-b", str(DATA / "golden_b.json")],
+}
+
+
+# float pc-hull is left out: its plane generators come from LAPACK's SVD,
+# whose last bits may vary between builds
+@pytest.mark.parametrize("name, mode", [
+    ("pc-hull", "exact"), ("hausdorff", "exact"), ("hausdorff", "float")])
+def test_reports_match_the_committed_ones(tmp_path, name, mode):
+    """The reports are byte-identical to ones committed from an earlier
+    version of the library."""
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--mode", mode, *GOLDEN_ARGV[name]]) == 0
+    assert (out / f"{name}.json").read_bytes() == \
+        (DATA / f"{name}.{mode}.json").read_bytes()
 
 
 class TestArtifacts:

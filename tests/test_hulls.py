@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rohull.core import GeometryError, Mat2, TriPt, det
+from rohull.core import GeometryError, Mat2, TriPt, combine, det, inner
 from rohull.hulls import (
     LaminateSet,
     RankOneSegment,
@@ -73,6 +73,16 @@ class TestL2Hull:
         ends = {s.segments[0].a, s.segments[0].b}
         assert ends == {Mat2.diag(0, 0), Mat2.diag(2, 0)}
 
+    def test_dedup_tells_denominators_apart(self):
+        # parallel segments whose endpoints have the same numerators over
+        # different denominators are two segments
+        half = F(1, 2)
+        segs = (RankOneSegment(Mat2.diag(0, 1), Mat2.diag(1, 1), 1),
+                RankOneSegment(Mat2.diag(0, half), Mat2.diag(half, half), 1))
+        s = LaminateSet(points=(), segments=segs, order=1)
+        out = lamination_step(s, segment_segment=False)
+        assert out.segments == segs
+
     def test_square_fills_ties(self):
         k = [Mat2.diag(0, 0), Mat2.diag(1, 0), Mat2.diag(0, 1),
              Mat2.diag(1, 1)]
@@ -87,6 +97,38 @@ class TestDistances:
         assert point_segment_dist_sq(Mat2.diag(1, 1), a, b) == 1
         assert point_segment_dist_sq(Mat2.diag(3, 0), a, b) == 1
         assert point_segment_dist_sq(Mat2.diag(F(3, 2), 0), a, b) == 0
+
+    @given(st.tuples(*[rationals] * 4), st.tuples(*[rationals] * 4),
+           st.tuples(*[rationals] * 4),
+           st.one_of(st.sampled_from([F(-3, 2), F(0), F(1), F(7, 3)]),
+                     rationals),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_point_segment_matches_clamped_foot(self, a, n, w, t0, square,
+                                                degenerate):
+        a = Mat2(*a)
+        n = Mat2.zero() if degenerate else Mat2(*n)
+        b = a + n
+        w = Mat2(*w)
+        nn = n.frob_sq()
+        if square and nn != 0:
+            # w orthogonal to b - a puts the foot of p exactly at t0
+            w = w - n.scale(inner(w, n) / nn)
+        p = combine(a, b, t0) + w
+        t = F(0) if nn == 0 else min(max(inner(p - a, n) / nn, F(0)), F(1))
+        want = (p - combine(a, b, t)).frob_sq()
+        got = point_segment_dist_sq(p, a, b)
+        assert got == want and type(got) is F
+
+    def test_point_segment_float(self):
+        a, b = Mat2(0.1, 0.2, 0.0, 0.3), Mat2(1.7, 0.2, 0.0, 0.3)
+        for p in (Mat2(0.5, 1 / 3, 0.0, 0.0), Mat2(-1.0, 0.0, 0.25, 0.3),
+                  Mat2(9.0, 0.1, 0.0, 0.3)):
+            t = min(max(inner(p - a, b - a) / (b - a).frob_sq(), 0.0), 1.0)
+            want = (p - combine(a, b, t)).frob_sq()
+            assert repr(point_segment_dist_sq(p, a, b)) == repr(want)
+        assert point_segment_dist_sq(Mat2(1.0, 0.0, 0.0, 0.0), a, a) == \
+            (Mat2(1.0, 0.0, 0.0, 0.0) - a).frob_sq()
 
     def test_point_to_set(self):
         s = LaminateSet(

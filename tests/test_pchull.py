@@ -4,10 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, det, rank2x2
+from rohull.scalar import MixedModeError
 from rohull.pchull import (
     OutsideHullError,
+    RankOnePlane,
     caratheodory_decompose,
     convex_hull_2d,
     pairwise_det_check,
@@ -125,6 +129,14 @@ class TestPcHull:
         assert not h.membership(Mat2(F(2, 3), F(2, 3), 0, 0))
         assert not h.membership(Mat2(0, 0, F(1, 3), 0))
 
+    def test_off_plane_by_a_tiny_entry_is_not_a_member(self):
+        # the off-plane minor is 10^-400: not zero, though it underflows a
+        # float
+        k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)]
+        h = pc_hull(k)
+        assert not h.membership(Mat2(F(1, 3), F(1, 3), F(1, 10**400), 0))
+        assert h.membership(Mat2(F(1, 3), F(1, 3), 0, 0))
+
     def test_members_are_always_in(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0),
              Mat2.diag(5, 5)]
@@ -180,3 +192,107 @@ class TestCaratheodory:
         for p, w in list(zip(res.points, res.weights))[2:]:
             total = total + Mat2.from_rows(to_rows(p)).scale(w)
         assert total == target
+
+
+# --- RankOnePlane against plain-Fraction and tuple-float formulas ---------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+# plane_pair makes float generators unit vectors; keep |g|^2 clear of
+# underflow
+small_floats = st.floats(min_value=-9, max_value=9).filter(
+    lambda x: x == 0 or abs(x) > 1e-6)
+SHAPES = ((2, 2), (3, 2), (2, 3))
+
+
+def _vectors(plane, rows):
+    d = [[x - y for x, y in zip(r, b)] for r, b in zip(rows, plane.basepoint)]
+    return d if plane.kind == "left" else [list(c) for c in zip(*d)]
+
+
+def _ref_contains(plane, rows):
+    g = plane.generator
+    return all(v[i] * g[j] - v[j] * g[i] == 0
+               for v in _vectors(plane, rows)
+               for i in range(len(g)) for j in range(i + 1, len(g)))
+
+
+def _ref_coords(plane, rows):
+    g = plane.generator
+    gg = sum(x * x for x in g)
+    return tuple(sum(a * b for a, b in zip(v, g)) / gg
+                 for v in _vectors(plane, rows))
+
+
+def _float_contains(plane, rows, tol):
+    """The float test written over tuple rows: minors against tol times
+    the largest entry of the difference."""
+    d = [[x - y for x, y in zip(r, b)] for r, b in zip(rows, plane.basepoint)]
+    g = plane.generator
+    scale = max([abs(float(e)) for row in d for e in row] + [1.0])
+    return all(not (abs(float(v[i] * g[j] - v[j] * g[i])) > float(tol) * scale)
+               for v in _vectors(plane, rows)
+               for i in range(len(g)) for j in range(i + 1, len(g)))
+
+
+@st.composite
+def planes_and_queries(draw, scalars):
+    m, n = draw(st.sampled_from(SHAPES))
+    kind = draw(st.sampled_from(["left", "right"]))
+    base = tuple(tuple(draw(scalars) for _ in range(n)) for _ in range(m))
+    glen = n if kind == "left" else m
+    gen = tuple(draw(scalars) for _ in range(glen))
+    if all(x == 0 for x in gen):
+        gen = (gen[0] + 1,) + gen[1:]
+    plane = RankOnePlane(base, kind, gen)
+    coeffs = tuple(draw(scalars) for _ in range(n if kind == "right" else m))
+    rows = plane.matrix_at(coeffs)
+    if draw(st.booleans()):  # push one entry off the plane (or not)
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        bump = draw(scalars)
+        rows = tuple(tuple(e + bump if (r, c) == (i, j) else e
+                           for c, e in enumerate(row))
+                     for r, row in enumerate(rows))
+    return plane, rows
+
+
+class TestRankOnePlaneKernel:
+    @given(planes_and_queries(rationals), st.sampled_from([0, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matches_fraction_formulas(self, case, tol):
+        plane, rows = case
+        queries = [rows]
+        if plane.shape() == (2, 2):
+            queries.append(Mat2.from_rows(rows))
+        for q in queries:
+            # tol is for float planes: an exact plane decides exactly
+            assert plane.contains(q, tol) == _ref_contains(plane, rows)
+            got = plane.coords(q)
+            assert got == _ref_coords(plane, rows)
+            assert all(type(c) is F for c in got)
+
+    @given(planes_and_queries(small_floats),
+           st.sampled_from([0, 1e-12, 1e-3, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_float_gives_the_same_floats(self, case, tol):
+        plane, rows = case
+        queries = [rows]
+        if plane.shape() == (2, 2):
+            queries.append(Mat2.from_rows(rows))
+        for q in queries:
+            assert plane.contains(q, tol) == _float_contains(plane, rows, tol)
+            got = plane.coords(q)
+            assert list(map(repr, got)) == list(
+                map(repr, _ref_coords(plane, rows)))
+
+    def test_integer_rows_and_non_integer_generator(self):
+        plane = RankOnePlane(((0, 1), (2, 3)), "left", (F(2, 3), F(-1, 2)))
+        on = plane.matrix_at((F(3), F(-6, 5)))
+        assert plane.contains(on)
+        assert plane.coords(on) == (F(3), F(-6, 5))
+        assert plane.coords(Mat2.from_rows(on)) == (F(3), F(-6, 5))
+        assert not plane.contains(((0, 1), (2, F(3) + F(1, 10**30))))
+
+    def test_modes_do_not_mix(self):
+        plane = plane_pair(Mat2(1, 0, 0, 0), Mat2.zero()).p1
+        with pytest.raises(MixedModeError):
+            plane.contains(Mat2(1.0, 0.0, 0.0, 0.0))
