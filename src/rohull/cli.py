@@ -248,10 +248,13 @@ def cmd_hausdorff(args, out_dir):
     def load_set(path):
         try:
             with open(path) as f:
-                return laminate_from_json(json.load(f), args.mode)
+                s = laminate_from_json(json.load(f), args.mode)
         except (OSError, json.JSONDecodeError, KeyError, ValueError,
                 TypeError) as e:
             raise UsageError(f"cannot load laminate set from {path}: {e}")
+        if s.is_empty():
+            raise UsageError(f"{path} holds an empty laminate set")
+        return s
     s1 = load_set(args.input_a)
     s2 = load_set(args.input_b)
     hsq = hausdorff_sq(s1, s2)

@@ -58,8 +58,7 @@ class LaminateSet:
         return not self.points and not self.segments
 
 
-def _quadratic_unit_roots(c2: Scalar, c1: Scalar, c0: Scalar,
-                          exact: bool, tol: Scalar):
+def _quadratic_unit_roots(c2: Scalar, c1: Scalar, c0: Scalar, exact: bool):
     """Roots in [0, 1] of c2 t^2 + c1 t + c0.
 
     Returns ("all", None) when the polynomial vanishes identically, else
@@ -92,14 +91,14 @@ def _quadratic_unit_roots(c2: Scalar, c1: Scalar, c0: Scalar,
 
 
 def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
-                             exact: bool, tol: Scalar):
+                             exact: bool):
     """Segments from p to the rank-one crossing points on seg."""
     m = seg.a - p
     n = seg.b - seg.a
     c0 = m.det()
     c1 = det_cross(m, n)
     c2 = n.det()
-    kind, roots = _quadratic_unit_roots(c2, c1, c0, exact, tol)
+    kind, roots = _quadratic_unit_roots(c2, c1, c0, exact)
     out = []
     if kind == "all":
         # the whole segment is rank-one visible from p; keep the extreme rungs
@@ -116,33 +115,10 @@ def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
     return out
 
 
-def _parallel4(u: Mat2, v: Mat2) -> bool:
-    # cross products are scale-invariant, so the stored numbers will do
-    e = (u._n11, u._n12, u._n21, u._n22)
-    f = (v._n11, v._n12, v._n21, v._n22)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if e[i] * f[j] != e[j] * f[i]:
-                return False
-    return True
-
-
 def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
-    """Exact containment test for collinear segments on a common line."""
-    d = big.b - big.a
-    dd = d.frob_sq()
-    if dd == 0:
-        return False
-    if not _parallel4(d, small.b - small.a):
-        return False
-    if not (_parallel4(d, small.a - big.a) or small.a == big.a):
-        return False
-    ta = inner(small.a - big.a, d) / dd
-    tb = inner(small.b - big.a, d) / dd
-    if not (0 <= ta <= 1 and 0 <= tb <= 1):
-        return False
-    return (combine(big.a, big.b, ta) == small.a
-            and combine(big.a, big.b, tb) == small.b)
+    """True iff both endpoints of small, hence small, lie on big."""
+    return (point_segment_dist_sq(small.a, big.a, big.b) == 0
+            and point_segment_dist_sq(small.b, big.a, big.b) == 0)
 
 
 def _stored(m: Mat2):
@@ -206,7 +182,7 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
                 new.append(RankOneSegment(pts[i], pts[j], gen))
     for p in pts:
         for seg in s.segments:
-            new.extend(_point_segment_offspring(p, seg, gen, exact, tol))
+            new.extend(_point_segment_offspring(p, seg, gen, exact))
     if segment_segment:
         segs = list(s.segments)
         for i in range(len(segs)):
@@ -218,7 +194,7 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
                     t = Fraction(k, samples_per_segment - 1) if exact \
                         else k / (samples_per_segment - 1)
                     p = combine(s1.a, s1.b, t)
-                    for child in _point_segment_offspring(p, s2, gen, exact, tol):
+                    for child in _point_segment_offspring(p, s2, gen, exact):
                         new.append(RankOneSegment(child.a, child.b, gen, True))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)

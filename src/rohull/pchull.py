@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .core import GeometryError, Mat2, _same_mode
+from .core import GeometryError, Mat2, _same_mode, combine
 from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, common_mode, mode_of
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -39,26 +39,13 @@ def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _is_exact_matrix(m: Matrix) -> bool:
-    return all(mode_of(e) == EXACT for row in m for e in row)
-
-
-def _normalize_exact(v):
-    """Scale a rational vector to primitive integers with positive lead."""
-    fracs = [Fraction(x) for x in v]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _primitive(v) -> tuple[Fraction, ...]:
+    """A nonzero int vector over the gcd of its entries, first nonzero
+    entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in v)
 
 
 def _normalize_float(v):
@@ -193,32 +180,21 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     Factorizes the difference as an outer product; every matrix within
     rank <= 1 of both inputs lies in one of the two returned planes.
     """
-    a = to_rows(x0)
     b = to_rows(y0)
-    d = _mat_sub(a, b)
-    m, n = len(d), len(d[0])
-    exact = _is_exact_matrix(d)
-    if exact:
-        piv = None
-        for i in range(m):
-            for j in range(n):
-                if d[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+    d, den = _over_one_denominator(_mat_sub(to_rows(x0), b))
+    if den is not None:
+        # d is den * (x0 - y0): ints with its rank and its directions
+        piv = next(((i, j) for i, row in enumerate(d)
+                    for j, e in enumerate(row) if e), None)
         if piv is None:
             raise GeometryError("difference not rank-one")
         i0, j0 = piv
-        w0 = d[i0]
-        v0 = tuple(d[i][j0] / d[i0][j0] for i in range(m))
-        # verify the outer product reproduces the difference exactly
-        for i in range(m):
-            for j in range(n):
-                if v0[i] * w0[j] != d[i][j]:
-                    raise GeometryError("difference not rank-one")
-        w0 = _normalize_exact(w0)
-        v0 = _normalize_exact(v0)
+        p, r0 = d[i0][j0], d[i0]
+        if any(e * p != row[j0] * r0[j]
+               for row in d for j, e in enumerate(row)):
+            raise GeometryError("difference not rank-one")
+        w0 = _primitive(r0)
+        v0 = _primitive([row[j0] for row in d])
     else:
         arr = np.array([[float(e) for e in row] for row in d])
         u, s, vt = np.linalg.svd(arr)
@@ -394,15 +370,10 @@ class CaratheodoryResult:
     intermediate_weight: Scalar
 
     def reconstruct(self) -> Matrix:
-        rows = None
+        total = None
         for pt, w in zip(self.points, self.weights):
-            scaled = tuple(tuple(w * e for e in row) for row in to_rows(pt))
-            if rows is None:
-                rows = scaled
-            else:
-                rows = tuple(tuple(a + b for a, b in zip(ra, rb))
-                             for ra, rb in zip(rows, scaled))
-        return rows
+            total = pt.scale(w) if total is None else total + pt.scale(w)
+        return total.rows()
 
 
 def _barycentric(a, b, c, q):
@@ -428,7 +399,7 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
     # vertex hit
     for p, c in zip(points, coords):
         if c == q:
-            return _finish(plane, [p], [one])
+            return _finish([p], [one])
     # edge hit
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -438,7 +409,7 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
             dx, dy = b[0] - a[0], b[1] - a[1]
             t = ((q[0] - a[0]) / dx) if dx != 0 else \
                 ((q[1] - a[1]) / dy) if dy != 0 else zero
-            return _finish(plane, [points[i], points[j]], [one - t, t])
+            return _finish([points[i], points[j]], [one - t, t])
     # triangle hit
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -448,7 +419,7 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
                     continue
                 u, v, w = bar
                 if u >= 0 and v >= 0 and w >= 0:
-                    return _finish(plane, [points[i], points[j], points[l]],
+                    return _finish([points[i], points[j], points[l]],
                                    [u, v, w])
     hull = convex_hull_2d(coords)
     direction = _separating_direction(hull, q)
@@ -472,22 +443,14 @@ def _separating_direction(hull, q):
     return (q[0] - a[0], q[1] - a[1])
 
 
-def _finish(plane, pts, weights):
+def _finish(pts, weights):
     # reorder so the first weight is nonzero, then realize in two steps
     order = sorted(range(len(pts)), key=lambda i: weights[i] == 0)
     pts = [pts[i] for i in order]
     weights = [weights[i] for i in order]
-    if len(pts) == 1:
-        inter = to_rows(pts[0])
-        head = weights[0]
+    head = weights[0] if len(pts) == 1 else weights[0] + weights[1]
+    if len(pts) == 1 or head == 0:
+        inter = pts[0]
     else:
-        head = weights[0] + weights[1]
-        a = to_rows(pts[0])
-        b = to_rows(pts[1])
-        if head == 0:
-            inter = a
-        else:
-            s = weights[1] / head
-            inter = tuple(tuple((1 - s) * x + s * y for x, y in zip(ra, rb))
-                          for ra, rb in zip(a, b))
-    return CaratheodoryResult(tuple(pts), tuple(weights), inter, head)
+        inter = combine(pts[0], pts[1], weights[1] / head)
+    return CaratheodoryResult(tuple(pts), tuple(weights), inter.rows(), head)

@@ -7,7 +7,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .core import Mat2
+from .core import Mat2, rank2x2
 from .hulls import LaminateSet, RankOneSegment
 from .scalar import EXACT, Scalar, mode_of
 
@@ -22,7 +22,10 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(v, mode: str = EXACT) -> Scalar:
     if isinstance(v, str):
-        x = Fraction(v)
+        try:
+            x = Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     elif isinstance(v, bool):
         raise ValueError("boolean is not a scalar")
     elif isinstance(v, int):
@@ -59,13 +62,15 @@ def laminate_to_json(s: LaminateSet):
 
 def laminate_from_json(v, mode: str = EXACT) -> LaminateSet:
     points = tuple(matrix_from_json(p, mode) for p in v["points"])
-    segments = tuple(
-        RankOneSegment(matrix_from_json(seg["a"], mode),
-                       matrix_from_json(seg["b"], mode),
-                       int(seg.get("generation", 1)),
-                       bool(seg.get("approx", False)))
-        for seg in v.get("segments", []))
-    return LaminateSet(points=points, segments=segments,
+    segments = []
+    for k, seg in enumerate(v.get("segments", [])):
+        a = matrix_from_json(seg["a"], mode)
+        b = matrix_from_json(seg["b"], mode)
+        if rank2x2(b - a) == 2:
+            raise ValueError(f"segment {k} is not rank-one: b - a has rank 2")
+        segments.append(RankOneSegment(a, b, int(seg.get("generation", 1)),
+                                       bool(seg.get("approx", False))))
+    return LaminateSet(points=points, segments=tuple(segments),
                        order=int(v.get("order", 1 if segments else 0)))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GeometryError, Mat2, rank_one_connected
-from .scalar import DEFAULT_TOL, EXACT, Scalar, scalar_sqrt
+from .scalar import DEFAULT_TOL, EXACT, Scalar
 
 MU_CAP = 1e3
 SEED_GRID_1D = tuple(1 + 2 ** j / 8 for j in range(10))
@@ -54,11 +54,6 @@ class T4Report:
     c_sum_norm_sq: Scalar
     mu_margin: Scalar
     accepted: bool
-
-    @property
-    def max_residual(self) -> float:
-        worst = max(max(self.eq_residual_sq), self.c_sum_norm_sq)
-        return float(scalar_sqrt(float(worst)))
 
 
 def _float_mat(m: Mat2) -> Mat2:

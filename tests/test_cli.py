@@ -123,6 +123,11 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
 SEGMENT_AS_LIST = {"points": [], "segments": [[SET_B["points"][0],
                                                SET_B["points"][1]]],
                    "order": 1}
+ZERO_DENOMINATOR = [["1/0", "0"], ["0", "1"]]
+# the segment [0, I]: its endpoints differ by a rank-2 matrix
+RANK_TWO_SEGMENT = {"points": [], "segments": [
+    {"a": [["0", "0"], ["0", "0"]], "b": [["1", "0"], ["0", "1"]]}],
+    "order": 1}
 
 
 @pytest.mark.parametrize("argv, data, message", [
@@ -130,7 +135,20 @@ SEGMENT_AS_LIST = {"points": [], "segments": [[SET_B["points"][0],
      "list of 2x2 matrices, found an object"),
     (["hausdorff", "--input-a", "{}", "--input-b", "{}"], SEGMENT_AS_LIST,
      "cannot load laminate set"),
-], ids=["t4-detect-object", "hausdorff-segment-list"])
+    (["t4-detect", "--input", "{}"], [ZERO_DENOMINATOR] + T4_INPUT[1:],
+     "zero denominator in '1/0'"),
+    (["pc-hull", "--input", "{}"], [ZERO_DENOMINATOR] + PC_INPUT[1:],
+     "zero denominator in '1/0'"),
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": [ZERO_DENOMINATOR], "segments": [], "order": 0},
+     "zero denominator in '1/0'"),
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"], RANK_TWO_SEGMENT,
+     "segment 0 is not rank-one"),
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": [], "segments": [], "order": 0}, "empty laminate set"),
+], ids=["t4-detect-object", "hausdorff-segment-list", "t4-detect-zero-den",
+        "pc-hull-zero-den", "hausdorff-zero-den", "hausdorff-rank-two",
+        "hausdorff-empty"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, data,
                                              message):
     src = tmp_path / "input.json"

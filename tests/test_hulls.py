@@ -2,7 +2,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, TriPt, combine, det, inner
@@ -89,6 +89,67 @@ class TestL2Hull:
         s = l2_hull(k)
         assert s.order == 2
         assert len(s.segments) >= 4
+
+
+params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def collinear_families(draw):
+    """Segments A + E_l + [s, t] D on two parallel lines (E_0 = 0), as
+    (line, s, t, approx) spans with their segments; D is rank one and E_1
+    is not a multiple of it."""
+    u = draw(st.tuples(rationals, rationals).filter(any))
+    v = draw(st.tuples(rationals, rationals).filter(any))
+    d = Mat2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
+    a = Mat2(*draw(st.tuples(*[rationals] * 4)))
+    off = Mat2(*draw(st.tuples(*[rationals] * 4)))
+    # the second line is another line: off is no multiple of d
+    assume(not (off - d.scale(inner(off, d) / d.frob_sq())).is_zero())
+    spans = draw(st.lists(st.tuples(st.integers(0, 1), params, params,
+                                    st.booleans()),
+                          min_size=1, max_size=8))
+    # repeat some spans, reversed or not, with either flag
+    for k in draw(st.lists(st.integers(0, len(spans) - 1), max_size=3)):
+        line, s, t, _ = spans[k]
+        s, t = (t, s) if draw(st.booleans()) else (s, t)
+        spans.append((line, s, t, draw(st.booleans())))
+    base = (a, a + off)
+    segs = [RankOneSegment(base[line] + d.scale(s), base[line] + d.scale(t),
+                           1, approx)
+            for line, s, t, approx in spans]
+    return spans, segs
+
+
+def _interval_dedup(spans):
+    """Indices the dedup keeps, decided on the parameter intervals."""
+    kept, seen = [], set()
+    for k, (line, s, t, approx) in enumerate(spans):
+        key = (line, min(s, t), max(s, t))
+        if s != t and (key, approx) not in seen:
+            seen.add((key, approx))
+            kept.append((k, key))
+
+    def within(big, small):
+        return (big[0] == small[0] and big[1] <= small[1]
+                and small[2] <= big[2])
+
+    # a span inside another goes, and of two identical spans the earlier
+    # one stays
+    return [k for i, (k, key) in enumerate(kept)
+            if not any(j != i and within(other, key)
+                       and not (within(key, other) and i < j)
+                       for j, (_, other) in enumerate(kept))]
+
+
+class TestDedup:
+    @given(collinear_families())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_interval_oracle(self, family):
+        spans, segs = family
+        s = LaminateSet(points=(), segments=tuple(segs), order=1)
+        out = lamination_step(s, segment_segment=False)
+        assert out.segments == tuple(segs[k] for k in _interval_dedup(spans))
 
 
 class TestDistances:

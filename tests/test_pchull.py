@@ -1,6 +1,7 @@
 """Plane-pair factorization, polyconvex hulls, Caratheodory splitting."""
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -296,3 +297,86 @@ class TestRankOnePlaneKernel:
         plane = plane_pair(Mat2(1, 0, 0, 0), Mat2.zero()).p1
         with pytest.raises(MixedModeError):
             plane.contains(Mat2(1.0, 0.0, 0.0, 0.0))
+
+
+# --- exact plane_pair against a plain-Fraction normal form ----------------
+
+
+def _ref_normal_form(vec):
+    """The primitive-integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive, as Fractions."""
+    ints = [x * lcm(*(y.denominator for y in vec)) for x in vec]
+    g = gcd(*(int(x) for x in ints))
+    lead = next(x for x in ints if x != 0)
+    return tuple(x / g if lead > 0 else -x / g for x in ints)
+
+
+def _minors_vanish(d):
+    return all(d[i][k] * d[j][l] == d[i][l] * d[j][k]
+               for i in range(len(d)) for j in range(i + 1, len(d))
+               for k in range(len(d[0])) for l in range(k + 1, len(d[0])))
+
+
+@st.composite
+def rank_one_pairs(draw):
+    m, n = draw(st.sampled_from(SHAPES))
+    u = draw(st.lists(rationals, min_size=m, max_size=m).filter(any))
+    v = draw(st.lists(rationals, min_size=n, max_size=n).filter(any))
+    y0 = tuple(tuple(draw(rationals) for _ in range(n)) for _ in range(m))
+    x0 = tuple(tuple(y + ui * vj for y, vj in zip(row, v))
+               for row, ui in zip(y0, u))
+    return x0, y0, u, v
+
+
+class TestPlanePairExact:
+    @given(rank_one_pairs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_generators_are_the_normal_form(self, case, as_mat2):
+        x0, y0, u, v = case
+        if as_mat2 and len(x0) == len(x0[0]) == 2:
+            pp = plane_pair(Mat2.from_rows(x0), Mat2.from_rows(y0))
+        else:
+            pp = plane_pair(x0, y0)
+        # "left": the shared row direction v; "right": the column one u
+        assert pp.p1.kind == "left" and pp.p2.kind == "right"
+        assert pp.p1.generator == _ref_normal_form(v)
+        assert pp.p2.generator == _ref_normal_form(u)
+        for plane in (pp.p1, pp.p2):
+            assert all(type(g) is F for g in plane.generator)
+            assert plane.basepoint == y0
+            assert plane.contains(x0) and plane.contains(y0)
+        want = tuple(tuple(a * b for b in pp.p1.generator)
+                     for a in pp.p2.generator)
+        assert pp.intersection_direction == want
+        assert all(type(e) is F for row in want for e in row)
+
+    @given(rank_one_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_perturbed_difference(self, case, data):
+        x0, y0, _, _ = case
+        m, n = len(x0), len(x0[0])
+        i = data.draw(st.integers(0, m - 1))
+        j = data.draw(st.integers(0, n - 1))
+        bump = data.draw(rationals.filter(bool))
+        x1 = tuple(tuple(e + bump if (r, c) == (i, j) else e
+                         for c, e in enumerate(row))
+                   for r, row in enumerate(x0))
+        d = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x1, y0)]
+        if any(e != 0 for row in d for e in row) and _minors_vanish(d):
+            plane_pair(x1, y0)  # still rank one
+        else:
+            with pytest.raises(GeometryError, match="not rank-one"):
+                plane_pair(x1, y0)
+
+    def test_int_rows_give_the_fraction_rows_generators(self):
+        # a plain-int pivot division must not turn into a float one
+        x0, y0 = ((3, 6), (1, 2)), ((0, 0), (0, 0))
+        pp = plane_pair(x0, y0)
+        assert pp.p1.generator == (1, 2) and pp.p2.generator == (3, 1)
+        assert all(type(g) is F
+                   for g in pp.p1.generator + pp.p2.generator)
+
+    def test_zero_difference_raises(self):
+        with pytest.raises(GeometryError, match="not rank-one"):
+            plane_pair(((F(1), F(2), F(3)), (F(4), F(5), F(6))),
+                       ((F(1), F(2), F(3)), (F(4), F(5), F(6))))
