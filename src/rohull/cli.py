@@ -15,7 +15,6 @@ from . import constructions, pchull, svgout, t4
 from .core import DiagPt, GeometryError, project_diag
 from .hulls import (
     directed_dist_sq,
-    hausdorff_sq,
     point_to_set_dist_sq,
     separator_check,
 )
@@ -257,12 +256,13 @@ def cmd_hausdorff(args, out_dir):
         return s
     s1 = load_set(args.input_a)
     s2 = load_set(args.input_b)
-    hsq = hausdorff_sq(s1, s2)
+    a_to_b, b_to_a = directed_dist_sq(s1, s2), directed_dist_sq(s2, s1)
+    hsq = max(a_to_b, b_to_a)  # = hausdorff_sq(s1, s2)
     results = {
         "hausdorff_sq": scalar_to_json(hsq),
         "hausdorff": scalar_to_json(scalar_sqrt(hsq)),
-        "directed_a_to_b_sq": scalar_to_json(directed_dist_sq(s1, s2)),
-        "directed_b_to_a_sq": scalar_to_json(directed_dist_sq(s2, s1)),
+        "directed_a_to_b_sq": scalar_to_json(a_to_b),
+        "directed_b_to_a_sq": scalar_to_json(b_to_a),
     }
     return _report("hausdorff", {"input_a": os.path.basename(args.input_a),
                                  "input_b": os.path.basename(args.input_b)},

@@ -2,7 +2,8 @@
 
 A hull iterate is represented as a finite union of points and rank-one
 segments.  Point-point and point-segment offspring are exact; segment-segment
-offspring are sampled and flagged approximate.
+offspring are sampled and flagged approximate.  Exact distances to a set are
+compared as integer ratios; only the least becomes a Fraction.
 """
 from __future__ import annotations
 
@@ -116,9 +117,9 @@ def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
 
 
 def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
-    """True iff both endpoints of small, hence small, lie on big."""
-    return (point_segment_dist_sq(small.a, big.a, big.b) == 0
-            and point_segment_dist_sq(small.b, big.a, big.b) == 0)
+    """True iff both endpoints of small, hence small, lie on big (exact)."""
+    return (_point_segment_ratio(small.a, big.a, big.b)[0] == 0
+            and _point_segment_ratio(small.b, big.a, big.b)[0] == 0)
 
 
 def _stored(m: Mat2):
@@ -130,8 +131,7 @@ def _stored(m: Mat2):
 def _dedup_segments(segments):
     # drop zero-length, exact duplicates, and exact segments contained in a
     # longer collinear exact segment
-    kept = []
-    seen = set()
+    kept, ends, seen = [], [], set()  # ends: each kept one's endpoint set
     for seg in segments:
         if seg.a == seg.b:
             continue
@@ -140,22 +140,15 @@ def _dedup_segments(segments):
             continue
         seen.add(key)
         kept.append(seg)
+        ends.append(key[0])
     if any(s.a.mode == FLOAT for s in kept):
         return kept
-    out = []
-    for i, seg in enumerate(kept):
-        absorbed = False
-        for j, other in enumerate(kept):
-            if i == j:
-                continue
-            if _segment_contains(other, seg):
-                # ties (identical spans) keep the earlier one
-                if not (_segment_contains(seg, other) and i < j):
-                    absorbed = True
-                    break
-        if not absorbed:
-            out.append(seg)
-    return out
+    # two kept segments contain each other only with the same endpoints
+    # (and other approx flags); of those, the earlier one stays
+    return [seg for i, seg in enumerate(kept)
+            if not any(i != j and _segment_contains(other, seg)
+                       and not (i < j and ends[i] == ends[j])
+                       for j, other in enumerate(kept))]
 
 
 def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
@@ -214,39 +207,56 @@ def point_point_dist_sq(p: Mat2, q: Mat2) -> Scalar:
     return (p - q).frob_sq()
 
 
-def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
-    m = p - a
-    n = b - a
-    if n._d is None:
-        dd = n.frob_sq()
-        if dd == 0:
-            return m.frob_sq()
-        t = min(max(inner(m, n) / dd, 0.0), 1.0)
-        return (p - combine(a, b, t)).frob_sq()
-    # with m = M / dm and n = N / dn, the foot of p on the line through a
-    # and b is at t = (M.N) dn / ((N.N) dm); the clamp tests compare ints
-    dm, dn = m._d, n._d
-    mn = m._n11 * n._n11 + m._n12 * n._n12 + m._n21 * n._n21 + m._n22 * n._n22
+def _dot(m: Mat2, n: Mat2):
+    return (m._n11 * n._n11 + m._n12 * n._n12
+            + m._n21 * n._n21 + m._n22 * n._n22)
+
+
+def _point_point_ratio(p: Mat2, q: Mat2):
+    """|p - q|^2 of exact matrices as ints (numerator, denominator > 0)."""
+    v = p - q
+    return _dot(v, v), v._d * v._d
+
+
+def _point_segment_ratio(p: Mat2, a: Mat2, b: Mat2):
+    """The squared distance from p to [a, b] as in _point_point_ratio."""
+    m, n = p - a, b - a
+    # the foot of p on line ab is at t = (m.n) dn / ((n.n) dm): compare ints
+    mn, dm = _dot(m, n), m._d
     if mn <= 0:
+        return _dot(m, m), dm * dm
+    nn = _dot(n, n)
+    if mn * n._d >= nn * dm:
+        return _point_point_ratio(p, b)
+    return _dot(m, m) * nn - mn * mn, dm * dm * nn
+
+
+def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
+    if a._d is not None:
+        return Fraction(*_point_segment_ratio(p, a, b))
+    m, n = p - a, b - a
+    dd = n.frob_sq()
+    if dd == 0:
         return m.frob_sq()
-    nn = n._n11 * n._n11 + n._n12 * n._n12 + n._n21 * n._n21 + n._n22 * n._n22
-    if mn * dn >= nn * dm:
-        return (p - b).frob_sq()
-    mm = m._n11 * m._n11 + m._n12 * m._n12 + m._n21 * m._n21 + m._n22 * m._n22
-    return Fraction(mm * nn - mn * mn, dm * dm * nn)
+    t = min(max(inner(m, n) / dd, 0.0), 1.0)
+    return (p - combine(a, b, t)).frob_sq()
 
 
 def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     if s.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    best = None
-    for q in s.points:
-        d = point_point_dist_sq(p, q)
-        best = d if best is None else min(best, d)
-    for seg in s.segments:
-        d = point_segment_dist_sq(p, seg.a, seg.b)
-        best = d if best is None else min(best, d)
-    return best
+    if p._d is None:
+        return min([point_point_dist_sq(p, q) for q in s.points]
+                   + [point_segment_dist_sq(p, seg.a, seg.b)
+                      for seg in s.segments])
+    # exact: keep the least (numerator, denominator) by cross-multiplying
+    ratios = [_point_point_ratio(p, q) for q in s.points]
+    ratios += [_point_segment_ratio(p, seg.a, seg.b) for seg in s.segments]
+    n, d = ratios[0]
+    for n2, d2 in ratios:
+        if n2 * d < n * d2:
+            n, d = n2, d2
+    return Fraction(n, d)
 
 
 def point_to_set_distance(p: Mat2, s: LaminateSet) -> Scalar:
@@ -264,10 +274,9 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet,
     """
     a, b = seg.a, seg.b
     exact = a.mode == EXACT and not target.segments
-    candidates = []
     zero = Fraction(0) if a.mode == EXACT else 0.0
     one = Fraction(1) if a.mode == EXACT else 1.0
-    candidates.extend([zero, one])
+    candidates = [zero, one]
     pts = target.points
     d = b - a
     for i in range(len(pts)):
@@ -284,26 +293,16 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet,
         for k in range(1, samples):
             candidates.append(Fraction(k, samples) if a.mode == EXACT
                               else k / samples)
-    best = None
-    for t in candidates:
-        p = combine(a, b, t)
-        dsq = point_to_set_dist_sq(p, target)
-        best = dsq if best is None else max(best, dsq)
-    return best
+    return max([point_to_set_dist_sq(combine(a, b, t), target)
+                for t in candidates])
 
 
 def directed_dist_sq(src: LaminateSet, target: LaminateSet) -> Scalar:
     """Squared directed Hausdorff distance sup_{x in src} dist(x, target)."""
     if src.is_empty() or target.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    best = None
-    for p in src.points:
-        d = point_to_set_dist_sq(p, target)
-        best = d if best is None else max(best, d)
-    for seg in src.segments:
-        d = _segment_sup_dist_sq(seg, target)
-        best = d if best is None else max(best, d)
-    return best
+    return max([point_to_set_dist_sq(p, target) for p in src.points]
+               + [_segment_sup_dist_sq(seg, target) for seg in src.segments])
 
 
 def hausdorff_sq(s1: LaminateSet, s2: LaminateSet) -> Scalar:

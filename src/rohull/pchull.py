@@ -3,12 +3,15 @@
 Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
-polygons plus singletons.
+polygons plus singletons.  Exact 2D orientation tests are the signs of
+integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); float
+points keep the float cross product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
@@ -20,9 +23,7 @@ Matrix = tuple[tuple[Scalar, ...], ...]
 
 
 def to_rows(m) -> Matrix:
-    if isinstance(m, Mat2):
-        return m.rows()
-    return tuple(tuple(e for e in row) for row in m)
+    return m.rows() if isinstance(m, Mat2) else tuple(map(tuple, m))
 
 
 def _over_one_denominator(rows):
@@ -152,10 +153,15 @@ class RankOnePlane:
         if den is None:
             return tuple(sum(a * b for a, b in zip(vec, g)) / gg
                          for vec in vectors)
-        # <d/den, g/gs> / <g/gs, g/gs> = <vec, g> gs / (den <g, g>)
-        gs, q = self._gs, den * gg
-        return tuple(Fraction(sum(a * b for a, b in zip(vec, g)) * gs, q)
-                     for vec in vectors)
+        *nums, q = self._coord_row(vectors, den)
+        return tuple(Fraction(x, q) for x in nums)
+
+    def _coord_row(self, vectors, den):
+        """Exact coordinates as int numerators and their one denominator:
+        <d/den, g/gs> / <g/gs, g/gs> is <vec, g> gs / (den <g, g>)."""
+        g, gs = self._g, self._gs
+        return (*(sum(a * b for a, b in zip(vec, g)) * gs for vec in vectors),
+                den * self._gg)
 
     def matrix_at(self, coeffs) -> Matrix:
         g = self.generator
@@ -242,45 +248,79 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _between(a, b, q) -> bool:
+    return (min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
+
+
+def _orient(o, a, b):
+    # the 3x3 determinant of the rows (X, Y, W): cross(o, a, b) Wo Wa Wb
+    (xo, yo, wo), (xa, ya, wa), (xb, yb, wb) = o, a, b
+    return (xo * (ya * wb - wa * yb) - yo * (xa * wb - wa * xb)
+            + wo * (xa * yb - ya * xb))
+
+
+def _between_int(a, b, q) -> bool:
+    # on each axis, a - q and b - q (times W's > 0) differ in sign or vanish
+    wa, wb, wq = a[2], b[2], q[2]
+    return ((a[0] * wq - q[0] * wa) * (b[0] * wq - q[0] * wb) <= 0
+            and (a[1] * wq - q[1] * wa) * (b[1] * wq - q[1] * wb) <= 0)
+
+
+_FLOAT_2D, _EXACT_2D = (_cross, _between), (_orient, _between_int)
+
+
+def _plane_rows(points):
+    """Plane points as rows for the 2D predicates, with the predicates:
+    exact (x, y) as ints (X, Y, W), x = X/W, y = Y/W, W > 0 the lcm of the
+    denominators; points with a float coordinate as they are."""
+    if any(isinstance(c, float) for p in points for c in p):
+        return list(points), _FLOAT_2D
+    rows = []
+    for x, y in points:
+        dx, dy = x.denominator, y.denominator
+        w = lcm(dx, dy)
+        rows.append((x.numerator * (w // dx), y.numerator * (w // dy), w))
+    return rows, _EXACT_2D
+
+
+def _on_segment_2d(a, b, q, kernel) -> bool:
+    return kernel[0](a, b, q) == 0 and kernel[1](a, b, q)
+
+
 def convex_hull_2d(points):
     """Monotone-chain hull with exact orientation predicates; returns the
     hull vertices counterclockwise (collinear interior points removed)."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    rows, (orient, _) = _plane_rows(pts)
+
+    def chain(order):
+        out = []
+        for i in order:
+            while (len(out) > 1
+                   and orient(rows[out[-2]], rows[out[-1]], rows[i]) <= 0):
+                out.pop()
+            out.append(i)
+        return out[:-1]
+    n = len(pts)
+    return [pts[i] for i in chain(range(n)) + chain(range(n - 1, -1, -1))]
 
 
-def _on_segment_2d(a, b, q) -> bool:
-    if _cross(a, b, q) != 0:
-        return False
-    return (min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
+def _polygon_holds(rows, q, kernel) -> bool:
+    """polygon_contains on rows from ``_plane_rows``."""
+    if len(rows) <= 2:  # a point is the segment from it to itself
+        return bool(rows) and _on_segment_2d(rows[0], rows[-1], q, kernel)
+    orient = kernel[0]
+    return all(orient(rows[i - 1], rows[i], q) >= 0
+               for i in range(len(rows)))
 
 
 def polygon_contains(vertices, q) -> bool:
     """Point-in-convex-polygon with exact arithmetic; boundary counts."""
-    if not vertices:
-        return False
-    if len(vertices) == 1:
-        return tuple(q) == tuple(vertices[0])
-    if len(vertices) == 2:
-        return _on_segment_2d(vertices[0], vertices[1], q)
-    n = len(vertices)
-    for i in range(n):
-        if _cross(vertices[i], vertices[(i + 1) % n], q) < 0:
-            return False
-    return True
+    rows, kernel = _plane_rows(list(vertices) + [tuple(q)])
+    return _polygon_holds(rows[:-1], rows[-1], kernel)
 
 
 # --- hull computation -----------------------------------------------------
@@ -291,6 +331,20 @@ class PlaneHull:
     plane: RankOnePlane
     indices: tuple[int, ...]
     vertices: tuple  # 2D hull vertices in plane coordinates, ccw
+
+    def __post_init__(self):
+        # exact vertices as int rows for the 2D predicates, computed once
+        rows, kernel = _plane_rows(self.vertices)
+        object.__setattr__(self, "_rows",
+                           rows if kernel is _EXACT_2D else None)
+
+    def _holds(self, vectors, den) -> bool:
+        # polygon_contains of the plane coordinates, on ints when exact
+        plane = self.plane
+        if den is None or self._rows is None:
+            return polygon_contains(self.vertices, plane._coords(vectors, den))
+        return _polygon_holds(self._rows, plane._coord_row(vectors, den),
+                              _EXACT_2D)
 
 
 @dataclass(frozen=True)
@@ -303,10 +357,8 @@ class HullDescription:
         if any(m == p for p in self.points):
             return True
         for ph in self.planes:
-            plane = ph.plane
-            diff = plane._difference(m)
-            if (plane._holds(*diff, tol)
-                    and polygon_contains(ph.vertices, plane._coords(*diff))):
+            diff = ph.plane._difference(m)
+            if ph.plane._holds(*diff, tol) and ph._holds(*diff):
                 return True
         return False
 
@@ -400,42 +452,49 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
     for p, c in zip(points, coords):
         if c == q:
             return _finish([p], [one])
+    rows, kernel = _plane_rows(coords + [q])
+    hq = rows.pop()
     # edge hit
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            a, b = coords[i], coords[j]
-            if not _on_segment_2d(a, b, q):
-                continue
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            t = ((q[0] - a[0]) / dx) if dx != 0 else \
-                ((q[1] - a[1]) / dy) if dy != 0 else zero
-            return _finish([points[i], points[j]], [one - t, t])
-    # triangle hit
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            for l in range(j + 1, len(points)):
-                bar = _barycentric(coords[i], coords[j], coords[l], q)
-                if bar is None:
-                    continue
-                u, v, w = bar
-                if u >= 0 and v >= 0 and w >= 0:
-                    return _finish([points[i], points[j], points[l]],
-                                   [u, v, w])
+    for i, j in combinations(range(len(points)), 2):
+        if not _on_segment_2d(rows[i], rows[j], hq, kernel):
+            continue
+        a, b = coords[i], coords[j]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((q[0] - a[0]) / dx) if dx != 0 else \
+            ((q[1] - a[1]) / dy) if dy != 0 else zero
+        return _finish([points[i], points[j]], [one - t, t])
+    # triangle hit; exact triangles are tested on ints, and only the one
+    # that holds q gets its weights
+    for i, j, l in combinations(range(len(points)), 3):
+        if kernel is _EXACT_2D and not _in_triangle(rows[i], rows[j],
+                                                    rows[l], hq):
+            continue
+        bar = _barycentric(coords[i], coords[j], coords[l], q)
+        if bar is not None and all(x >= 0 for x in bar):
+            return _finish([points[i], points[j], points[l]], list(bar))
     hull = convex_hull_2d(coords)
     direction = _separating_direction(hull, q)
     raise OutsideHullError(direction)
 
 
+def _in_triangle(a, b, c, q) -> bool:
+    # q's barycentric weights are these orientations over that of abc
+    d = _orient(a, b, c)
+    return d != 0 and min(_orient(q, b, c) * d, _orient(a, q, c) * d,
+                          _orient(a, b, q) * d) >= 0
+
+
 def _separating_direction(hull, q):
-    if len(hull) >= 3:
-        n = len(hull)
+    rows, (orient, _) = _plane_rows(hull + [q])
+    n = len(hull)
+    if n >= 3:
         for i in range(n):
             a, b = hull[i], hull[(i + 1) % n]
-            if _cross(a, b, q) < 0:
+            if orient(rows[i], rows[(i + 1) % n], rows[n]) < 0:
                 return (a[1] - b[1], b[0] - a[0])
-    if len(hull) == 2:
+    if n == 2:
         a, b = hull
-        cr = _cross(a, b, q)
+        cr = orient(rows[0], rows[1], rows[2])
         if cr != 0:
             s = 1 if cr < 0 else -1
             return (s * (a[1] - b[1]), s * (b[0] - a[0]))

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, TriPt, combine, det, inner
+from rohull.scalar import FLOAT, MixedModeError
 from rohull.hulls import (
     LaminateSet,
     RankOneSegment,
@@ -197,6 +198,48 @@ class TestDistances:
             segments=(RankOneSegment(Mat2.diag(0, 0), Mat2.diag(2, 0), 1),),
             order=1)
         assert point_to_set_dist_sq(Mat2.diag(1, 1), s) == 1
+
+    @given(st.lists(st.tuples(*[rationals] * 4), max_size=4),
+           st.lists(st.tuples(st.tuples(*[rationals] * 4),
+                              st.tuples(*[rationals] * 4)), max_size=4),
+           st.tuples(*[rationals] * 4), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_point_to_set_is_the_least_fraction(self, pts, segs, p, tie):
+        assume(pts or segs)
+        p = Mat2(*p)
+        pts = [Mat2(*e) for e in pts]
+        segs = [RankOneSegment(Mat2(*a), Mat2(*b), 1) for a, b in segs]
+        if tie:  # the reflection of a candidate through p is as near
+            for q in pts[:1] or [segs[0].a]:
+                pts.append(p.scale(2) - q)
+        s = LaminateSet(tuple(pts), tuple(segs), 1 if segs else 0)
+
+        def ref_dist_sq(e, f):
+            return sum((x - y) ** 2 for x, y in zip(e, f))
+
+        def ref_segment(seg):
+            e, a, b = p.entries(), seg.a.entries(), seg.b.entries()
+            n = [y - x for x, y in zip(a, b)]
+            nn = sum(x * x for x in n)
+            t = F(0) if nn == 0 else min(max(
+                sum((x - y) * z for x, y, z in zip(e, a, n)) / nn, F(0)),
+                F(1))
+            return ref_dist_sq(e, [x + t * z for x, z in zip(a, n)])
+
+        want = min([ref_dist_sq(p.entries(), q.entries()) for q in pts]
+                   + [ref_segment(seg) for seg in segs])
+        got = point_to_set_dist_sq(p, s)
+        assert got == want and type(got) is F
+
+    def test_exact_point_against_float_set_raises(self):
+        p = Mat2.diag(1, 1)
+        e11 = Mat2(1.0, 0.0, 0.0, 0.0)
+        seg = RankOneSegment(Mat2.zero(FLOAT), e11, 1)
+        for s in (points_only([e11]), LaminateSet((), (seg,), 1)):
+            with pytest.raises(MixedModeError):
+                point_to_set_dist_sq(p, s)
+            with pytest.raises(MixedModeError):  # and the other way round
+                point_to_set_dist_sq(e11, points_only([p]))
 
     def test_hausdorff_singleton(self):
         s1 = points_only([Mat2.diag(0, 0)])

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from rohull.core import GeometryError, Mat2, det, rank2x2
 from rohull.scalar import MixedModeError
 from rohull.pchull import (
+    HullDescription,
     OutsideHullError,
+    PlaneHull,
     RankOnePlane,
+    _on_segment_2d,
+    _plane_rows,
     caratheodory_decompose,
     convex_hull_2d,
     pairwise_det_check,
@@ -144,6 +148,24 @@ class TestPcHull:
         h = pc_hull(k)
         for m in k:
             assert h.membership(m)
+
+
+    def test_hand_built_plane_hull_is_read_afresh(self):
+        k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)]
+        ph = pc_hull(k).planes[0]
+        shifted = RankOnePlane(((0, 0), (1, 0)), ph.plane.kind,
+                               ph.plane.generator)
+        for plane, verts in ((shifted, ph.vertices),
+                             (ph.plane, ((F(0), F(0)), (F(1, 2), F(1, 2)))),
+                             (ph.plane, tuple(tuple(map(float, v))
+                                              for v in ph.vertices))):
+            hand = HullDescription((), (PlaneHull(plane, (), verts),), ())
+            for x, y in ((F(1, 4), F(1, 4)), (F(1, 2), 0), (2, 0), (0, 0)):
+                for q in (Mat2.from_rows(plane.matrix_at((x, y))),
+                          Mat2(x, y, 1, 0), Mat2(x, y, 0, 0)):
+                    assert hand.membership(q) == (
+                        plane.contains(q)
+                        and polygon_contains(verts, plane.coords(q)))
 
 
 class TestCaratheodory:
@@ -380,3 +402,181 @@ class TestPlanePairExact:
         with pytest.raises(GeometryError, match="not rank-one"):
             plane_pair(((F(1), F(2), F(3)), (F(4), F(5), F(6))),
                        ((F(1), F(2), F(3)), (F(4), F(5), F(6))))
+
+
+# --- 2D predicates against a plain-Fraction cross formula ---------------
+
+# ints and Fractions with unequal denominators, on a coarse grid so that
+# collinear and repeated points are common
+exact_coords = st.one_of(st.integers(-3, 3),
+                         st.fractions(-3, 3, max_denominator=6))
+float_coords = st.one_of(st.integers(-3, 3).map(float),
+                         st.floats(-3, 3, allow_subnormal=False))
+
+
+def _ref_cross(o, a, b):
+    # the parent formula; on exact points, over Fractions
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _as_fractions(p):
+    return tuple(c if isinstance(c, float) else F(c) for c in p)
+
+
+def _ref_on_segment(a, b, q):
+    a, b, q = map(_as_fractions, (a, b, q))
+    return (_ref_cross(a, b, q) == 0
+            and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
+
+
+def _ref_hull(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    chains = []
+    for order in (pts, pts[::-1]):
+        out = []
+        for p in order:
+            while len(out) > 1 and _ref_cross(
+                    *map(_as_fractions, (out[-2], out[-1], p))) <= 0:
+                out.pop()
+            out.append(p)
+        chains += out[:-1]
+    return chains
+
+
+def _ref_polygon_contains(vertices, q):
+    if not vertices:
+        return False
+    if len(vertices) == 1:
+        return tuple(q) == tuple(vertices[0])
+    if len(vertices) == 2:
+        return _ref_on_segment(vertices[0], vertices[1], q)
+    n = len(vertices)
+    return all(_ref_cross(*map(_as_fractions, (vertices[i],
+                                               vertices[(i + 1) % n], q)))
+               >= 0 for i in range(n))
+
+
+@st.composite
+def polygons_and_queries(draw, coords):
+    pts = draw(st.lists(st.tuples(coords, coords), max_size=7))
+    verts = _ref_hull(pts)
+    kind = draw(st.sampled_from(["free", "vertex", "edge"]))
+    if kind == "free" or not verts:
+        return pts, verts, draw(st.tuples(coords, coords))
+    a = draw(st.sampled_from(verts))
+    if kind == "vertex":
+        return pts, verts, a
+    b = verts[(verts.index(a) + 1) % len(verts)]
+    # a point of the line through an edge: on it for t in [0, 1]
+    t = draw(st.sampled_from([0, F(1, 3), F(1, 2), 1, F(4, 3), -1]))
+    if isinstance(a[0], float) or isinstance(b[0], float):
+        t = float(t)
+    return pts, verts, tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+class TestPlanePredicates:
+    @given(polygons_and_queries(exact_coords))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_matches_fraction_cross(self, case):
+        pts, verts, q = case
+        assert convex_hull_2d(pts) == verts
+        assert polygon_contains(verts, q) == _ref_polygon_contains(verts, q)
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            rows, kernel = _plane_rows([a, b, q])
+            assert _on_segment_2d(*rows, kernel) == _ref_on_segment(a, b, q)
+
+    @given(polygons_and_queries(float_coords))
+    @settings(max_examples=300, deadline=None)
+    def test_float_matches_the_float_cross(self, case):
+        pts, verts, q = case
+        assert repr(convex_hull_2d(pts)) == repr(verts)
+        assert polygon_contains(verts, q) == _ref_polygon_contains(verts, q)
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            rows, kernel = _plane_rows([a, b, q])
+            assert _on_segment_2d(*rows, kernel) == _ref_on_segment(a, b, q)
+
+    def test_small_polygons(self):
+        a, b = (F(1, 3), F(1, 2)), (F(5, 3), F(3, 2))
+        assert not polygon_contains([], a)
+        assert polygon_contains([a], (F(2, 6), F(3, 6)))
+        assert not polygon_contains([a], (F(1, 3), F(1, 2) + F(1, 10**30)))
+        mid = (F(1), F(1))
+        assert polygon_contains([a, b], mid)
+        assert polygon_contains([a, b], b)
+        assert not polygon_contains([a, b], (F(7, 3), F(2)))  # beyond b
+        assert not polygon_contains([a, b], (F(1), F(1) + F(1, 10**30)))
+        assert convex_hull_2d([a, b, mid, (1, 1)]) == [a, b]
+
+
+# --- Caratheodory against a plain-Fraction search ------------------------
+
+
+def _ref_barycentric(a, b, c, q):
+    d = _ref_cross(c, a, b)
+    if d == 0:
+        return None
+    u, v = _ref_cross(c, q, b) / d, _ref_cross(c, a, q) / d
+    return u, v, 1 - u - v
+
+
+def _ref_split(coords, q):
+    """Indices and weights of the first vertex, edge or triangle holding q,
+    or "out" and the separating direction."""
+    n = len(coords)
+    for i in range(n):
+        if coords[i] == q:
+            return [i], [F(1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = coords[i], coords[j]
+            if _ref_on_segment(a, b, q):
+                dx, dy = b[0] - a[0], b[1] - a[1]
+                t = (q[0] - a[0]) / dx if dx else (q[1] - a[1]) / dy
+                return [i, j], [1 - t, t]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                bar = _ref_barycentric(coords[i], coords[j], coords[l], q)
+                if bar is not None and min(bar) >= 0:
+                    return [i, j, l], list(bar)
+    hull = _ref_hull(coords)
+    for i in range(len(hull)):
+        a, b = hull[i], hull[(i + 1) % len(hull)]
+        if len(hull) >= 3 and _ref_cross(a, b, q) < 0:
+            return "out", (a[1] - b[1], b[0] - a[0])
+    if len(hull) == 2:
+        a, b = hull
+        s = 1 if _ref_cross(a, b, q) < 0 else -1
+        if _ref_cross(a, b, q):
+            return "out", (s * (a[1] - b[1]), s * (b[0] - a[0]))
+    return "out", (q[0] - hull[0][0], q[1] - hull[0][1])
+
+
+class TestCaratheodoryAgainstFractions:
+    @given(st.lists(st.tuples(exact_coords, exact_coords), min_size=1,
+                    max_size=6, unique_by=lambda p: (F(p[0]), F(p[1]))),
+           st.tuples(exact_coords, exact_coords), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_first_hit_and_direction(self, coords, q, inside):
+        coords = [tuple(map(F, c)) for c in coords]
+        q = tuple(map(F, q))
+        if inside and len(coords) >= 3:  # an inner point of a triangle
+            q = tuple(sum(c[k] for c in coords[:3]) / 3 for k in range(2))
+        plane = RankOnePlane(((F(1, 2), 0), (0, F(-1, 3))), "left",
+                             (F(2, 3), F(1, 5)))
+        points = [Mat2.from_rows(plane.matrix_at(c)) for c in coords]
+        target = Mat2.from_rows(plane.matrix_at(q))
+        idx, weights = _ref_split(coords, q)
+        if idx == "out":
+            with pytest.raises(OutsideHullError) as exc:
+                caratheodory_decompose(plane, points, target)
+            assert exc.value.direction == weights
+            return
+        order = sorted(range(len(idx)), key=lambda i: weights[i] == 0)
+        res = caratheodory_decompose(plane, points, target)
+        assert res.points == tuple(points[idx[i]] for i in order)
+        assert res.weights == tuple(weights[i] for i in order)
+        assert all(type(w) is F for w in res.weights)
