@@ -171,7 +171,7 @@ def cmd_five_point(args, out_dir):
         "residuals": [scalar_to_json(r) for r in
                       t4.check_t4_witness(cfg.x, w, 0).eq_residual_sq],
         "gap_sq": scalar_to_json(gap_sq),
-        "gap": float(scalar_sqrt(gap_sq)),
+        "gap": scalar_to_json(scalar_sqrt(gap_sq)),
         "laminate": {
             "atoms": [{"matrix": matrix_to_json(m),
                        "weight": scalar_to_json(wt)}
@@ -210,10 +210,9 @@ def cmd_t4_detect(args, out_dir):
 
 def _pc_hull_certified(mats, hull, tol) -> bool:
     """Every input is a member of the hull, and every plane holds the points
-    it indexes."""
-    plane_tol = 0 if all(m.mode == EXACT for m in mats) else tol
-    return (all(hull.membership(m, plane_tol) for m in mats)
-            and all(ph.plane.contains(hull.points[i], plane_tol)
+    it indexes; ``tol`` applies to float planes only."""
+    return (all(hull.membership(m, tol) for m in mats)
+            and all(ph.plane.contains(hull.points[i], tol)
                     for ph in hull.planes for i in ph.indices))
 
 

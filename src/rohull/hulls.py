@@ -1,9 +1,13 @@
 """Lamination hull iterates, Hausdorff distances, and separator certificates.
 
 A hull iterate is represented as a finite union of points and rank-one
-segments.  Point-point and point-segment offspring are exact; segment-segment
-offspring are sampled and flagged approximate.  Exact distances to a set are
-compared as integer ratios; only the least becomes a Fraction.
+segments.  Along a rank-one segment the determinant of the difference to a
+point is affine, so each point-segment pair has one linear crossing (or none,
+or the whole segment), and a segment that is not rank-one raises
+GeometryError.  Point-point and point-segment offspring are exact;
+segment-segment offspring are sampled and flagged approximate.  Exact
+distances to a set are compared as integer ratios; only the least becomes a
+Fraction.
 """
 from __future__ import annotations
 
@@ -18,17 +22,16 @@ from .core import (
     combine,
     det_cross,
     inner,
+    rank2x2,
     rank_one_connected,
 )
-from .scalar import (
-    DEFAULT_TOL,
-    EXACT,
-    FLOAT,
-    Scalar,
-    mode_of,
-    rational_sqrt,
-    scalar_sqrt,
-)
+from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, scalar_sqrt
+
+# points sampled on the first segment of a segment-segment pair
+SEGMENT_SAMPLES = 64
+# a segment's sup distance to a set with segments is sampled at
+# t = k / SUP_SAMPLES, 0 < k < SUP_SAMPLES
+SUP_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -59,61 +62,28 @@ class LaminateSet:
         return not self.points and not self.segments
 
 
-def _quadratic_unit_roots(c2: Scalar, c1: Scalar, c0: Scalar, exact: bool):
-    """Roots in [0, 1] of c2 t^2 + c1 t + c0.
-
-    Returns ("all", None) when the polynomial vanishes identically, else
-    ("roots", [t...]).  In exact mode irrational roots are dropped (the
-    rational discriminant test); callers that need them run in float mode.
-    """
-    if c2 == 0 and c1 == 0 and c0 == 0:
-        return "all", None
-    roots = []
-    if c2 == 0:
-        if c1 != 0:
-            t = -c0 / c1
-            if 0 <= t <= 1:
-                roots.append(t)
-        return "roots", roots
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return "roots", roots
-    if exact:
-        sq = rational_sqrt(disc)
-        if sq is None:
-            return "roots", roots
-    else:
-        sq = scalar_sqrt(disc)
-    for num in (-c1 - sq, -c1 + sq):
-        t = num / (2 * c2)
-        if 0 <= t <= 1 and t not in roots:
-            roots.append(t)
-    return "roots", roots
-
-
 def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
-                             exact: bool):
-    """Segments from p to the rank-one crossing points on seg."""
+                             tol: Scalar):
+    """Segments from p to the rank-one crossing points on seg.
+
+    On a rank-one segment det(a - p + t n) = det(a - p) + t det_cross(a - p, n)
+    is affine in t, so it vanishes once, nowhere, or everywhere.
+    """
     m = seg.a - p
     n = seg.b - seg.a
+    if rank2x2(n, tol) == 2:
+        raise GeometryError("segment is not rank-one")
     c0 = m.det()
     c1 = det_cross(m, n)
-    c2 = n.det()
-    kind, roots = _quadratic_unit_roots(c2, c1, c0, exact)
-    out = []
-    if kind == "all":
-        # the whole segment is rank-one visible from p; keep the extreme rungs
-        for q in (seg.a, seg.b):
-            if q != p:
-                out.append(RankOneSegment(p, q, generation, seg.approx))
-        return out
-    for t in roots:
-        if not exact and mode_of(t) == EXACT:
-            t = float(t)
-        q = combine(seg.a, seg.b, t)
-        if q != p:
-            out.append(RankOneSegment(p, q, generation, seg.approx))
-    return out
+    if c1 == 0:
+        # det is constant along seg: zero means the whole segment is rank-one
+        # visible from p, and the extreme rungs are kept
+        ends = (seg.a, seg.b) if c0 == 0 else ()
+    else:
+        t = -c0 / c1
+        ends = (combine(seg.a, seg.b, t),) if 0 <= t <= 1 else ()
+    return [RankOneSegment(p, q, generation, seg.approx)
+            for q in ends if q != p]
 
 
 def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
@@ -152,18 +122,14 @@ def _dedup_segments(segments):
 
 
 def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
-                    samples_per_segment: int = 64,
                     segment_segment: bool = True) -> LaminateSet:
     """One application of the segment-adding step.
 
     Point-point rank-one pairs and point-segment crossings contribute exact
-    segments; segment-segment offspring are sampled per axis and flagged
-    approximate.
+    segments; segment-segment offspring are sampled at SEGMENT_SAMPLES
+    points of the first segment and flagged approximate.  A segment whose
+    ends are not rank-one connected raises GeometryError.
     """
-    if segment_segment and samples_per_segment < 2:
-        raise GeometryError("samples_per_segment must be >= 2")
-    exact = all(p.mode == EXACT for p in s.points) and \
-        all(seg.a.mode == EXACT for seg in s.segments)
     gen = s.order + 1
     new = []
     pts = list(s.points)
@@ -175,7 +141,7 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
                 new.append(RankOneSegment(pts[i], pts[j], gen))
     for p in pts:
         for seg in s.segments:
-            new.extend(_point_segment_offspring(p, seg, gen, exact))
+            new.extend(_point_segment_offspring(p, seg, gen, tol))
     if segment_segment:
         segs = list(s.segments)
         for i in range(len(segs)):
@@ -183,11 +149,11 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
                 if i == j:
                     continue
                 s1, s2 = segs[i], segs[j]
-                for k in range(samples_per_segment):
-                    t = Fraction(k, samples_per_segment - 1) if exact \
-                        else k / (samples_per_segment - 1)
+                for k in range(SEGMENT_SAMPLES):
+                    t = Fraction(k, SEGMENT_SAMPLES - 1) \
+                        if s1.a.mode == EXACT else k / (SEGMENT_SAMPLES - 1)
                     p = combine(s1.a, s1.b, t)
-                    for child in _point_segment_offspring(p, s2, gen, exact):
+                    for child in _point_segment_offspring(p, s2, gen, tol):
                         new.append(RankOneSegment(child.a, child.b, gen, True))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)
@@ -263,8 +229,7 @@ def point_to_set_distance(p: Mat2, s: LaminateSet) -> Scalar:
     return scalar_sqrt(point_to_set_dist_sq(p, s))
 
 
-def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet,
-                         samples: int = 33) -> Scalar:
+def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
     """sup over the segment of the distance to the target set.
 
     Exact when the target is a pure point set: the squared distance to each
@@ -273,7 +238,6 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet,
     samples are added and the result is a lower approximation.
     """
     a, b = seg.a, seg.b
-    exact = a.mode == EXACT and not target.segments
     zero = Fraction(0) if a.mode == EXACT else 0.0
     one = Fraction(1) if a.mode == EXACT else 1.0
     candidates = [zero, one]
@@ -289,10 +253,10 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet,
                 t = -c0 / c1
                 if zero < t < one:
                     candidates.append(t)
-    if target.segments or not exact:
-        for k in range(1, samples):
-            candidates.append(Fraction(k, samples) if a.mode == EXACT
-                              else k / samples)
+    if target.segments or a.mode == FLOAT:
+        for k in range(1, SUP_SAMPLES):
+            candidates.append(Fraction(k, SUP_SAMPLES) if a.mode == EXACT
+                              else k / SUP_SAMPLES)
     return max([point_to_set_dist_sq(combine(a, b, t), target)
                 for t in candidates])
 

@@ -374,14 +374,12 @@ def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:
     report = pairwise_det_check(pts)
     if not report.passed:
         raise GeometryError("det sign condition violated")
-    exact = all(p.mode == EXACT for p in pts)
-    plane_tol = 0 if exact else tol
     candidates = []
     for (i, j) in report.rank_one_pairs:
         pair = plane_pair(pts[i], pts[j], tol)
         for plane in (pair.p1, pair.p2):
             members = tuple(idx for idx, p in enumerate(pts)
-                            if plane.contains(p, plane_tol))
+                            if plane.contains(p, tol))
             if len(members) >= 2:
                 candidates.append((members, plane))
     # dedupe by member set; drop sets dominated by a strict superset

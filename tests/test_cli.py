@@ -52,6 +52,8 @@ class TestSubcommands:
         code, report, _ = run(tmp_path, "five-point", "--epsilon", "1/2")
         assert code == 0
         assert report["results"]["mu"] == ["16/3", "7/3", "41/6", "65/24"]
+        # gap_sq = 9/169 is a rational square, so gap is written exactly
+        assert report["results"]["gap"] == "3/13"
 
     def test_t4_detect(self, tmp_path):
         src = tmp_path / "quad.json"

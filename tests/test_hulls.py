@@ -27,6 +27,13 @@ def points_only(mats):
     return LaminateSet(points=tuple(mats), segments=(), order=0)
 
 
+def _outer(u, v):
+    return Mat2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
+
+
+vectors = st.tuples(rationals, rationals).filter(any)
+
+
 class TestLaminationStep:
     def test_pair_produces_segment(self):
         s = points_only([Mat2.diag(0, 0), Mat2.diag(1, 0)])
@@ -67,6 +74,82 @@ class TestLaminationStep:
             assert seg.a != seg.b
 
 
+@st.composite
+def point_and_rank_one_segment(draw):
+    """A rank-one segment [a, b = a + u v^T] and a point p: at random, in
+    one of the two rank-one planes through a (crossing everywhere), or
+    rank-one connected to an end (crossing at t = 0 or 1)."""
+    a = Mat2(*draw(st.tuples(*[rationals] * 4)))
+    u, v, w, z = draw(vectors), draw(vectors), draw(vectors), draw(vectors)
+    b = a + _outer(u, v)
+    kind = draw(st.sampled_from(["random", "left", "right", "a", "b"]))
+    if kind == "random":
+        p = Mat2(*draw(st.tuples(*[rationals] * 4)))
+    elif kind in ("left", "right"):
+        p = a + (_outer(u, w) if kind == "left" else _outer(w, v))
+    else:
+        p = (a if kind == "a" else b) + _outer(w, z)
+    return p, a, b
+
+
+def _linear_crossings(p, a, b):
+    """The ends q of the offspring [p, q]: det(a - p + t (b - a)) = c0 + c1 t
+    solved in plain Fractions."""
+    a, p = a.entries(), p.entries()
+    n = [y - x for x, y in zip(a, b.entries())]
+
+    def det_at(t):
+        m = [x - y + t * z for x, y, z in zip(a, p, n)]
+        return m[0] * m[3] - m[1] * m[2]
+
+    c0 = det_at(F(0))
+    c1 = det_at(F(1)) - c0
+    if c1 == 0:
+        ts = [F(0), F(1)] if c0 == 0 else []
+    else:
+        ts = [t for t in [-c0 / c1] if 0 <= t <= 1]
+    return [Mat2(*[x + t * z for x, z in zip(a, n)]) for t in ts]
+
+
+class TestPointSegmentCrossing:
+    @given(point_and_rank_one_segment())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_fraction_linear_solve(self, case):
+        p, a, b = case
+        n = (b - a).entries()
+        d = [x - y for x, y in zip(p.entries(), a.entries())]
+        # off the line of the segment, dedup keeps every offspring
+        assume(any(d[i] * n[j] != d[j] * n[i]
+                   for i in range(4) for j in range(i + 1, 4)))
+        seg = RankOneSegment(a, b, 1)
+        out = lamination_step(LaminateSet((p,), (seg,), 1),
+                              segment_segment=False)
+        want = [RankOneSegment(p, q, 2) for q in _linear_crossings(p, a, b)]
+        assert out.segments == (seg, *want)
+
+    def test_segment_not_rank_one_raises(self):
+        s = LaminateSet(
+            points=(Mat2.diag(2, 0),),
+            segments=(RankOneSegment(Mat2.zero(), Mat2.diag(1, 1), 1),),
+            order=1)
+        for segment_segment in (True, False):
+            with pytest.raises(GeometryError, match="not rank-one"):
+                lamination_step(s, segment_segment=segment_segment)
+
+    def test_float_crossings_stay_rank_one(self):
+        # non-dyadic floats leave det(b - a) about 1e-17 off zero; a
+        # quadratic solve there cancels and joins X1 to X2 (relative det
+        # 0.39), which are not rank-one connected
+        k = [Mat2(2.0, 1.0, 0.0, 0.0), Mat2(-1 / 3, -2 / 3, 1.0, -1.0),
+             Mat2(-1.0, 0.0, 0.0, 0.0)]
+        two_steps = lamination_step(lamination_step(points_only(k)))
+        for s in (l2_hull(k), two_steps):
+            assert s.segments
+            for seg in s.segments:
+                n = seg.b - seg.a
+                assert abs(n.det()) <= 1e-12 * n.frob_sq()
+
+
 class TestL2Hull:
     def test_collinear_chain_merges(self):
         s = l2_hull([Mat2.diag(0, 0), Mat2.diag(1, 0), Mat2.diag(2, 0)])
@@ -100,9 +183,7 @@ def collinear_families(draw):
     """Segments A + E_l + [s, t] D on two parallel lines (E_0 = 0), as
     (line, s, t, approx) spans with their segments; D is rank one and E_1
     is not a multiple of it."""
-    u = draw(st.tuples(rationals, rationals).filter(any))
-    v = draw(st.tuples(rationals, rationals).filter(any))
-    d = Mat2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
+    d = _outer(draw(vectors), draw(vectors))
     a = Mat2(*draw(st.tuples(*[rationals] * 4)))
     off = Mat2(*draw(st.tuples(*[rationals] * 4)))
     # the second line is another line: off is no multiple of d
