@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -71,7 +72,7 @@ def _load_matrices(path: str, mode: str):
         raise UsageError(f"bad matrix data in {path}: {e}")
 
 
-def cmd_staircase(args, out_dir):
+def cmd_staircase(args):
     cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
@@ -97,7 +98,7 @@ def cmd_staircase(args, out_dir):
                    results, passed), passed, extra
 
 
-def cmd_tri_spiral(args, out_dir):
+def cmd_tri_spiral(args):
     if args.mode == EXACT:
         cfg = constructions.TriSpiralConfig.standard_square()
     else:
@@ -123,7 +124,7 @@ def cmd_tri_spiral(args, out_dir):
                    results, passed), passed, extra
 
 
-def cmd_sym_spiral(args, out_dir):
+def cmd_sym_spiral(args):
     if args.mode == EXACT:
         raise UsageError("sym-spiral requires --mode float "
                          "(square roots appear in the start offsets)")
@@ -151,9 +152,9 @@ def cmd_sym_spiral(args, out_dir):
                    results, passed), passed, extra
 
 
-def cmd_five_point(args, out_dir):
+def cmd_five_point(args):
     try:
-        eps = parse_scalar(args.epsilon, EXACT)
+        eps = parse_scalar(args.epsilon)
     except (ValueError, ZeroDivisionError):
         raise UsageError("--epsilon must be a rational number, "
                          f"got {args.epsilon!r}")
@@ -186,7 +187,7 @@ def cmd_five_point(args, out_dir):
                    results, passed), passed, {}
 
 
-def cmd_t4_detect(args, out_dir):
+def cmd_t4_detect(args):
     mats = _load_matrices(args.input, args.mode)
     if len(mats) != 4:
         raise UsageError("t4-detect expects exactly 4 matrices")
@@ -216,7 +217,7 @@ def _pc_hull_certified(mats, hull, tol) -> bool:
                     for ph in hull.planes for i in ph.indices))
 
 
-def cmd_pc_hull(args, out_dir):
+def cmd_pc_hull(args):
     mats = _load_matrices(args.input, args.mode)
     tol = args.tol if args.mode == FLOAT else 1e-9
     try:
@@ -242,7 +243,7 @@ def cmd_pc_hull(args, out_dir):
                    results, passed), passed, {}
 
 
-def cmd_hausdorff(args, out_dir):
+def cmd_hausdorff(args):
     def load_set(path):
         try:
             with open(path) as f:
@@ -268,29 +269,34 @@ def cmd_hausdorff(args, out_dir):
                    results, True), True, {}
 
 
-def cmd_usc_probe(args, out_dir):
-    """Quantitative jump of the hull map: tiny perturbation, order-one hull move."""
+def cmd_usc_probe(args):
+    """Quantitative jump of the hull map: tiny perturbation, order-one hull move.
+
+    The chain from P_n is the chain from P_N without its first 2(N - n)
+    points, so one staircase and one chain serve every n."""
+    cfg = constructions.StaircaseConfig(args.n_max, args.N)
+    k0 = constructions.staircase_points(cfg)
+    chain = constructions.staircase_iterate(cfg)
+    dist_sq = [point_to_set_dist_sq(p.embed(), k0) for p in chain]
     sweep = []
-    passed = True
     for n in range(1, args.N + 1):
-        cfg = constructions.StaircaseConfig(args.n_max, n)
-        k0 = constructions.staircase_points(cfg)
-        chain = constructions.staircase_iterate(cfg)
-        p_n = constructions.staircase_perturbation(n)
-        rho_sq = point_to_set_dist_sq(p_n.embed(), k0)
-        hull_dist_sq = max(point_to_set_dist_sq(p.embed(), k0) for p in chain)
+        start = 2 * (args.N - n)
+        if chain[start] != constructions.staircase_perturbation(n):
+            raise constructions.ConstructionError(
+                f"the chain from P_{args.N} misses P_{n}")
+        rho_sq = dist_sq[start]
+        hull_dist_sq = max(dist_sq[start:])
         ok = (rho_sq <= Fraction(1, 4 ** n)
               and hull_dist_sq >= Fraction(1, 4))
-        passed = passed and ok
         sweep.append({
             "N": n,
             "perturbation_distance_sq": scalar_to_json(rho_sq),
             "hull_distance_sq": scalar_to_json(hull_dist_sq),
             "jump_certified": ok,
         })
-    results = {"sweep": sweep}
+    passed = all(s["jump_certified"] for s in sweep)
     return _report("usc-probe", {"N": args.N, "n_max": args.n_max},
-                   results, passed), passed, {}
+                   {"sweep": sweep}, passed), passed, {}
 
 
 def _int_at_least(lo: int):
@@ -303,12 +309,24 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _finite_float(lo: float, inclusive: bool):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value)
+                and (value >= lo if inclusive else value > lo)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>=' if inclusive else '>'} {lo}")
+        return value
+    parse.__name__ = "float"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rohull",
         description="Rank-one geometric constructions for 2x2 matrices")
     parser.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_finite_float(0, True), default=1e-9)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--csv", action="store_true")
     parser.add_argument("--svg", action="store_true")
@@ -324,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tri_spiral)
 
     p = sub.add_parser("sym-spiral")
-    p.add_argument("--xi3", type=float, default=1e-3)
+    p.add_argument("--xi3", type=_finite_float(0, False), default=1e-3)
     p.add_argument("--iters", type=_int_at_least(0), default=12)
     p.set_defaults(func=cmd_sym_spiral)
 
@@ -361,7 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        report, passed, extra = args.func(args, args.out)
+        report, passed, extra = args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

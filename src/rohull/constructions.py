@@ -17,6 +17,8 @@ from .core import (
     TriPt,
     combine,
     crossing_parameter,
+    project_sym,
+    project_tri,
 )
 from .hulls import (
     LaminateSet,
@@ -177,7 +179,6 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[TriPt]:
                 raise ConstructionError("closed form disagrees with recursion")
         elif (x - expected).frob_sq() > 1e-20 * max(1.0, x.frob_sq()):
             raise ConstructionError("closed form disagrees with recursion")
-    from .core import project_tri
     return [project_tri(m) for m in out]
 
 
@@ -252,13 +253,12 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
     end-of-cycle offset equations, and the z-contraction bound; failures abort
     with the name of the exceeded smallness bound.
     """
-    # corner/anchor data reinterpreted in the symmetric embedding (z = 0 is
-    # identical in both, so only the det function changes)
-    def sym_of(tri_pt):
-        return SymPt(tri_pt.x, tri_pt.y, tri_pt.z).embed()
-    corners = [sym_of(c) for c in cfg.tri_config().corners()]
-    anchors = [sym_of(a) for a in cfg.tri_config().anchors()]
-    lams = [float(l) for l in cfg.tri_config().lambdas()]
+    # the upper-triangular corners and anchors have z = 0, where both
+    # embeddings give the same matrix
+    tri = cfg.tri_config()
+    corners = [c.embed() for c in tri.corners()]
+    anchors = [a.embed() for a in tri.anchors()]
+    lams = tri.lambdas()
     lam_prod = lams[0] * lams[1] * lams[2] * lams[3]
     bound = 0.5 * (1.0 + lam_prod)
     span = cfg.y1 + cfg.alpha[0] - cfg.y2
@@ -313,7 +313,6 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
         y = b
         xi3 = eta3
         iterates.append(y)
-    from .core import project_sym
     return SymSpiralResult(tuple(project_sym(m) for m in iterates),
                            tuple(cycles), lam_prod, bound)
 

@@ -5,7 +5,9 @@ iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
 polygons plus singletons.  Exact 2D orientation tests are the signs of
 integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); float
-points keep the float cross product.
+points keep the float cross product.  A Caratheodory split needs an exact
+plane: it searches the plane's int rows, and its weights are ratios of
+integer determinants.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .core import GeometryError, Mat2, _same_mode, combine
-from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, common_mode, mode_of
+from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -85,6 +87,8 @@ class RankOnePlane:
         if self.kind == "right":
             base = tuple(zip(*base))
         (g,), gs = _over_one_denominator((self.generator,))
+        if not any(g):
+            raise GeometryError("a rank-one plane needs a nonzero generator")
         _same_mode(bd, gs)
         # the rows ("left") or columns ("right") of the basepoint
         object.__setattr__(self, "_base", base)
@@ -374,31 +378,22 @@ def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:
     report = pairwise_det_check(pts)
     if not report.passed:
         raise GeometryError("det sign condition violated")
-    candidates = []
+    groups = {}  # member set -> the first plane found that holds it
     for (i, j) in report.rank_one_pairs:
         pair = plane_pair(pts[i], pts[j], tol)
         for plane in (pair.p1, pair.p2):
-            members = tuple(idx for idx, p in enumerate(pts)
-                            if plane.contains(p, tol))
+            members = frozenset(idx for idx, p in enumerate(pts)
+                                if plane.contains(p, tol))
             if len(members) >= 2:
-                candidates.append((members, plane))
-    # dedupe by member set; drop sets dominated by a strict superset
-    by_members = {}
-    for members, plane in candidates:
-        by_members.setdefault(frozenset(members), (members, plane))
-    kept = []
-    for key, (members, plane) in sorted(by_members.items(),
-                                        key=lambda kv: kv[1][0]):
-        if any(key < other for other in by_members if other != key):
-            continue
-        kept.append((members, plane))
+                groups.setdefault(members, plane)
+    # the maximal sets in member order: drop those a strict superset holds
     plane_hulls = []
-    covered = set()
-    for members, plane in kept:
-        coords = [plane.coords(pts[i]) for i in members]
-        verts = convex_hull_2d(coords)
-        plane_hulls.append(PlaneHull(plane, members, tuple(verts)))
-        covered.update(members)
+    for key, plane in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
+        if not any(key < other for other in groups):
+            members = tuple(sorted(key))
+            verts = convex_hull_2d([plane.coords(pts[i]) for i in members])
+            plane_hulls.append(PlaneHull(plane, members, tuple(verts)))
+    covered = {i for ph in plane_hulls for i in ph.indices}
     singles = tuple(i for i in range(len(pts)) if i not in covered)
     return HullDescription(tuple(pts), tuple(plane_hulls), singles)
 
@@ -426,60 +421,41 @@ class CaratheodoryResult:
         return total.rows()
 
 
-def _barycentric(a, b, c, q):
-    d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-    if d == 0:
-        return None
-    u = ((b[1] - c[1]) * (q[0] - c[0]) + (c[0] - b[0]) * (q[1] - c[1])) / d
-    v = ((c[1] - a[1]) * (q[0] - c[0]) + (a[0] - c[0]) * (q[1] - c[1])) / d
-    w = 1 - u - v
-    return u, v, w
-
-
 def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryResult:
     """Express a hull member as a convex combination of <= 3 set points,
-    together with the two-step lamination realization inside the plane."""
-    coords = [tuple(plane.coords(p)) for p in points]
-    q = tuple(plane.coords(target))
-    if len(q) != 2:
+    together with the two-step lamination realization inside the plane.
+    The plane must be exact; the search runs on its int rows (X, Y, W)."""
+    if plane._den is None:
+        raise GeometryError("Caratheodory decomposition needs an exact plane")
+    rows = [plane._coord_row(*plane._difference(p)) for p in points]
+    q = plane._coord_row(*plane._difference(target))
+    if len(q) != 3:
         raise GeometryError("Caratheodory decomposition implemented for "
                             "2-dimensional planes")
-    one = Fraction(1) if all(mode_of(c) == EXACT for c in q) else 1.0
-    zero = 0 * one
-    # vertex hit
-    for p, c in zip(points, coords):
-        if c == q:
-            return _finish([p], [one])
-    rows, kernel = _plane_rows(coords + [q])
-    hq = rows.pop()
-    # edge hit
-    for i, j in combinations(range(len(points)), 2):
-        if not _on_segment_2d(rows[i], rows[j], hq, kernel):
+    xq, yq, wq = q
+    for p, (x, y, w) in zip(points, rows):  # vertex hit
+        if x * wq == xq * w and y * wq == yq * w:
+            return _finish([p], [Fraction(1)])
+    # edge hit; a != b, as q on an edge of length 0 is a vertex hit
+    for (i, a), (j, b) in combinations(enumerate(rows), 2):
+        if _orient(a, b, q) == 0 and _between_int(a, b, q):
+            k = 0 if b[0] * a[2] != a[0] * b[2] else 1
+            t = Fraction((q[k] * a[2] - a[k] * wq) * b[2],
+                         (b[k] * a[2] - a[k] * b[2]) * wq)
+            return _finish([points[i], points[j]], [1 - t, t])
+    # triangle hit; the weight of v is (orient with q for v) W_v / (d W_q)
+    for (i, a), (j, b), (l, c) in combinations(enumerate(rows), 3):
+        d = _orient(a, b, c)
+        if d == 0:
             continue
-        a, b = coords[i], coords[j]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        t = ((q[0] - a[0]) / dx) if dx != 0 else \
-            ((q[1] - a[1]) / dy) if dy != 0 else zero
-        return _finish([points[i], points[j]], [one - t, t])
-    # triangle hit; exact triangles are tested on ints, and only the one
-    # that holds q gets its weights
-    for i, j, l in combinations(range(len(points)), 3):
-        if kernel is _EXACT_2D and not _in_triangle(rows[i], rows[j],
-                                                    rows[l], hq):
-            continue
-        bar = _barycentric(coords[i], coords[j], coords[l], q)
-        if bar is not None and all(x >= 0 for x in bar):
-            return _finish([points[i], points[j], points[l]], list(bar))
-    hull = convex_hull_2d(coords)
-    direction = _separating_direction(hull, q)
-    raise OutsideHullError(direction)
-
-
-def _in_triangle(a, b, c, q) -> bool:
-    # q's barycentric weights are these orientations over that of abc
-    d = _orient(a, b, c)
-    return d != 0 and min(_orient(q, b, c) * d, _orient(a, q, c) * d,
-                          _orient(a, b, q) * d) >= 0
+        o = (_orient(q, b, c), _orient(a, q, c), _orient(a, b, q))
+        if all(ok * d >= 0 for ok in o):
+            return _finish([points[i], points[j], points[l]],
+                           [Fraction(ok * v[2], d * wq)
+                            for ok, v in zip(o, (a, b, c))])
+    coords = [(Fraction(x, w), Fraction(y, w)) for x, y, w in rows]
+    raise OutsideHullError(_separating_direction(
+        convex_hull_2d(coords), (Fraction(xq, wq), Fraction(yq, wq))))
 
 
 def _separating_direction(hull, q):

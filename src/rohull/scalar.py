@@ -45,13 +45,10 @@ def as_exact(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def parse_scalar(text: str, mode: str = EXACT) -> Scalar:
-    """Parse "p/q", integer, or decimal literals. Decimal literals are exact
-    in exact mode (e.g. "0.25" -> 1/4)."""
-    value = Fraction(text.strip())
-    if mode == EXACT:
-        return value
-    return float(value)
+def parse_scalar(text: str) -> Fraction:
+    """Parse "p/q", integer, or decimal literals, exactly (e.g. "0.25" ->
+    1/4)."""
+    return Fraction(text.strip())
 
 
 def sign(x: Scalar) -> int:

@@ -3,6 +3,7 @@ matrices as [[a11, a12], [a21, a22]]."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -36,7 +37,13 @@ def scalar_from_json(v, mode: str = EXACT) -> Scalar:
         if isinstance(x, float):
             raise ValueError("float literal in exact-mode input")
         return x
-    return float(x)
+    try:
+        x = float(x)
+        if math.isfinite(x):
+            return x
+    except OverflowError:
+        pass
+    raise ValueError(f"not a finite float: {v!r}")
 
 
 def matrix_to_json(m: Mat2):

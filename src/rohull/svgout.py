@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 
+WIDTH = HEIGHT = 480
+MARGIN = 24
+POINT_R = 2.5
+
+
 class SvgCanvas:
-    def __init__(self, width: int = 480, height: int = 480, margin: int = 24):
-        self.width = width
-        self.height = height
-        self.margin = margin
-        self._points = []   # (x, y, r)
+    def __init__(self):
+        self._points = []   # (x, y)
         self._lines = []    # (x1, y1, x2, y2, style)
         self._bounds = None
 
@@ -21,10 +23,10 @@ class SvgCanvas:
             b[2] = min(b[2], y)
             b[3] = max(b[3], y)
 
-    def point(self, x, y, r: float = 2.5):
+    def point(self, x, y):
         x, y = float(x), float(y)
         self._track(x, y)
-        self._points.append((x, y, r))
+        self._points.append((x, y))
 
     def line(self, x1, y1, x2, y2, style: str = "solid"):
         x1, y1, x2, y2 = (float(v) for v in (x1, y1, x2, y2))
@@ -36,13 +38,13 @@ class SvgCanvas:
         x0, x1, y0, y1 = self._bounds or [0, 1, 0, 1]
         span_x = max(x1 - x0, 1e-9)
         span_y = max(y1 - y0, 1e-9)
-        scale = min((self.width - 2 * self.margin) / span_x,
-                    (self.height - 2 * self.margin) / span_y)
+        scale = min((WIDTH - 2 * MARGIN) / span_x,
+                    (HEIGHT - 2 * MARGIN) / span_y)
 
         def tf(x, y):
             # data y grows upward, svg y grows downward
-            return (self.margin + (x - x0) * scale,
-                    self.height - self.margin - (y - y0) * scale)
+            return (MARGIN + (x - x0) * scale,
+                    HEIGHT - MARGIN - (y - y0) * scale)
         return tf
 
     def tostring(self) -> str:
@@ -50,9 +52,9 @@ class SvgCanvas:
         dash = {"solid": "", "dashed": ' stroke-dasharray="7 4"',
                 "dotted": ' stroke-dasharray="2 3"'}
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
         for x1, y1, x2, y2, style in self._lines:
             (sx1, sy1), (sx2, sy2) = tf(x1, y1), tf(x2, y2)
@@ -60,9 +62,9 @@ class SvgCanvas:
                 f'<line x1="{sx1:.2f}" y1="{sy1:.2f}" x2="{sx2:.2f}" '
                 f'y2="{sy2:.2f}" stroke="black" stroke-width="1"'
                 f'{dash.get(style, "")}/>')
-        for x, y, r in self._points:
+        for x, y in self._points:
             sx, sy = tf(x, y)
-            parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{r}" '
+            parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{POINT_R}" '
                          f'fill="black"/>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

@@ -20,6 +20,7 @@ from .core import GeometryError, Mat2, rank_one_connected
 from .scalar import DEFAULT_TOL, EXACT, Scalar
 
 MU_CAP = 1e3
+NEWTON_ITERS = 30  # Newton steps per seed before it is given up
 SEED_GRID_1D = tuple(1 + 2 ** j / 8 for j in range(10))
 
 
@@ -134,8 +135,7 @@ def _default_seed_grid():
     return np.array(list(itertools.product(SEED_GRID_1D, repeat=4)))
 
 
-def solve_t4_ordering(x, seeds=None, tol: float = 1e-9,
-                      max_iter: int = 30):
+def solve_t4_ordering(x, seeds=None, tol: float = 1e-9):
     """Search for a witness for one fixed ordering of four matrices.
 
     Returns (witness, reason); witness is None when no seed converges or a
@@ -153,7 +153,7 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9,
     scale = max(1.0, float(np.abs(xflat).max()) ** 2)
     mu = np.array(seeds, dtype=float).copy()
     converged = np.zeros((0, 4))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITERS):
         if mu.shape[0] == 0:
             break
         _, _, f0, jac = _solve(mu, xflat, jacobian=True)
@@ -303,7 +303,7 @@ class DiscreteLaminate:
 
 
 def laminate_unroll(x, w: T4Witness, target_corner: int,
-                    rounds: int, tol: Scalar = 0) -> DiscreteLaminate:
+                    rounds: int) -> DiscreteLaminate:
     """Unit mass at a corner, split backwards through the cyclic scaffold.
 
     Each split replaces the unique off-support atom Q_k with
@@ -315,9 +315,7 @@ def laminate_unroll(x, w: T4Witness, target_corner: int,
     if rounds < 0:
         raise GeometryError("rounds must be nonnegative")
     exact = x[0].mode == EXACT
-    if tol == 0 and not exact:
-        tol = DEFAULT_TOL
-    report = check_t4_witness(x, w, tol)
+    report = check_t4_witness(x, w, 0 if exact else DEFAULT_TOL)
     if not report.accepted:
         raise GeometryError("invalid T4 witness")
     one = Fraction(1) if exact else 1.0

@@ -113,6 +113,12 @@ class TestSubcommands:
     ["usc-probe", "--N", "0"],
     ["--mode", "float", "sym-spiral", "--iters", "-1"],
     ["five-point", "--epsilon", "1"],
+    ["--tol", "nan", "usc-probe"],
+    ["--tol", "-1", "usc-probe"],
+    ["--mode", "float", "--tol", "inf", "sym-spiral"],
+    ["--mode", "float", "sym-spiral", "--xi3", "0"],
+    ["--mode", "float", "sym-spiral", "--xi3", "-0.001"],
+    ["--mode", "float", "sym-spiral", "--xi3", "nan"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
@@ -148,9 +154,27 @@ RANK_TWO_SEGMENT = {"points": [], "segments": [
      "segment 0 is not rank-one"),
     (["hausdorff", "--input-a", "{}", "--input-b", "{}"],
      {"points": [], "segments": [], "order": 0}, "empty laminate set"),
+    (["--mode", "float", "pc-hull", "--input", "{}"],
+     [[[float("inf"), 0], [0, 0]]] + PC_INPUT[1:], "not a finite float: inf"),
+    (["--mode", "float", "pc-hull", "--input", "{}"],
+     [[["1e400", "0"], ["0", "0"]]] + PC_INPUT[1:],
+     "not a finite float: '1e400'"),
+    (["--mode", "float", "pc-hull", "--input", "{}"],
+     [[[10 ** 400, 0], [0, 0]]] + PC_INPUT[1:], "not a finite float: 1000"),
+    (["--mode", "float", "t4-detect", "--input", "{}"],
+     [[["1e400", "0"], ["0", "0"]]] + T4_INPUT[1:],
+     "not a finite float: '1e400'"),
+    (["--mode", "float", "hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": [[[float("nan"), 0], [0, 0]]], "segments": [], "order": 0},
+     "not a finite float: nan"),
+    (["--mode", "float", "hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": [[["1e400", "0"], ["0", "0"]]], "segments": [], "order": 0},
+     "not a finite float: '1e400'"),
 ], ids=["t4-detect-object", "hausdorff-segment-list", "t4-detect-zero-den",
         "pc-hull-zero-den", "hausdorff-zero-den", "hausdorff-rank-two",
-        "hausdorff-empty"])
+        "hausdorff-empty", "float-pc-hull-inf", "float-pc-hull-overflow",
+        "float-pc-hull-huge-int", "float-t4-detect-overflow",
+        "float-hausdorff-nan", "float-hausdorff-overflow"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, data,
                                              message):
     src = tmp_path / "input.json"

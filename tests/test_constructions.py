@@ -59,6 +59,14 @@ class TestStaircase:
         for a, b in zip(chain, chain[1:]):
             assert a.x == b.x or a.y == b.y
 
+    def test_chain_from_p_n_is_a_tail_of_the_chain_from_p_big_n(self):
+        # usc-probe reads every n off the one chain from P_N
+        for big in range(1, 13):
+            full = staircase_iterate(StaircaseConfig(12, big))
+            for n in range(1, big + 1):
+                assert (staircase_iterate(StaircaseConfig(12, n))
+                        == full[2 * (big - n):])
+
     def test_index_beyond_truncation_rejected(self):
         with pytest.raises(ConstructionError):
             staircase_iterate(StaircaseConfig(n_max=5, perturbation_index=9))

@@ -1,4 +1,5 @@
 """Plane-pair factorization, polyconvex hulls, Caratheodory splitting."""
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -115,6 +116,32 @@ class TestDetCheck:
         assert rep.violating_pair == (0, 1)
 
 
+@st.composite
+def det_nonneg_sets(draw):
+    """Small integer sets with det(p - q) >= 0 pairwise: points of the two
+    rank-one planes through one matrix (so member sets nest and two planes
+    can share a pair) and a few free points, each kept when it keeps the
+    condition."""
+    g, h = (draw(st.tuples(st.integers(1, 2), st.integers(-2, 2)))
+            for _ in range(2))
+    b = draw(st.tuples(*[st.integers(-2, 2)] * 4))
+    small = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    # rows c g and d g ("left"), or columns c h and d h ("right")
+    cands = [Mat2(b[0] + c * g[0], b[1] + c * g[1],
+                  b[2] + d * g[0], b[3] + d * g[1])
+             for c, d in draw(st.lists(small, max_size=4))]
+    cands += [Mat2(b[0] + c * h[0], b[1] + d * h[0],
+                   b[2] + c * h[1], b[3] + d * h[1])
+              for c, d in draw(st.lists(small, max_size=4))]
+    cands += draw(st.lists(st.builds(Mat2, *[st.integers(-2, 2)] * 4),
+                           max_size=4))
+    pts = []
+    for m in draw(st.permutations(cands)):
+        if m not in pts and all(det(m - p) >= 0 for p in pts):
+            pts.append(m)
+    return pts
+
+
 class TestPcHull:
     def test_negative_det_rejected(self):
         with pytest.raises(GeometryError, match="det sign"):
@@ -150,6 +177,41 @@ class TestPcHull:
             assert h.membership(m)
 
 
+    @given(det_nonneg_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_planes_are_the_maximal_member_sets(self, pts):
+        found = []  # (members, plane) of both planes of each rank-one pair
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            if pts[i] != pts[j] and det(pts[i] - pts[j]) == 0:
+                pair = plane_pair(pts[i], pts[j])
+                for plane in (pair.p1, pair.p2):
+                    members = tuple(k for k, p in enumerate(pts)
+                                    if plane.contains(p))
+                    if len(members) >= 2:
+                        found.append((members, plane))
+        first = {}
+        for members, plane in found:
+            first.setdefault(members, plane)
+        maximal = sorted(m for m in first
+                         if not any(set(m) < set(o) for o in first))
+        h = pc_hull(pts)
+        assert [(ph.indices, ph.plane) for ph in h.planes] == [
+            (m, first[m]) for m in maximal]
+        covered = {i for m in maximal for i in m}
+        assert h.singleton_indices == tuple(
+            i for i in range(len(pts)) if i not in covered)
+
+    def test_two_planes_through_one_pair_come_in_member_order(self):
+        # both planes through points 0 and 2 hold a third point; the right
+        # plane (0, 2, 3) is found after the left one (0, 2, 4)
+        k = [Mat2(0, 1, -4, 0), Mat2(0, 0, 0, -2), Mat2(-1, 1, -6, 0),
+             Mat2(2, 2, 0, 2), Mat2(0, 1, 0, 0)]
+        h = pc_hull(k)
+        assert [ph.indices for ph in h.planes] == [(0, 2, 3), (0, 2, 4),
+                                                    (1, 4)]
+        assert h.planes[0].plane.kind == "right"
+        assert h.singleton_indices == ()
+
     def test_hand_built_plane_hull_is_read_afresh(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)]
         ph = pc_hull(k).planes[0]
@@ -179,6 +241,13 @@ class TestCaratheodory:
         assert sum(res.weights) == 1
         assert all(w >= 0 for w in res.weights)
         assert res.reconstruct() == target.rows()
+
+    def test_float_plane_raises(self):
+        k = [Mat2.zero("float"), Mat2(1.0, 0.0, 0.0, 0.0),
+             Mat2(0.0, 1.0, 0.0, 0.0)]
+        plane = pc_hull(k).planes[0]
+        with pytest.raises(GeometryError, match="needs an exact plane"):
+            caratheodory_decompose(plane.plane, k, Mat2(0.25, 0.25, 0.0, 0.0))
 
     def test_vertex_is_trivial(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)]
@@ -314,6 +383,14 @@ class TestRankOnePlaneKernel:
         assert plane.coords(on) == (F(3), F(-6, 5))
         assert plane.coords(Mat2.from_rows(on)) == (F(3), F(-6, 5))
         assert not plane.contains(((0, 1), (2, F(3) + F(1, 10**30))))
+
+    def test_zero_generator_raises(self):
+        # every matrix would pass the minor test, and coordinates would
+        # have denominator 0
+        for gen in ((0, 0), (0.0, 0.0), (F(0), F(0), F(0))):
+            with pytest.raises(GeometryError, match="nonzero generator"):
+                RankOnePlane(((1, 2), (3, 4)) if len(gen) == 2 else
+                             ((1, 2, 3), (4, 5, 6)), "left", gen)
 
     def test_modes_do_not_mix(self):
         plane = plane_pair(Mat2(1, 0, 0, 0), Mat2.zero()).p1
