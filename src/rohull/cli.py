@@ -72,8 +72,17 @@ def _load_matrices(path: str, mode: str):
         raise UsageError(f"bad matrix data in {path}: {e}")
 
 
+def _config(build, *args):
+    """A construction's configuration; its range checks reject the input
+    before anything is computed, so they are usage errors."""
+    try:
+        return build(*args)
+    except constructions.ConstructionError as e:
+        raise UsageError(str(e))
+
+
 def cmd_staircase(args):
-    cfg = constructions.StaircaseConfig(args.n_max, args.N)
+    cfg = _config(constructions.StaircaseConfig, args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
     p_n = constructions.staircase_perturbation(args.N)
@@ -128,7 +137,7 @@ def cmd_sym_spiral(args):
     if args.mode == EXACT:
         raise UsageError("sym-spiral requires --mode float "
                          "(square roots appear in the start offsets)")
-    cfg = constructions.SymSpiralConfig.standard_square(args.xi3)
+    cfg = _config(constructions.SymSpiralConfig.standard_square, args.xi3)
     result = constructions.sym_spiral(cfg, args.iters)
     results = {
         "xi": [scalar_to_json(v) for v in cfg.offsets()],
@@ -274,7 +283,7 @@ def cmd_usc_probe(args):
 
     The chain from P_n is the chain from P_N without its first 2(N - n)
     points, so one staircase and one chain serve every n."""
-    cfg = constructions.StaircaseConfig(args.n_max, args.N)
+    cfg = _config(constructions.StaircaseConfig, args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
     dist_sq = [point_to_set_dist_sq(p.embed(), k0) for p in chain]

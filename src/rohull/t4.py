@@ -2,16 +2,18 @@
 
 For fixed mu the defining system is linear in the base point and the four
 rank-one increments, and one closed form solves it for a batch of mu, in
-float or in exact rationals; its Jacobian in mu comes from the same
-coefficients.  Detection runs a multi-start Newton iteration on mu over a
-seed grid, vectorized across seeds, once per cyclic class of orderings; the
-other rotations are read off the same scaffold and re-checked.  A "not
-found" result is not a certificate of absence.
+float or in exact rationals.  The equations det C_i = 0 depend on the four
+inputs only through the six numbers det(X_j - X_k), and so does their
+Jacobian in mu.  Detection runs a multi-start Newton iteration on mu over a
+seed grid in one loop for all six cyclic classes of orderings, vectorized
+across seeds and classes, with a closed-form 4x4 step; the other rotations
+are read off the same scaffold and re-checked.  A "not found" result is not
+a certificate of absence.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -87,116 +89,244 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
 
 
-def _solve(mu: np.ndarray, xflat: np.ndarray, jacobian: bool = False):
-    """Closed-form solution for (P, C) at each mu in the batch.
+def _coefficients(mu: np.ndarray):
+    """The rows w and G with P = w @ X and C = G @ X at each mu in the batch.
 
     The system X_k = Q_k + mu_k C_k with corners Q_0 = P, Q_{k+1} = Q_k + C_k
     and sum C_k = 0 has determinant -D, D = prod mu_j - prod (mu_j - 1).
     Closing the cycle gives P = sum_k w_k X_k with
     w_k = prod_{j<k} mu_j prod_{j>k} (mu_j - 1) / D; walking the corners
-    then gives C_k = (X_k - Q_k) / mu_k.  Both are kept as coefficients,
-    P = w @ X and C = G @ X, so G[i, k] is the entry (i+1, k) of A^-1 and
-    the Jacobian d det(C_i) / d mu_k = -G[i, k] <adj C_i, C_k> needs no
-    further solve.
+    then gives C_k = (X_k - Q_k) / mu_k.  Each row of G sums to 0.
 
-    mu: (N, 4), every mu_k nonzero (callers keep mu > 1); xflat: (4, 4)
-    flattened input matrices.  Float arrays and object arrays of Fractions
-    both work.  Returns (P, C, dets[, jac]) with shapes (N, 4), (N, 4, 4),
-    (N, 4)[, (N, 4, 4)].  Float rows with D == 0 come out non-finite; an
-    exact D == 0 returns None.
+    The batch runs along the last axis: mu is (4, N), one column per mu,
+    every mu_k nonzero (callers keep mu > 1); float arrays and object arrays
+    of Fractions both work.  Returns (w, G) with shapes (4, N), (4, 4, N).
+    Float columns with D == 0 come out non-finite; an exact D == 0 returns
+    None.
     """
     m1 = mu - 1
-    d = mu.prod(axis=1) - m1.prod(axis=1)
-    if mu.dtype == object and (d == 0).any():
-        return None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.stack([mu[:, :k].prod(axis=1) * m1[:, k + 1:].prod(axis=1)
-                      for k in range(4)], axis=1) / d[:, None]
-        q = w  # coefficients of the corner Q_k
-        g = []
+        head, tail = mu[0] * mu[1], m1[2] * m1[3]
+        d = head * mu[2] * mu[3] - m1[0] * m1[1] * tail
+        if mu.dtype == object and (d == 0).any():
+            return None
+        w = np.stack([m1[1] * tail, mu[0] * tail, head * m1[3],
+                      head * mu[2]])
+        w /= d
+        g = np.empty((4,) + mu.shape, dtype=mu.dtype)
+        q = w.copy()  # coefficients of the corner Q_k
         for k in range(4):
-            gk = -q / mu[:, k:k + 1]
-            gk[:, k] += 1 / mu[:, k]
-            g.append(gk)
-            q = q + gk
-        g = np.stack(g, axis=1)
-        p = w @ xflat
-        c = g @ xflat
+            np.divide(q, -mu[k], out=g[k])
+            g[k, k] += 1 / mu[k]
+            q += g[k]
+    return w, g
+
+
+def _solve(mu: np.ndarray, xflat: np.ndarray):
+    """Closed-form solution for (P, C) at each mu in the batch.
+
+    mu: (N, 4); xflat: (4, 4) flattened input matrices, float or Fractions
+    like mu.  Returns (P, C, dets) with shapes (N, 4), (N, 4, 4), (N, 4),
+    dets[:, i] being det C_i, or None when an exact mu makes the system
+    singular.
+    """
+    coefficients = _coefficients(mu.T)
+    if coefficients is None:
+        return None
+    w, g = coefficients
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = w.T @ xflat
+        c = g.transpose(2, 0, 1) @ xflat
         dets = c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2]
-        if not jacobian:
-            return p, c, dets
-        adj = np.stack([c[:, :, 3], -c[:, :, 2], -c[:, :, 1], c[:, :, 0]],
-                       axis=-1)
-        jac = -g * np.einsum("nie,nke->nik", adj, c)
-    return p, c, dets, jac
+    return p, c, dets
+
+
+def _pairwise_dets(x) -> np.ndarray:
+    """A[j, k] = det(X_j - X_k), computed in x's scalar mode, as floats."""
+    a = np.zeros((4, 4))
+    for j, k in itertools.combinations(range(4), 2):
+        a[j, k] = a[k, j] = float((x[j] - x[k]).det())
+    return a
+
+
+def _residual(mu: np.ndarray, a: np.ndarray, sizes=None):
+    """Newton residual f_i = det C_i and Jacobian df_i / dmu_k at each mu.
+
+    det is a quadratic form on 2x2 matrices and each row g_i of G sums to 0,
+    so with A[j, k] = det(X_j - X_k) and M = G A G^T, det C_i = -M_ii / 2
+    and <adj C_i, C_k> = -M_ik; hence df_i / dmu_k = -G_ik <adj C_i, C_k>
+    = G_ik M_ik.  The inputs enter only through these six numbers.
+
+    mu: (4, N) floats, one column per mu.  a is one (4, 4) matrix, or a
+    stack (K, 4, 4) whose k-th entry serves the next sizes[k] columns.
+    Returns (f, jac) with shapes (4, N), (4, 4, N); float columns with
+    D == 0 come out non-finite.
+    """
+    if sizes is None:
+        a, sizes = a[None], [mu.shape[1]]
+    _, g = _coefficients(mu)
+    m = np.empty_like(g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ends = np.cumsum(sizes)
+        for ak, lo, hi in zip(a, ends - sizes, ends):
+            gs = g[..., lo:hi]
+            # M_ik = g_i . (A g_k)
+            np.einsum("ijn,kjn->ikn", gs, np.matmul(ak, gs), out=m[..., lo:hi])
+        f = -0.5 * m.reshape(16, -1)[::5]  # the diagonal M_ii
+        m *= g
+    return f, m
+
+
+# 2x2 minors of a pair of rows are taken over the column pairs
+# (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); pair t and pair 5 - t are complements
+_COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
+_LAPLACE_SIGN = np.array([(-1.0) ** (1 + p + q) for p, q in _COLUMN_PAIRS])
+# for column i replaced by b: the other columns l, the pairs complementary
+# to {i, l}, and the signs their Laplace terms take in Cramer's numerator
+_KEPT = [[l for l in range(4) if l != i] for i in range(4)]
+_OPPOSITE = [[5 - _COLUMN_PAIRS.index(tuple(sorted((i, l)))) for l in kept]
+             for i, kept in enumerate(_KEPT)]
+_CRAMER_SIGN = [np.array([(1 if i < l else -1) * _LAPLACE_SIGN[5 - t]
+                          for l, t in zip(kept, opposite)])
+                for i, (kept, opposite) in enumerate(zip(_KEPT, _OPPOSITE))]
+
+
+def _det_solve4(m: np.ndarray, b: np.ndarray):
+    """det m and m^-1 b for a batch of 4x4 systems, in closed form.
+
+    Laplace expansion along rows (0, 1) gives det m from the 2x2 minors of
+    rows (0, 1) and of rows (2, 3).  Cramer's numerator for x_i replaces
+    column i by b, which changes only the minors that hold column i.
+    The batch runs along the last axis: m is (4, 4, N), b is (4, N).
+    Returns (det, x) with shapes (N,), (4, N); x is non-finite in columns
+    where det is 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        upper, lower = m[0::2], m[1::2]  # rows (0, 2) and rows (1, 3)
+        minors = np.empty((2, 6) + b.shape[1:])
+        for t, (p, q) in enumerate(_COLUMN_PAIRS):
+            np.multiply(upper[:, p], lower[:, q], out=minors[:, t])
+            minors[:, t] -= upper[:, q] * lower[:, p]
+        det = _LAPLACE_SIGN @ (minors[0] * minors[1, ::-1])
+        # the minors of the same rows with b in place of column l
+        with_b = b[0::2, None] * lower
+        with_b -= b[1::2, None] * upper
+        x = np.empty_like(b)
+        for i in range(4):
+            np.einsum("hln,hln,l->n", minors[::-1][:, _OPPOSITE[i]],
+                      with_b[:, _KEPT[i]], _CRAMER_SIGN[i], out=x[i])
+        x /= det
+    return det, x
+
+
+def _polish(mu: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Three more Newton steps on converged columns: quadratic convergence
+    makes them enough for the exact-rational recovery.  The steps stop as
+    soon as one column cannot take one."""
+    for _ in range(3):
+        f, jac = _residual(mu, a)
+        det, step = _det_solve4(jac, -f)
+        if not (np.isfinite(jac).all() and (np.abs(det) > 1e-14).all()):
+            break
+        mu = mu + step
+    return mu
 
 
 def _default_seed_grid():
     return np.array(list(itertools.product(SEED_GRID_1D, repeat=4)))
 
 
+def _newton_search(x, orderings, seeds, tol):
+    """Newton on mu for x taken in each of the given orderings, in one loop.
+
+    Every ordering starts from the whole seed grid, and its columns stay
+    together.  It leaves the loop with its hitting columns at the first
+    iteration where any of them hits.  Returns (outcomes, alive): per
+    ordering a witness carrying it or the failure reason, and the number of
+    columns alive at each iteration.  The preconditions are the caller's.
+    """
+    if seeds is None:
+        seeds = _default_seed_grid()
+    seeds = np.array(seeds, dtype=float)
+    scale = max(1.0, max(abs(float(e)) for xi in x for e in xi.entries())) ** 2
+    a = _pairwise_dets(x)
+    a = np.stack([a[np.ix_(perm, perm)] for perm in orderings])
+    mu = np.tile(seeds.T, len(orderings))
+    live = list(range(len(orderings)))  # orderings still in the loop
+    sizes = np.full(len(orderings), len(seeds))
+    converged = [np.zeros((4, 0))] * len(orderings)
+    alive = []
+    for _ in range(NEWTON_ITERS):
+        if mu.shape[1] == 0:
+            break
+        alive.append(mu.shape[1])
+        f, jac = _residual(mu, a[live], sizes)
+        owner = np.repeat(np.arange(len(live)), sizes)
+        # a non-finite f_i makes jac_ii non-finite
+        good = np.isfinite(jac).all(axis=(0, 1))
+        hit = good & (np.abs(f).max(axis=0) <= tol * scale) & \
+            ((mu > 1.0 + tol) & (mu < MU_CAP)).all(axis=0)
+        done = np.bincount(owner[hit], minlength=len(live)) > 0
+        for j in np.flatnonzero(done):
+            converged[live[j]] = _polish(mu[:, hit & (owner == j)],
+                                         a[live[j]])
+        det, step = _det_solve4(jac, -f)
+        good &= np.abs(det) > 1e-14
+        with np.errstate(invalid="ignore", over="ignore"):
+            delta = np.where(good, step, 0.0)
+            # damp large steps to keep mu in range
+            norm = np.abs(delta).max(axis=0)
+            mu = mu + delta * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
+        # a non-finite mu fails both comparisons
+        keep = good & ~done[owner] & ((mu > 1.0) & (mu < MU_CAP)).all(axis=0)
+        mu = mu[:, keep]
+        sizes = np.bincount(owner[keep], minlength=len(live))
+        live = [k for k, n in zip(live, sizes) if n]
+        sizes = sizes[sizes > 0]
+    outcomes = []
+    for perm, hits in zip(orderings, converged):
+        if hits.shape[1] == 0:
+            outcomes.append("no converged seed")
+            continue
+        # deterministic pick: smallest mu vector lexicographically after
+        # rounding
+        best = hits[:, np.lexsort(np.round(hits, 8)[::-1])[0]]
+        w = _build_witness([x[i] for i in perm], best, tol)
+        outcomes.append("converged seed failed validation" if w is None
+                        else T4Witness(tuple(perm), w.p, w.c, w.mu))
+    return outcomes, tuple(alive)
+
+
+def _pair_faults(x) -> dict:
+    """The precondition each pair (i, j), in either order, of x fails."""
+    faults = {}
+    for i, j in itertools.combinations(range(4), 2):
+        if x[i] == x[j]:
+            faults[i, j] = faults[j, i] = "points not pairwise distinct"
+        elif rank_one_connected(x[i], x[j], DEFAULT_TOL):
+            faults[i, j] = faults[j, i] = "rank-one connection present"
+    return faults
+
+
+def _precondition(faults: dict, perm) -> str | None:
+    """The failure reason of x taken in the order perm: that of its first
+    faulty pair, pairs taken in the order of their positions in perm."""
+    return next((faults[pair] for pair in itertools.combinations(perm, 2)
+                 if pair in faults), None)
+
+
 def solve_t4_ordering(x, seeds=None, tol: float = 1e-9):
-    """Search for a witness for one fixed ordering of four matrices.
+    """Search for a witness for one fixed ordering of four matrices: the
+    one-ordering case of the Newton loop detect_t4 runs.
 
     Returns (witness, reason); witness is None when no seed converges or a
     precondition fails.
     """
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if x[i] == x[j]:
-                return None, "points not pairwise distinct"
-            if rank_one_connected(x[i], x[j], DEFAULT_TOL):
-                return None, "rank-one connection present"
-    if seeds is None:
-        seeds = _default_seed_grid()
-    xflat = np.array([[float(e) for e in xi.entries()] for xi in x])
-    scale = max(1.0, float(np.abs(xflat).max()) ** 2)
-    mu = np.array(seeds, dtype=float).copy()
-    converged = np.zeros((0, 4))
-    for _ in range(NEWTON_ITERS):
-        if mu.shape[0] == 0:
-            break
-        _, _, f0, jac = _solve(mu, xflat, jacobian=True)
-        good = np.isfinite(f0).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-        hit = good & (np.abs(f0).max(axis=1) <= tol * scale) & \
-            (mu > 1.0 + tol).all(axis=1) & (mu < MU_CAP).all(axis=1)
-        if hit.any():
-            converged = mu[hit]
-            # polish: quadratic convergence makes a few extra steps enough
-            # for the exact-rational recovery below
-            for _ in range(3):
-                _, _, fc, jc = _solve(converged, xflat, jacobian=True)
-                fine = np.isfinite(fc).all(axis=1) & \
-                    np.isfinite(jc).all(axis=(1, 2)) & \
-                    (np.abs(np.linalg.det(jc)) > 1e-14)
-                if not fine.all():
-                    break
-                converged = converged + np.linalg.solve(
-                    jc, -fc[:, :, None])[:, :, 0]
-            break
-        detj = np.abs(np.linalg.det(np.where(good[:, None, None], jac,
-                                             np.eye(4)[None])))
-        good &= detj > 1e-14
-        delta = np.zeros_like(mu)
-        if good.any():
-            delta[good] = np.linalg.solve(jac[good],
-                                          -f0[good][:, :, None])[:, :, 0]
-        # damp large steps to keep mu in range
-        norm = np.abs(delta).max(axis=1)
-        factor = np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
-        mu = mu + delta * factor[:, None]
-        alive = good & (mu > 1.0).all(axis=1) & (mu < MU_CAP).all(axis=1) \
-            & np.isfinite(mu).all(axis=1)
-        mu = mu[alive]
-    if converged.shape[0] == 0:
-        return None, "no converged seed"
-    # deterministic pick: smallest mu vector lexicographically after rounding
-    order = np.lexsort(np.round(converged, 8).T[::-1])
-    best = converged[order[0]]
-    witness = _build_witness(x, best, tol)
-    if witness is None:
-        return None, "converged seed failed validation"
-    return witness, "ok"
+    reason = _precondition(_pair_faults(x), range(4))
+    if reason:
+        return None, reason
+    (found,), _ = _newton_search(x, [(0, 1, 2, 3)], seeds, tol)
+    return (None, found) if isinstance(found, str) else (found, "ok")
 
 
 def _build_witness(x, mu_float, tol):
@@ -246,50 +376,54 @@ def cyclic_class(ordering) -> tuple:
 class Detection:
     witnesses: tuple[T4Witness, ...]
     failures: dict
+    # seeds alive, over all classes, at each iteration of the shared loop
+    newton_alive: tuple[int, ...] = field(default=(), compare=False)
 
     def found(self) -> bool:
         return bool(self.witnesses)
 
 
-def _search(x, perm, seeds, tol):
-    """Newton search for x taken in the order perm: a witness carrying perm,
-    or the failure reason."""
-    w, reason = solve_t4_ordering([x[i] for i in perm], seeds=seeds, tol=tol)
-    return reason if w is None else T4Witness(perm, w.p, w.c, w.mu)
-
-
 def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
-    """Witnesses for all 24 orderings, from one Newton search per cyclic class.
+    """Witnesses for all 24 orderings, from one Newton loop over the six
+    cyclic classes.
 
     A T4 is a cycle, so the four rotations of an ordering describe one
-    scaffold read from different corners.  Only the class representative
-    (the rotation that starts with 0) is searched.  Rotation r of its
-    witness starts at the corner Q_r, with C and mu rotated by r; each such
+    scaffold read from different corners.  Only the class representatives
+    (the rotations that start with 0) are searched, together.  Rotation r of
+    a witness starts at the corner Q_r, with C and mu rotated by r; each such
     derived witness is re-checked with witness_certified, and one that fails
     gets a search of its own.  A failure reason holds for the whole class:
-    the preconditions do not depend on the ordering, and rotating the
-    ordering rotates the Newton iteration in mu, which maps the default
-    seed grid onto itself.  Witnesses come in itertools.permutations order;
+    the preconditions are checked once, on the pairs of x, and rotating the
+    ordering rotates the Newton iteration in mu, which maps the default seed
+    grid onto itself.  Witnesses come in itertools.permutations order;
     rotations of one scaffold are all reported.
     """
+    faults = _pair_faults(x)
+    reps = [(0,) + tail for tail in itertools.permutations(range(1, 4))]
+    found = {rep: _precondition(faults, rep) for rep in reps}
+    searched = [rep for rep in reps if found[rep] is None]
+    alive = ()
+    if searched:
+        outcomes, alive = _newton_search(x, searched, seeds, tol)
+        found.update(zip(searched, outcomes))
     outcome = {}
-    for tail in itertools.permutations(range(1, 4)):
-        rep = (0,) + tail
-        found = _search(x, rep, seeds, tol)
-        outcome[rep] = found
-        if isinstance(found, str):
-            outcome.update((_rotate(rep, r), found) for r in range(1, 4))
+    for rep, w in found.items():
+        if isinstance(w, str):
+            outcome.update((_rotate(rep, r), w) for r in range(4))
             continue
-        corners = found.corners()
+        outcome[rep] = w
+        corners = w.corners()
         for r in range(1, 4):
-            w = T4Witness(_rotate(rep, r), corners[r], _rotate(found.c, r),
-                          _rotate(found.mu, r))
-            outcome[w.ordering] = (w if witness_certified(x, w, tol)
-                                   else _search(x, w.ordering, seeds, tol))
+            turned = T4Witness(_rotate(rep, r), corners[r], _rotate(w.c, r),
+                               _rotate(w.mu, r))
+            outcome[turned.ordering] = (
+                turned if witness_certified(x, turned, tol)
+                else _newton_search(x, [turned.ordering], seeds, tol)[0][0])
     perms = list(itertools.permutations(range(4)))
     return Detection(
         tuple(outcome[p] for p in perms if not isinstance(outcome[p], str)),
-        {p: outcome[p] for p in perms if isinstance(outcome[p], str)})
+        {p: outcome[p] for p in perms if isinstance(outcome[p], str)},
+        alive)
 
 
 # --- laminate measures ---------------------------------------------------

@@ -119,6 +119,9 @@ class TestSubcommands:
     ["--mode", "float", "sym-spiral", "--xi3", "0"],
     ["--mode", "float", "sym-spiral", "--xi3", "-0.001"],
     ["--mode", "float", "sym-spiral", "--xi3", "nan"],
+    ["usc-probe", "--N", "5", "--n-max", "4"],
+    ["staircase", "--N", "5", "--n-max", "4"],
+    ["--mode", "float", "sym-spiral", "--xi3", "1.5"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
@@ -274,13 +277,15 @@ GOLDEN_ARGV = {
     "pc-hull": ["pc-hull", "--input", str(DATA / "golden_set.json")],
     "hausdorff": ["hausdorff", "--input-a", str(DATA / "golden_a.json"),
                   "--input-b", str(DATA / "golden_b.json")],
+    "t4-detect": ["t4-detect", "--input", str(DATA / "golden_t4.json")],
 }
 
 
 # float pc-hull is left out: its plane generators come from LAPACK's SVD,
 # whose last bits may vary between builds
 @pytest.mark.parametrize("name, mode", [
-    ("pc-hull", "exact"), ("hausdorff", "exact"), ("hausdorff", "float")])
+    ("pc-hull", "exact"), ("hausdorff", "exact"), ("hausdorff", "float"),
+    ("t4-detect", "exact")])
 def test_reports_match_the_committed_ones(tmp_path, name, mode):
     """The reports are byte-identical to ones committed from an earlier
     version of the library."""

@@ -1,6 +1,7 @@
 """T4 witness checks, scaffold solve, Newton detection, laminate unrolling."""
 import itertools
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,10 @@ from rohull.core import Mat2
 from rohull.t4 import (
     SEED_GRID_1D,
     T4Witness,
+    _det_solve4,
+    _newton_search,
+    _pairwise_dets,
+    _residual,
     _solve,
     check_t4_witness,
     cyclic_class,
@@ -69,11 +74,19 @@ def _reference_system(mu):
     return a
 
 
+def _float_pairwise_dets(x):
+    """A[j, k] = det(X_j - X_k) for four flattened float matrices."""
+    return np.array([[(x[j, 0] - x[k, 0]) * (x[j, 3] - x[k, 3])
+                      - (x[j, 1] - x[k, 1]) * (x[j, 2] - x[k, 2])
+                      for k in range(4)] for j in range(4)])
+
+
 class TestClosedFormSolve:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.mu = 1 + 4 * rng.random((64, 4))
         self.x = rng.normal(size=(4, 4))
+        self.a = _float_pairwise_dets(self.x)
 
     def test_float_matches_reference_solve(self):
         p, c, dets = _solve(self.mu, self.x)
@@ -85,8 +98,19 @@ class TestClosedFormSolve:
         np.testing.assert_array_equal(
             dets, c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2])
 
+    def test_residual_is_the_solved_dets(self):
+        f, _ = _residual(self.mu.T, self.a)
+        np.testing.assert_allclose(f.T, _solve(self.mu, self.x)[2],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_residual_from_the_mat2_pairwise_dets(self):
+        mats = [Mat2(*(F(v) for v in row)) for row in self.x]
+        f, _ = _residual(self.mu.T, _pairwise_dets(mats))
+        np.testing.assert_allclose(f.T, _solve(self.mu, self.x)[2],
+                                   rtol=1e-12, atol=1e-12)
+
     def test_jacobian_matches_central_differences(self):
-        _, _, _, jac = _solve(self.mu, self.x, jacobian=True)
+        _, jac = _residual(self.mu.T, self.a)
         h = 1e-6
         for k in range(4):
             step = np.zeros(4)
@@ -94,8 +118,16 @@ class TestClosedFormSolve:
             ahead = _solve(self.mu + step, self.x)[2]
             behind = _solve(self.mu - step, self.x)[2]
             slope = (ahead - behind) / (2 * h)
-            np.testing.assert_allclose(jac[:, :, k], slope,
+            np.testing.assert_allclose(jac[:, k].T, slope,
                                        rtol=1e-5, atol=1e-6)
+
+    def test_stacked_pairwise_dets_serve_consecutive_columns(self):
+        other = _float_pairwise_dets(self.x[[2, 0, 3, 1]])
+        f, jac = _residual(self.mu.T, np.stack([self.a, other]), [40, 24])
+        f0, jac0 = _residual(self.mu.T[:, :40], self.a)
+        f1, jac1 = _residual(self.mu.T[:, 40:], other)
+        np.testing.assert_array_equal(f, np.hstack([f0, f1]))
+        np.testing.assert_array_equal(jac, np.concatenate([jac0, jac1], 2))
 
     def test_exact_solution_satisfies_the_equations(self):
         rng = random.Random(3)
@@ -120,12 +152,44 @@ class TestClosedFormSolve:
         x = np.array([[F(e) for e in xi.entries()] for xi in CLASSIC],
                      dtype=object)
         assert _solve(np.array([mu], dtype=object), x) is None
-        p, c, dets, jac = _solve(np.array([mu], dtype=float),
-                                 x.astype(float), jacobian=True)
+        p, c, dets = _solve(np.array([mu], dtype=float), x.astype(float))
+        f, jac = _residual(np.array([mu], dtype=float).T,
+                           _pairwise_dets(CLASSIC))
         assert not np.isfinite(p).any()
         assert not np.isfinite(c).any()
         assert not np.isfinite(dets).any()
+        assert not np.isfinite(f).any()
         assert not np.isfinite(jac).any()
+
+
+class TestClosedForm4x4:
+    def test_matches_lapack(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(200, 4, 4)) + 4 * np.eye(4)
+        b = rng.normal(size=(200, 4))
+        det, x = _det_solve4(m.transpose(1, 2, 0), b.T)
+        np.testing.assert_allclose(det, np.linalg.det(m), rtol=1e-12)
+        np.testing.assert_allclose(
+            x.T, np.linalg.solve(m, b[:, :, None])[:, :, 0],
+            rtol=1e-10, atol=1e-12)
+
+    def test_singular_rows_drop_quietly(self):
+        rng = np.random.default_rng(12)
+        m = rng.integers(-5, 6, size=(6, 4, 4)).astype(float)
+        m[0, 3] = m[0, 1]  # two equal rows
+        m[1, :, 2] = 0.0  # a zero column
+        m[2, 2] = 2 * m[2, 0] - m[2, 1]  # a dependent row
+        m[3] = 0.0
+        m[4, 0] = m[4, 1] = 0.0
+        b = rng.normal(size=(6, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det, x = _det_solve4(m.transpose(1, 2, 0), b.T)
+        assert list(det[:5]) == [0.0] * 5
+        assert not np.isfinite(x[:, :5]).any()
+        # the Newton step keeps only rows with |det J| > 1e-14
+        assert list(np.abs(det) > 1e-14) == [False] * 5 + \
+            [abs(np.linalg.det(m[5])) > 1e-14]
 
 
 class TestSolveOrdering:
@@ -216,16 +280,16 @@ class TestDetect:
         assert all(det_res.failures.values())
 
 
-def _counting_solver(monkeypatch):
-    """Record the ordering of every solve_t4_ordering call detect_t4 makes."""
+def _counting_search(monkeypatch):
+    """Record every ordering detect_t4 hands to the Newton search."""
     calls = []
-    solve = t4.solve_t4_ordering
+    search = t4._newton_search
 
-    def counted(x, *args, **kwargs):
-        calls.append(tuple(x))
-        return solve(x, *args, **kwargs)
+    def counted(x, orderings, *args, **kwargs):
+        calls.extend(tuple(o) for o in orderings)
+        return search(x, orderings, *args, **kwargs)
 
-    monkeypatch.setattr(t4, "solve_t4_ordering", counted)
+    monkeypatch.setattr(t4, "_newton_search", counted)
     return calls
 
 
@@ -235,12 +299,11 @@ def _rotate(seq, r):
 
 class TestCyclicSearch:
     def test_one_search_per_cyclic_class(self, monkeypatch):
-        calls = _counting_solver(monkeypatch)
+        calls = _counting_search(monkeypatch)
         det_res = detect_t4(CLASSIC)
         assert len(calls) == 6
-        searched = {tuple(CLASSIC.index(m) for m in x) for x in calls}
-        assert searched == {(0,) + p
-                            for p in itertools.permutations(range(1, 4))}
+        assert set(calls) == {(0,) + p
+                              for p in itertools.permutations(range(1, 4))}
         assert [w.ordering for w in det_res.witnesses] == [
             (0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
         assert set(det_res.failures) == \
@@ -277,13 +340,47 @@ class TestCyclicSearch:
             return check(x, w, tol)
 
         monkeypatch.setattr(t4, "check_t4_witness", reject_one_rotation)
-        calls = _counting_solver(monkeypatch)
+        calls = _counting_search(monkeypatch)
         det_res = detect_t4(CLASSIC, seeds=seeds)
         assert len(rejected) == 1
         assert len(calls) == 7
-        assert tuple(CLASSIC[i] for i in (1, 2, 3, 0)) in calls
+        assert calls[6] == (1, 2, 3, 0)
         redone = next(w for w in det_res.witnesses
                       if w.ordering == (1, 2, 3, 0))
         ordered = [CLASSIC[i] for i in redone.ordering]
         assert check(ordered, redone, 0).accepted
         assert det_res == expected
+
+
+SEEDS_256 = list(itertools.product(SEED_GRID_1D[1:9:2], repeat=4))
+REPRESENTATIVES = [(0,) + p for p in itertools.permutations(range(1, 4))]
+
+
+class TestSharedNewtonLoop:
+    @pytest.mark.parametrize("x", [
+        CLASSIC, list(constructions.five_point_build(F(1, 2)).x),
+        [Mat2.diag(F(k), F(5 - k)) for k in (1, 2, 3, 4)]],
+        ids=["classic", "five-point", "coplanar"])
+    def test_batched_equals_one_ordering_searches(self, x):
+        batched, _ = _newton_search(x, REPRESENTATIVES, SEEDS_256, 1e-9)
+        for perm, found in zip(REPRESENTATIVES, batched):
+            w, reason = solve_t4_ordering([x[i] for i in perm],
+                                          seeds=SEEDS_256)
+            if w is None:
+                assert found == reason
+            else:
+                assert found == T4Witness(perm, w.p, w.c, w.mu)
+
+    def test_gated_quadruple_runs_no_iteration(self):
+        pts = [Mat2.diag(F(0), F(0)), Mat2.diag(F(1), F(0)),
+               Mat2.diag(F(1), F(-3)), Mat2.diag(F(-3), F(-1))]
+        assert detect_t4(pts).newton_alive == ()
+
+    def test_alive_counts_start_with_every_seed_of_every_class(self):
+        det_res = detect_t4(CLASSIC, seeds=SEEDS_256)
+        alive = det_res.newton_alive
+        assert alive[0] == 6 * 256
+        assert 1 <= len(alive) <= t4.NEWTON_ITERS
+        assert all(a >= b for a, b in zip(alive, alive[1:]))
+        # the counts are data about the run, not part of the result
+        assert det_res == t4.Detection(det_res.witnesses, det_res.failures)
