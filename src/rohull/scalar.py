@@ -2,7 +2,9 @@
 
 Exact values are `fractions.Fraction` (plain ints are accepted and coerced);
 float values are `float`.  The two modes never mix inside one computation:
-anything that would combine them raises `MixedModeError`.
+anything that would combine them raises `MixedModeError`.  `Surd`, an exact
+element r + t sqrt(d) of a real quadratic field, serves exact decisions on
+the roots of quadratics (`quadratic_roots`).
 """
 from __future__ import annotations
 
@@ -65,6 +67,80 @@ def rational_sqrt(x: Scalar) -> Fraction | None:
     if pn * pn == x.numerator and qd * qd == x.denominator:
         return Fraction(pn, qd)
     return None
+
+
+class Surd:
+    """r + t sqrt(d): r and t Fractions, d a positive int that is not a
+    square.  Exact arithmetic with rationals and with surds of the same d."""
+
+    __slots__ = ("r", "t", "d")
+
+    def __init__(self, r: Fraction, t: Fraction, d: int):
+        self.r, self.t, self.d = r, t, d
+
+    def _parts(self, o):
+        return (o.r, o.t) if isinstance(o, Surd) else (o, 0)
+
+    def __add__(self, o):
+        r, t = self._parts(o)
+        return Surd(self.r + r, self.t + t, self.d)
+
+    def __mul__(self, o):
+        r, t = self._parts(o)
+        return Surd(self.r * r + self.t * t * self.d, self.r * t + self.t * r,
+                    self.d)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, o):
+        return self + -o
+
+    def inverse(self) -> "Surd":
+        n = Fraction(self.r * self.r - self.t * self.t * self.d)
+        return Surd(self.r / n, -self.t / n, self.d)
+
+    def __truediv__(self, o):
+        return self * (o.inverse() if isinstance(o, Surd)
+                       else 1 / Fraction(o))
+
+    def __eq__(self, o):
+        return (self.r, self.t) == self._parts(o)
+
+    def sign(self) -> int:
+        # the larger of r^2 and t^2 d decides: they differ unless both are
+        # 0, because d is not a square
+        if self.r * self.r > self.t * self.t * self.d:
+            return sign(self.r)
+        return sign(self.t)
+
+    def __gt__(self, o):
+        return (self - o).sign() > 0
+
+    def __float__(self):
+        root = math.sqrt(self.t * self.t * self.d) * sign(self.t)
+        if sign(self.r) * sign(self.t) >= 0:
+            return float(self.r) + root
+        # opposite signs: divide to avoid the cancellation
+        return float(self.r * self.r - self.t * self.t * self.d) / \
+            (float(self.r) - root)
+
+
+def quadratic_roots(p2: Scalar, p1: Scalar, p0: Scalar) -> list:
+    """The real roots of p2 z^2 + p1 z + p0, exact coefficients, p2 != 0:
+    Fractions, or Surds when the discriminant is not a rational square."""
+    disc = Fraction(p1 * p1 - 4 * p2 * p0)
+    if disc < 0:
+        return []
+    mid, half = -Fraction(p1) / (2 * p2), 1 / Fraction(2 * p2)
+    root = rational_sqrt(disc)
+    if root is not None:
+        return [mid + half * root, mid - half * root]
+    # sqrt(n / m) = sqrt(n m) / m
+    n, half = disc.numerator * disc.denominator, half / disc.denominator
+    return [Surd(mid, half, n), Surd(mid, -half, n)]
 
 
 def scalar_sqrt(x: Scalar) -> Scalar:

@@ -1,28 +1,33 @@
 """T4-configuration detection, witness validation, and laminate unrolling.
 
-For fixed mu the defining system is linear in the base point and the four
-rank-one increments, and one closed form solves it for a batch of mu, in
-float or in exact rationals.  The equations det C_i = 0 depend on the four
-inputs only through the six numbers det(X_j - X_k), and so does their
-Jacobian in mu.  Detection runs a multi-start Newton iteration on mu over a
-seed grid in one loop for all six cyclic classes of orderings, vectorized
-across seeds and classes, with a closed-form 4x4 step; the other rotations
-are read off the same scaffold and re-checked.  A "not found" result is not
-a certificate of absence.
+Take four matrices in a fixed order, A_jk = det(X_j - X_k) and
+mu = (a, b, c, d).  Every T4 in that order (base point P, rank-one C_k with
+sum 0, every mu_k > 1) solves four equations in mu whose coefficients are
+the six A_jk.  Detection decides each cyclic class exactly from them: a sign
+test rules most classes out, else b is a root of one of two integer
+quadratics and c, a and d follow.  Roots are rational or lie in
+Q(sqrt disc), and every check runs exactly there.  Each class is "found"
+(with a witness), "absent" or "undecided" (the elimination degenerates).
+tools/derive_t4.py derives these formulas and checks the ones here.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .core import GeometryError, Mat2, rank_one_connected
-from .scalar import DEFAULT_TOL, EXACT, Scalar
+from .scalar import (
+    DEFAULT_TOL,
+    EXACT,
+    Scalar,
+    Surd,
+    quadratic_roots,
+    sign,
+)
 
-MU_CAP = 1e3
-NEWTON_ITERS = 30  # Newton steps per seed before it is given up
+# seeds of the former Newton search, kept for callers; detection reads none
 SEED_GRID_1D = tuple(1 + 2 ** j / 8 for j in range(10))
 
 
@@ -42,12 +47,8 @@ class T4Witness:
 
     def reconstructed(self) -> tuple[Mat2, Mat2, Mat2, Mat2]:
         """The four configuration points implied by (P, C, mu)."""
-        out = []
-        acc = self.p
-        for k in range(4):
-            out.append(acc + self.c[k].scale(self.mu[k]))
-            acc = acc + self.c[k]
-        return tuple(out)
+        q = self.corners()
+        return tuple(q[k] + self.c[k].scale(self.mu[k]) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -89,218 +90,146 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
 
 
-def _coefficients(mu: np.ndarray):
-    """The rows w and G with P = w @ X and C = G @ X at each mu in the batch.
-
-    The system X_k = Q_k + mu_k C_k with corners Q_0 = P, Q_{k+1} = Q_k + C_k
-    and sum C_k = 0 has determinant -D, D = prod mu_j - prod (mu_j - 1).
-    Closing the cycle gives P = sum_k w_k X_k with
-    w_k = prod_{j<k} mu_j prod_{j>k} (mu_j - 1) / D; walking the corners
-    then gives C_k = (X_k - Q_k) / mu_k.  Each row of G sums to 0.
-
-    The batch runs along the last axis: mu is (4, N), one column per mu,
-    every mu_k nonzero (callers keep mu > 1); float arrays and object arrays
-    of Fractions both work.  Returns (w, G) with shapes (4, N), (4, 4, N).
-    Float columns with D == 0 come out non-finite; an exact D == 0 returns
-    None.
-    """
-    m1 = mu - 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        head, tail = mu[0] * mu[1], m1[2] * m1[3]
-        d = head * mu[2] * mu[3] - m1[0] * m1[1] * tail
-        if mu.dtype == object and (d == 0).any():
-            return None
-        w = np.stack([m1[1] * tail, mu[0] * tail, head * m1[3],
-                      head * mu[2]])
-        w /= d
-        g = np.empty((4,) + mu.shape, dtype=mu.dtype)
-        q = w.copy()  # coefficients of the corner Q_k
-        for k in range(4):
-            np.divide(q, -mu[k], out=g[k])
-            g[k, k] += 1 / mu[k]
-            q += g[k]
-    return w, g
+_PAIRS = tuple(itertools.combinations(range(4), 2))  # the order of A below
 
 
-def _solve(mu: np.ndarray, xflat: np.ndarray):
-    """Closed-form solution for (P, C) at each mu in the batch.
-
-    mu: (N, 4); xflat: (4, 4) flattened input matrices, float or Fractions
-    like mu.  Returns (P, C, dets) with shapes (N, 4), (N, 4, 4), (N, 4),
-    dets[:, i] being det C_i, or None when an exact mu makes the system
-    singular.
-    """
-    coefficients = _coefficients(mu.T)
-    if coefficients is None:
+def _pairwise_dets(x) -> dict | None:
+    """det(X_j - X_k) at (j, k) and (k, j), exact values scaled to ints by
+    one factor, which keeps the roots of the homogeneous class equations;
+    None when a float det is not finite."""
+    dets = {(j, k): (x[j] - x[k]).det() for j, k in _PAIRS}
+    if not all(math.isfinite(v) for v in dets.values() if type(v) is float):
         return None
-    w, g = coefficients
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = w.T @ xflat
-        c = g.transpose(2, 0, 1) @ xflat
-        dets = c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2]
-    return p, c, dets
+    dets = {pair: Fraction(v) for pair, v in dets.items()}
+    scale = math.lcm(*(v.denominator for v in dets.values()))
+    a = {(j, k): int(v * scale) for (j, k), v in dets.items()}
+    return a | {(k, j): v for (j, k), v in a.items()}
 
 
-def _pairwise_dets(x) -> np.ndarray:
-    """A[j, k] = det(X_j - X_k), computed in x's scalar mode, as floats."""
-    a = np.zeros((4, 4))
-    for j, k in itertools.combinations(range(4), 2):
-        a[j, k] = a[k, j] = float((x[j] - x[k]).det())
-    return a
+def _equations(a, mu) -> tuple:
+    """The class equations at a = (A01, A02, A03, A12, A13, A23).  With s
+    and u the polarized dets of (C_0, C_1) and (C_1, C_2) and n = mu - 1,
+    A01 = -n0 b s, A23 = -n2 d s, A12 = -n1 c u, A03 = -n3 a u,
+    A02 = n0 n2 s + a c u and A13 = n1 n3 u + b d s; eliminate s and u."""
+    a01, a02, a03, a12, a13, a23 = a
+    m0, m1, m2, m3 = mu
+    return (a23 * (m0 - 1) * m1 - a01 * (m2 - 1) * m3,
+            a03 * (m1 - 1) * m2 - a12 * (m3 - 1) * m0,
+            a02 * m1 * (m1 - 1) + a01 * (m2 - 1) * (m1 - 1) + a12 * m0 * m1,
+            a13 * m2 * (m0 - 1) + a12 * (m3 - 1) * (m0 - 1) + a01 * m2 * m3)
 
 
-def _residual(mu: np.ndarray, a: np.ndarray, sizes=None):
-    """Newton residual f_i = det C_i and Jacobian df_i / dmu_k at each mu.
-
-    det is a quadratic form on 2x2 matrices and each row g_i of G sums to 0,
-    so with A[j, k] = det(X_j - X_k) and M = G A G^T, det C_i = -M_ii / 2
-    and <adj C_i, C_k> = -M_ik; hence df_i / dmu_k = -G_ik <adj C_i, C_k>
-    = G_ik M_ik.  The inputs enter only through these six numbers.
-
-    mu: (4, N) floats, one column per mu.  a is one (4, 4) matrix, or a
-    stack (K, 4, 4) whose k-th entry serves the next sizes[k] columns.
-    Returns (f, jac) with shapes (4, N), (4, 4, N); float columns with
-    D == 0 come out non-finite.
-    """
-    if sizes is None:
-        a, sizes = a[None], [mu.shape[1]]
-    _, g = _coefficients(mu)
-    m = np.empty_like(g)
-    with np.errstate(invalid="ignore", over="ignore"):
-        ends = np.cumsum(sizes)
-        for ak, lo, hi in zip(a, ends - sizes, ends):
-            gs = g[..., lo:hi]
-            # M_ik = g_i . (A g_k)
-            np.einsum("ijn,kjn->ikn", gs, np.matmul(ak, gs), out=m[..., lo:hi])
-        f = -0.5 * m.reshape(16, -1)[::5]  # the diagonal M_ii
-        m *= g
-    return f, m
+def _b_quadratics(a01, a02, a03, a12, a13, a23) -> tuple:
+    """Coefficients (b^2, b, 1) of q2 and q1: eliminating a and d, then c,
+    leaves b^2 q1(b) q2(b) times a monomial in A."""
+    s1 = a01 + a02 - a12
+    x, y, z = a01 * a23, a02 * a13, a03 * a12
+    k = (x - y - z) ** 2 - 4 * y * z
+    l = ((a01 * (a12 - a23) + a13 * (a02 - a12))
+         * (a23 * (a01 - a12) + a02 * (a12 - a13))
+         - a03 * a12 * s1 * (a12 - a13 - a23))
+    return ((a02 * a23, -a23 * s1, -a01 * (a12 - a23)),
+            (a02 * k, -s1 * k, -a01 * l))
 
 
-# 2x2 minors of a pair of rows are taken over the column pairs
-# (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); pair t and pair 5 - t are complements
-_COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
-_LAPLACE_SIGN = np.array([(-1.0) ** (1 + p + q) for p, q in _COLUMN_PAIRS])
-# for column i replaced by b: the other columns l, the pairs complementary
-# to {i, l}, and the signs their Laplace terms take in Cramer's numerator
-_KEPT = [[l for l in range(4) if l != i] for i in range(4)]
-_OPPOSITE = [[5 - _COLUMN_PAIRS.index(tuple(sorted((i, l)))) for l in kept]
-             for i, kept in enumerate(_KEPT)]
-_CRAMER_SIGN = [np.array([(1 if i < l else -1) * _LAPLACE_SIGN[5 - t]
-                          for l, t in zip(kept, opposite)])
-                for i, (kept, opposite) in enumerate(zip(_KEPT, _OPPOSITE))]
+def _c_quadratics(a01, a02, a03, a12, a13, a23, b) -> tuple:
+    """Coefficients (c^2, c, 1) of equations 2 and 4 at mu_1 = b, with a
+    from equation 3 and d from equation 1, once b - 1 and a - 1 are divided
+    out."""
+    m0, k0 = a02 * b - a01, a23 * b - a01
+    return ((a01 * (a01 * (a23 * (b - 1) + a12) - a03 * a12 * b),
+             a01 * (2 * a23 * (b - 1) * m0 + a12 * (m0 + k0) + a03 * a12 * b),
+             m0 * (a23 * (b - 1) * m0 + a12 * k0)),
+            (-a01 * a13, a01 * (a12 + a13 - a23),
+             a02 * a23 * b * b - a23 * (a01 + a02 - a12) * b
+             - a01 * (a12 - a23)))
 
 
-def _det_solve4(m: np.ndarray, b: np.ndarray):
-    """det m and m^-1 b for a batch of 4x4 systems, in closed form.
-
-    Laplace expansion along rows (0, 1) gives det m from the 2x2 minors of
-    rows (0, 1) and of rows (2, 3).  Cramer's numerator for x_i replaces
-    column i by b, which changes only the minors that hold column i.
-    The batch runs along the last axis: m is (4, 4, N), b is (4, N).
-    Returns (det, x) with shapes (N,), (4, N); x is non-finite in columns
-    where det is 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        upper, lower = m[0::2], m[1::2]  # rows (0, 2) and rows (1, 3)
-        minors = np.empty((2, 6) + b.shape[1:])
-        for t, (p, q) in enumerate(_COLUMN_PAIRS):
-            np.multiply(upper[:, p], lower[:, q], out=minors[:, t])
-            minors[:, t] -= upper[:, q] * lower[:, p]
-        det = _LAPLACE_SIGN @ (minors[0] * minors[1, ::-1])
-        # the minors of the same rows with b in place of column l
-        with_b = b[0::2, None] * lower
-        with_b -= b[1::2, None] * upper
-        x = np.empty_like(b)
-        for i in range(4):
-            np.einsum("hln,hln,l->n", minors[::-1][:, _OPPOSITE[i]],
-                      with_b[:, _KEPT[i]], _CRAMER_SIGN[i], out=x[i])
-        x /= det
-    return det, x
-
-
-def _polish(mu: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Three more Newton steps on converged columns: quadratic convergence
-    makes them enough for the exact-rational recovery.  The steps stop as
-    soon as one column cannot take one."""
-    for _ in range(3):
-        f, jac = _residual(mu, a)
-        det, step = _det_solve4(jac, -f)
-        if not (np.isfinite(jac).all() and (np.abs(det) > 1e-14).all()):
-            break
-        mu = mu + step
-    return mu
-
-
-def _default_seed_grid():
-    return np.array(list(itertools.product(SEED_GRID_1D, repeat=4)))
-
-
-def _newton_search(x, orderings, seeds, tol):
-    """Newton on mu for x taken in each of the given orderings, in one loop.
-
-    Every ordering starts from the whole seed grid, and its columns stay
-    together.  It leaves the loop with its hitting columns at the first
-    iteration where any of them hits.  Returns (outcomes, alive): per
-    ordering a witness carrying it or the failure reason, and the number of
-    columns alive at each iteration.  The preconditions are the caller's.
-    """
-    if seeds is None:
-        seeds = _default_seed_grid()
-    seeds = np.array(seeds, dtype=float)
-    scale = max(1.0, max(abs(float(e)) for xi in x for e in xi.entries())) ** 2
-    a = _pairwise_dets(x)
-    a = np.stack([a[np.ix_(perm, perm)] for perm in orderings])
-    mu = np.tile(seeds.T, len(orderings))
-    live = list(range(len(orderings)))  # orderings still in the loop
-    sizes = np.full(len(orderings), len(seeds))
-    converged = [np.zeros((4, 0))] * len(orderings)
-    alive = []
-    for _ in range(NEWTON_ITERS):
-        if mu.shape[1] == 0:
-            break
-        alive.append(mu.shape[1])
-        f, jac = _residual(mu, a[live], sizes)
-        owner = np.repeat(np.arange(len(live)), sizes)
-        # a non-finite f_i makes jac_ii non-finite
-        good = np.isfinite(jac).all(axis=(0, 1))
-        hit = good & (np.abs(f).max(axis=0) <= tol * scale) & \
-            ((mu > 1.0 + tol) & (mu < MU_CAP)).all(axis=0)
-        done = np.bincount(owner[hit], minlength=len(live)) > 0
-        for j in np.flatnonzero(done):
-            converged[live[j]] = _polish(mu[:, hit & (owner == j)],
-                                         a[live[j]])
-        det, step = _det_solve4(jac, -f)
-        good &= np.abs(det) > 1e-14
-        with np.errstate(invalid="ignore", over="ignore"):
-            delta = np.where(good, step, 0.0)
-            # damp large steps to keep mu in range
-            norm = np.abs(delta).max(axis=0)
-            mu = mu + delta * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
-        # a non-finite mu fails both comparisons
-        keep = good & ~done[owner] & ((mu > 1.0) & (mu < MU_CAP)).all(axis=0)
-        mu = mu[:, keep]
-        sizes = np.bincount(owner[keep], minlength=len(live))
-        live = [k for k, n in zip(live, sizes) if n]
-        sizes = sizes[sizes > 0]
-    outcomes = []
-    for perm, hits in zip(orderings, converged):
-        if hits.shape[1] == 0:
-            outcomes.append("no converged seed")
+def _class_solutions(a) -> tuple:
+    """(solutions, complete): the mu > 1 solving the class equations at a,
+    six nonzero ints, and whether that is all of them.  It may not be when
+    q1 vanishes, or when the quadratics in c agree at an irrational b."""
+    a01, a02, a03, a12, a13, a23 = a
+    # mu > 1 fixes the sign of each term of equations 1 and 2, and of the
+    # A01 and A12 terms of equations 3 and 4
+    s01, s12 = sign(a01), sign(a12)
+    if s01 != sign(a23) or s12 != sign(a03) or (
+            s01 == s12 and not sign(a02) == sign(a13) == -s01):
+        return [], True
+    q2, q1 = _b_quadratics(*a)
+    complete, solutions = any(q1), []
+    # q1 has degree 2 unless K = 0; then it is a constant
+    for b in quadratic_roots(*q2) + (quadratic_roots(*q1) if q1[0] else []):
+        if not b > 1:
             continue
-        # deterministic pick: smallest mu vector lexicographically after
-        # rounding
-        best = hits[:, np.lexsort(np.round(hits, 8)[::-1])[0]]
-        w = _build_witness([x[i] for i in perm], best, tol)
-        outcomes.append("converged seed failed validation" if w is None
-                        else T4Witness(tuple(perm), w.p, w.c, w.mu))
-    return outcomes, tuple(alive)
+        f, g = _c_quadratics(*a, b)
+        # g[0] f - f[0] g is linear in c; g[0] = -A01 A13 is not 0
+        lin1, lin0 = g[0] * f[1] - f[0] * g[1], g[0] * f[2] - f[0] * g[2]
+        if lin1 == 0 and isinstance(b, Surd):
+            # the quadratics share both roots or none, and c would need a
+            # second square root
+            complete = complete and lin0 != 0
+            continue
+        for c in ([-lin0 / lin1] if lin1 != 0 else
+                  [] if lin0 != 0 else quadratic_roots(*g)):
+            if not c > 1:
+                continue
+            mu0 = -(b - 1) * (a02 * b + a01 * (c - 1)) / (a12 * b)
+            mu = (mu0, b, c, a23 * (mu0 - 1) * b / (a01 * (c - 1)))
+            # mu > 1 makes D = prod mu - prod (mu - 1) positive
+            if all(m > 1 for m in mu) and \
+                    all(e == 0 for e in _equations(a, mu)):
+                solutions.append(mu)
+    return solutions, complete
+
+
+def _scaffold(x, mu):
+    """(P, C) with X_k = Q_k + mu_k C_k, Q_0 = P, Q_{k+1} = Q_k + C_k and
+    sum C = 0, or None when D = prod mu - prod (mu - 1) is 0.  Closing the
+    cycle gives P = sum w_k X_k with w_k = prod_{j<k} mu_j prod_{j>k}
+    (mu_j - 1) / D; walking the corners gives C_k = (X_k - Q_k) / mu_k."""
+    n = [m - 1 for m in mu]
+    d = mu[0] * mu[1] * mu[2] * mu[3] - n[0] * n[1] * n[2] * n[3]
+    if d == 0:
+        return None
+    w = (n[1] * n[2] * n[3], mu[0] * n[2] * n[3], mu[0] * mu[1] * n[3],
+         mu[0] * mu[1] * mu[2])
+    q = p = sum((xk.scale(wk / d) for xk, wk in zip(x[1:], w[1:])),
+                x[0].scale(w[0] / d))
+    c = []
+    for xk, mk in zip(x, mu):
+        c.append((xk - q).scale(1 / mk))
+        q = q + c[-1]
+    return p, tuple(c)
+
+
+def _decide_class(x, a, perm, tol):
+    """(outcome, status) of x in the order perm, a being _pairwise_dets(x):
+    a witness or the failure reason, and "found", "absent" or "undecided".
+    The smallest mu is taken; a rational one on exact x gives an exact
+    witness, any other a float one on float copies."""
+    if a is None:
+        return "no converged seed", "undecided"
+    solutions, complete = _class_solutions(
+        tuple(a[perm[j], perm[k]] for j, k in _PAIRS))
+    if not solutions:
+        return "no converged seed", "absent" if complete else "undecided"
+    mu = min(solutions, key=lambda m: tuple(float(v) for v in m))
+    ordered = [x[i] for i in perm]
+    if x[0].mode != EXACT or any(isinstance(m, Surd) for m in mu):
+        ordered = [_float_mat(xi) for xi in ordered]
+        mu = tuple(float(m) for m in mu)
+    built = _scaffold(ordered, mu)
+    w = built and T4Witness(tuple(perm), *built, mu)
+    if w and witness_certified(x, w, tol):
+        return w, "found"
+    return "converged seed failed validation", "undecided"
 
 
 def _pair_faults(x) -> dict:
     """The precondition each pair (i, j), in either order, of x fails."""
     faults = {}
-    for i, j in itertools.combinations(range(4), 2):
+    for i, j in _PAIRS:
         if x[i] == x[j]:
             faults[i, j] = faults[j, i] = "points not pairwise distinct"
         elif rank_one_connected(x[i], x[j], DEFAULT_TOL):
@@ -316,48 +245,20 @@ def _precondition(faults: dict, perm) -> str | None:
 
 
 def solve_t4_ordering(x, seeds=None, tol: float = 1e-9):
-    """Search for a witness for one fixed ordering of four matrices: the
-    one-ordering case of the Newton loop detect_t4 runs.
-
-    Returns (witness, reason); witness is None when no seed converges or a
-    precondition fails.
-    """
+    """(witness, reason) for one fixed ordering of four matrices, the
+    one-class case of detect_t4; witness is None when a precondition fails
+    or no certified witness exists.  ``seeds`` is accepted and ignored."""
     reason = _precondition(_pair_faults(x), range(4))
     if reason:
         return None, reason
-    (found,), _ = _newton_search(x, [(0, 1, 2, 3)], seeds, tol)
+    found, _ = _decide_class(x, _pairwise_dets(x), (0, 1, 2, 3), tol)
     return (None, found) if isinstance(found, str) else (found, "ok")
-
-
-def _build_witness(x, mu_float, tol):
-    def witness(mu, xflat):
-        sol = _solve(np.array([mu], dtype=xflat.dtype), xflat)
-        if sol is None:
-            return None
-        p, c, _ = sol
-        return T4Witness((0, 1, 2, 3), Mat2(*p[0]),
-                         tuple(Mat2(*c[0, k]) for k in range(4)), mu)
-
-    if all(xi.mode == EXACT for xi in x):
-        xq = np.array([[Fraction(e) for e in xi.entries()] for xi in x],
-                      dtype=object)
-        for cap in (10, 100, 10 ** 3, 10 ** 4, 10 ** 6):
-            w = witness(tuple(Fraction(m).limit_denominator(cap)
-                              for m in mu_float), xq)
-            if w is not None and witness_certified(x, w, tol):
-                return w
-    xf = [_float_mat(xi) for xi in x]
-    w = witness(tuple(float(m) for m in mu_float),
-                np.array([xi.entries() for xi in xf]))
-    if witness_certified(xf, w, tol):
-        return w
-    return None
 
 
 def witness_certified(x, w: T4Witness, tol: float = 1e-9) -> bool:
     """Whether w passes check_t4_witness on x taken in w's ordering, at the
     tolerance detection accepts a witness at: 0 for an exact witness,
-    max(sqrt(tol), 1e-6) for a float one, tol being the Newton tolerance."""
+    max(sqrt(tol), 1e-6) for a float one."""
     ordered = [x[i] for i in w.ordering]
     check_tol = 0 if w.p.mode == EXACT else max(float(tol) ** 0.5, 1e-6)
     return check_t4_witness(ordered, w, check_tol).accepted
@@ -376,37 +277,32 @@ def cyclic_class(ordering) -> tuple:
 class Detection:
     witnesses: tuple[T4Witness, ...]
     failures: dict
-    # seeds alive, over all classes, at each iteration of the shared loop
-    newton_alive: tuple[int, ...] = field(default=(), compare=False)
+    # "found", "absent" or "undecided" per decided ordering: the class
+    # representatives past the preconditions, and rotations decided alone
+    status: dict = field(default_factory=dict, compare=False)
 
     def found(self) -> bool:
         return bool(self.witnesses)
 
 
 def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
-    """Witnesses for all 24 orderings, from one Newton loop over the six
-    cyclic classes.
+    """Witnesses for all 24 orderings; ``seeds`` is accepted and ignored.
 
-    A T4 is a cycle, so the four rotations of an ordering describe one
-    scaffold read from different corners.  Only the class representatives
-    (the rotations that start with 0) are searched, together.  Rotation r of
-    a witness starts at the corner Q_r, with C and mu rotated by r; each such
-    derived witness is re-checked with witness_certified, and one that fails
-    gets a search of its own.  A failure reason holds for the whole class:
-    the preconditions are checked once, on the pairs of x, and rotating the
-    ordering rotates the Newton iteration in mu, which maps the default seed
-    grid onto itself.  Witnesses come in itertools.permutations order;
-    rotations of one scaffold are all reported.
+    The four rotations of an ordering read one scaffold from different
+    corners, so only the six class representatives, which start with 0, are
+    decided.  Rotation r of a witness starts at the corner Q_r with C and mu
+    rotated by r; it is re-checked with witness_certified, and decided on
+    its own if it fails.  The preconditions are checked once, on the pairs
+    of x, so a failure reason holds for a whole class.  Witnesses come in
+    itertools.permutations order.
     """
     faults = _pair_faults(x)
-    reps = [(0,) + tail for tail in itertools.permutations(range(1, 4))]
-    found = {rep: _precondition(faults, rep) for rep in reps}
-    searched = [rep for rep in reps if found[rep] is None]
-    alive = ()
-    if searched:
-        outcomes, alive = _newton_search(x, searched, seeds, tol)
-        found.update(zip(searched, outcomes))
-    outcome = {}
+    a = None if faults else _pairwise_dets(x)
+    found, status, outcome = {}, {}, {}
+    for rep in [(0,) + tail for tail in itertools.permutations(range(1, 4))]:
+        found[rep] = _precondition(faults, rep)
+        if found[rep] is None:
+            found[rep], status[rep] = _decide_class(x, a, rep, tol)
     for rep, w in found.items():
         if isinstance(w, str):
             outcome.update((_rotate(rep, r), w) for r in range(4))
@@ -416,14 +312,16 @@ def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
         for r in range(1, 4):
             turned = T4Witness(_rotate(rep, r), corners[r], _rotate(w.c, r),
                                _rotate(w.mu, r))
-            outcome[turned.ordering] = (
-                turned if witness_certified(x, turned, tol)
-                else _newton_search(x, [turned.ordering], seeds, tol)[0][0])
+            if witness_certified(x, turned, tol):
+                outcome[turned.ordering] = turned
+            else:
+                outcome[turned.ordering], status[turned.ordering] = \
+                    _decide_class(x, a, turned.ordering, tol)
     perms = list(itertools.permutations(range(4)))
     return Detection(
         tuple(outcome[p] for p in perms if not isinstance(outcome[p], str)),
         {p: outcome[p] for p in perms if isinstance(outcome[p], str)},
-        alive)
+        status)
 
 
 # --- laminate measures ---------------------------------------------------

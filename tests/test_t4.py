@@ -1,22 +1,22 @@
-"""T4 witness checks, scaffold solve, Newton detection, laminate unrolling."""
+"""T4 witness checks, scaffold solve, exact class decisions, laminate
+unrolling."""
 import itertools
+import math
 import random
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rohull import constructions, t4
 from rohull.core import Mat2
+from rohull.scalar import FLOAT, Surd
 from rohull.t4 import (
-    SEED_GRID_1D,
     T4Witness,
-    _det_solve4,
-    _newton_search,
-    _pairwise_dets,
-    _residual,
-    _solve,
+    _class_solutions,
+    _scaffold,
     check_t4_witness,
     cyclic_class,
     detect_t4,
@@ -74,122 +74,45 @@ def _reference_system(mu):
     return a
 
 
-def _float_pairwise_dets(x):
-    """A[j, k] = det(X_j - X_k) for four flattened float matrices."""
-    return np.array([[(x[j, 0] - x[k, 0]) * (x[j, 3] - x[k, 3])
-                      - (x[j, 1] - x[k, 1]) * (x[j, 2] - x[k, 2])
-                      for k in range(4)] for j in range(4)])
-
-
 class TestClosedFormSolve:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.mu = 1 + 4 * rng.random((64, 4))
         self.x = rng.normal(size=(4, 4))
-        self.a = _float_pairwise_dets(self.x)
 
     def test_float_matches_reference_solve(self):
-        p, c, dets = _solve(self.mu, self.x)
+        x = [Mat2(*map(float, row)) for row in self.x]
         rhs = np.vstack([self.x, np.zeros((1, 4))])
-        for n, mu in enumerate(self.mu):
+        for mu in self.mu:
+            p, c = _scaffold(x, tuple(float(m) for m in mu))
             ref = np.linalg.solve(_reference_system(mu), rhs)
-            np.testing.assert_allclose(p[n], ref[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(c[n], ref[1:], rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(
-            dets, c[:, :, 0] * c[:, :, 3] - c[:, :, 1] * c[:, :, 2])
-
-    def test_residual_is_the_solved_dets(self):
-        f, _ = _residual(self.mu.T, self.a)
-        np.testing.assert_allclose(f.T, _solve(self.mu, self.x)[2],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_residual_from_the_mat2_pairwise_dets(self):
-        mats = [Mat2(*(F(v) for v in row)) for row in self.x]
-        f, _ = _residual(self.mu.T, _pairwise_dets(mats))
-        np.testing.assert_allclose(f.T, _solve(self.mu, self.x)[2],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_jacobian_matches_central_differences(self):
-        _, jac = _residual(self.mu.T, self.a)
-        h = 1e-6
-        for k in range(4):
-            step = np.zeros(4)
-            step[k] = h
-            ahead = _solve(self.mu + step, self.x)[2]
-            behind = _solve(self.mu - step, self.x)[2]
-            slope = (ahead - behind) / (2 * h)
-            np.testing.assert_allclose(jac[:, k].T, slope,
-                                       rtol=1e-5, atol=1e-6)
-
-    def test_stacked_pairwise_dets_serve_consecutive_columns(self):
-        other = _float_pairwise_dets(self.x[[2, 0, 3, 1]])
-        f, jac = _residual(self.mu.T, np.stack([self.a, other]), [40, 24])
-        f0, jac0 = _residual(self.mu.T[:, :40], self.a)
-        f1, jac1 = _residual(self.mu.T[:, 40:], other)
-        np.testing.assert_array_equal(f, np.hstack([f0, f1]))
-        np.testing.assert_array_equal(jac, np.concatenate([jac0, jac1], 2))
+            np.testing.assert_allclose(p.entries(), ref[0], rtol=1e-12,
+                                       atol=1e-12)
+            np.testing.assert_allclose([ci.entries() for ci in c], ref[1:],
+                                       rtol=1e-12, atol=1e-12)
 
     def test_exact_solution_satisfies_the_equations(self):
         rng = random.Random(3)
         for _ in range(50):
             mu = [1 + F(rng.randint(1, 40), rng.randint(1, 9))
                   for _ in range(4)]
-            x = np.array([[F(rng.randint(-9, 9), rng.randint(1, 5))
-                           for _ in range(4)] for _ in range(4)],
-                         dtype=object)
-            p, c, _ = _solve(np.array([mu], dtype=object), x)
-            p, c = p[0], c[0]
-            assert all(isinstance(e, F) for e in (*p, *c.ravel()))
+            x = [Mat2(*(F(rng.randint(-9, 9), rng.randint(1, 5))
+                        for _ in range(4))) for _ in range(4)]
+            p, c = _scaffold(x, mu)
+            assert all(isinstance(e, F)
+                       for m in (p, *c) for e in m.entries())
             q = p
             for k in range(4):
-                assert list(q + mu[k] * c[k] - x[k]) == [0] * 4
+                assert q + c[k].scale(mu[k]) == x[k]
                 q = q + c[k]
-            assert list(c.sum(axis=0)) == [0] * 4
+            assert (c[0] + c[1] + c[2] + c[3]).is_zero()
 
     def test_singular_mu(self):
         # prod mu = prod (mu - 1) = -8/7: the system has no unique solution
         mu = (F(2), F(2), F(2), F(-1, 7))
-        x = np.array([[F(e) for e in xi.entries()] for xi in CLASSIC],
-                     dtype=object)
-        assert _solve(np.array([mu], dtype=object), x) is None
-        p, c, dets = _solve(np.array([mu], dtype=float), x.astype(float))
-        f, jac = _residual(np.array([mu], dtype=float).T,
-                           _pairwise_dets(CLASSIC))
-        assert not np.isfinite(p).any()
-        assert not np.isfinite(c).any()
-        assert not np.isfinite(dets).any()
-        assert not np.isfinite(f).any()
-        assert not np.isfinite(jac).any()
-
-
-class TestClosedForm4x4:
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(200, 4, 4)) + 4 * np.eye(4)
-        b = rng.normal(size=(200, 4))
-        det, x = _det_solve4(m.transpose(1, 2, 0), b.T)
-        np.testing.assert_allclose(det, np.linalg.det(m), rtol=1e-12)
-        np.testing.assert_allclose(
-            x.T, np.linalg.solve(m, b[:, :, None])[:, :, 0],
-            rtol=1e-10, atol=1e-12)
-
-    def test_singular_rows_drop_quietly(self):
-        rng = np.random.default_rng(12)
-        m = rng.integers(-5, 6, size=(6, 4, 4)).astype(float)
-        m[0, 3] = m[0, 1]  # two equal rows
-        m[1, :, 2] = 0.0  # a zero column
-        m[2, 2] = 2 * m[2, 0] - m[2, 1]  # a dependent row
-        m[3] = 0.0
-        m[4, 0] = m[4, 1] = 0.0
-        b = rng.normal(size=(6, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            det, x = _det_solve4(m.transpose(1, 2, 0), b.T)
-        assert list(det[:5]) == [0.0] * 5
-        assert not np.isfinite(x[:, :5]).any()
-        # the Newton step keeps only rows with |det J| > 1e-14
-        assert list(np.abs(det) > 1e-14) == [False] * 5 + \
-            [abs(np.linalg.det(m[5])) > 1e-14]
+        assert _scaffold(CLASSIC, mu) is None
+        floats = [Mat2(*map(float, xi.entries())) for xi in CLASSIC]
+        assert _scaffold(floats, tuple(map(float, mu))) is None
 
 
 class TestSolveOrdering:
@@ -279,22 +202,59 @@ class TestDetect:
         assert len(det_res.failures) == 24
         assert all(det_res.failures.values())
 
+    def test_coplanar_quadruple_is_absent(self):
+        # every det(X_j - X_k) = -(k - j)^2 < 0: the sign test rules out
+        # every class, though the elimination itself degenerates (K = L = 0)
+        pts = [Mat2.diag(F(k), F(5 - k)) for k in (1, 2, 3, 4)]
+        assert detect_t4(pts).status == dict.fromkeys(REPRESENTATIVES,
+                                                      "absent")
+
+    def test_generic_quadruple_is_absent_without_a_scaffold(self,
+                                                            monkeypatch):
+        # pairwise det(X_j - X_k) > 0: no T4 in any class
+        x = [Mat2(*map(F, e)) for e in ((-8, -7, -7, 2), (-8, 9, -8, -1),
+                                        (9, -2, -6, 7), (-9, -7, -6, -7))]
+        assert all((x[j] - x[k]).det() > 0
+                   for j, k in itertools.combinations(range(4), 2))
+
+        def no_scaffold(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(t4, "_scaffold", no_scaffold)
+        det_res = detect_t4(x)
+        assert not det_res.found()
+        assert det_res.status == dict.fromkeys(REPRESENTATIVES, "absent")
+
+
+    def test_overflowing_float_dets_are_undecided(self):
+        # det(X_0 - X_1) is inf - inf in floats; nothing is decided on it
+        x = [Mat2(*[1e200] * 4), Mat2.zero(FLOAT),
+             Mat2(1.0, 2.0, 3.0, 5.0), Mat2(-2.0, 1.0, 4.0, 1.0)]
+        det_res = detect_t4(x)
+        assert det_res.witnesses == ()
+        assert set(det_res.failures.values()) == {"no converged seed"}
+        assert det_res.status == dict.fromkeys(REPRESENTATIVES, "undecided")
+
 
 def _counting_search(monkeypatch):
-    """Record every ordering detect_t4 hands to the Newton search."""
+    """Record every ordering detect_t4 decides as a class."""
     calls = []
-    search = t4._newton_search
+    decide = t4._decide_class
 
-    def counted(x, orderings, *args, **kwargs):
-        calls.extend(tuple(o) for o in orderings)
-        return search(x, orderings, *args, **kwargs)
+    def counted(x, a, perm, *args, **kwargs):
+        calls.append(tuple(perm))
+        return decide(x, a, perm, *args, **kwargs)
 
-    monkeypatch.setattr(t4, "_newton_search", counted)
+    monkeypatch.setattr(t4, "_decide_class", counted)
     return calls
 
 
 def _rotate(seq, r):
     return tuple(seq[r:]) + tuple(seq[:r])
+
+
+REPRESENTATIVES = [(0,) + p for p in itertools.permutations(range(1, 4))]
+FIVE_POINT = constructions.five_point_build(F(1, 2))
 
 
 class TestCyclicSearch:
@@ -310,9 +270,8 @@ class TestCyclicSearch:
             set(itertools.permutations(range(4))) - \
             {w.ordering for w in det_res.witnesses}
 
-    @pytest.mark.parametrize("x", [
-        CLASSIC, list(constructions.five_point_build(F(1, 2)).x)],
-        ids=["classic", "five-point"])
+    @pytest.mark.parametrize("x", [CLASSIC, list(FIVE_POINT.x)],
+                             ids=["classic", "five-point"])
     def test_rotations_start_at_the_corners(self, x):
         witnesses = {w.ordering: w for w in detect_t4(x).witnesses}
         assert witnesses
@@ -327,8 +286,7 @@ class TestCyclicSearch:
             assert check_t4_witness(ordered, w, 0).accepted
 
     def test_failed_rotation_gets_its_own_search(self, monkeypatch):
-        seeds = list(itertools.product(SEED_GRID_1D[1:9:2], repeat=4))
-        expected = detect_t4(CLASSIC, seeds=seeds)
+        expected = detect_t4(CLASSIC)
         check = t4.check_t4_witness
         rejected = []
 
@@ -341,7 +299,7 @@ class TestCyclicSearch:
 
         monkeypatch.setattr(t4, "check_t4_witness", reject_one_rotation)
         calls = _counting_search(monkeypatch)
-        det_res = detect_t4(CLASSIC, seeds=seeds)
+        det_res = detect_t4(CLASSIC)
         assert len(rejected) == 1
         assert len(calls) == 7
         assert calls[6] == (1, 2, 3, 0)
@@ -350,37 +308,166 @@ class TestCyclicSearch:
         ordered = [CLASSIC[i] for i in redone.ordering]
         assert check(ordered, redone, 0).accepted
         assert det_res == expected
+        assert det_res.status[1, 2, 3, 0] == "found"
 
 
-SEEDS_256 = list(itertools.product(SEED_GRID_1D[1:9:2], repeat=4))
-REPRESENTATIVES = [(0,) + p for p in itertools.permutations(range(1, 4))]
-
-
-class TestSharedNewtonLoop:
+class TestClassDecision:
     @pytest.mark.parametrize("x", [
-        CLASSIC, list(constructions.five_point_build(F(1, 2)).x),
+        CLASSIC, list(FIVE_POINT.x),
         [Mat2.diag(F(k), F(5 - k)) for k in (1, 2, 3, 4)]],
         ids=["classic", "five-point", "coplanar"])
-    def test_batched_equals_one_ordering_searches(self, x):
-        batched, _ = _newton_search(x, REPRESENTATIVES, SEEDS_256, 1e-9)
-        for perm, found in zip(REPRESENTATIVES, batched):
-            w, reason = solve_t4_ordering([x[i] for i in perm],
-                                          seeds=SEEDS_256)
+    def test_classes_equal_one_ordering_solves(self, x):
+        det_res = detect_t4(x)
+        witnesses = {w.ordering: w for w in det_res.witnesses}
+        for perm in REPRESENTATIVES:
+            w, reason = solve_t4_ordering([x[i] for i in perm])
             if w is None:
-                assert found == reason
+                assert det_res.failures[perm] == reason
             else:
-                assert found == T4Witness(perm, w.p, w.c, w.mu)
+                assert witnesses[perm] == T4Witness(perm, w.p, w.c, w.mu)
 
-    def test_gated_quadruple_runs_no_iteration(self):
+    def test_gated_quadruple_decides_no_class(self):
         pts = [Mat2.diag(F(0), F(0)), Mat2.diag(F(1), F(0)),
                Mat2.diag(F(1), F(-3)), Mat2.diag(F(-3), F(-1))]
-        assert detect_t4(pts).newton_alive == ()
+        assert detect_t4(pts).status == {}
 
-    def test_alive_counts_start_with_every_seed_of_every_class(self):
-        det_res = detect_t4(CLASSIC, seeds=SEEDS_256)
-        alive = det_res.newton_alive
-        assert alive[0] == 6 * 256
-        assert 1 <= len(alive) <= t4.NEWTON_ITERS
-        assert all(a >= b for a, b in zip(alive, alive[1:]))
-        # the counts are data about the run, not part of the result
+    def test_every_searched_class_has_a_status(self):
+        det_res = detect_t4(CLASSIC)
+        assert det_res.status == {
+            rep: "found" if rep == (0, 1, 2, 3) else "absent"
+            for rep in REPRESENTATIVES}
+        # the statuses are data about the run, not part of the result
         assert det_res == t4.Detection(det_res.witnesses, det_res.failures)
+
+    def test_five_point_mu_is_exact(self):
+        w = next(w for w in detect_t4(list(FIVE_POINT.x)).witnesses
+                 if w.ordering == (0, 1, 2, 3))
+        assert w.mu == tuple(FIVE_POINT.mu)
+        assert all(isinstance(m, F) for m in w.mu)
+
+    def test_irrational_mu_gives_a_float_witness(self):
+        x = [Mat2(*map(F, e)) for e in ((3, 9, -9, -7), (-7, -7, -6, -1),
+                                        (4, 1, 3, 9), (5, 5, 5, 8))]
+        det_res = detect_t4(x)
+        assert det_res.status[0, 3, 2, 1] == "found"
+        w = next(w for w in det_res.witnesses if w.ordering == (0, 3, 2, 1))
+        assert all(isinstance(m, float) for m in w.mu)
+        assert t4.witness_certified(x, w)
+
+
+# --- the class equations, on A_jk built from a scaffold -------------------
+
+positive = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+
+
+def _parametrized(mu, s, u):
+    """(A01, A02, A03, A12, A13, A23) of a T4 with this mu, where s and u
+    are the polarized dets of (C_0, C_1) and (C_1, C_2), as ints."""
+    n = [m - 1 for m in mu]
+    a = (-n[0] * mu[1] * s, n[0] * n[2] * s + mu[0] * mu[2] * u,
+         -n[3] * mu[0] * u, -n[1] * mu[2] * u,
+         n[1] * n[3] * u + mu[1] * mu[3] * s, -n[2] * mu[3] * s)
+    scale = math.lcm(*(v.denominator for v in a))
+    return tuple(int(v * scale) for v in a)
+
+
+class TestClassEquations:
+    @given(st.tuples(*[positive] * 4), positive, positive,
+           st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_parametrized_class_recovers_mu(self, n, s, u, signs):
+        mu = tuple(1 + v for v in n)
+        a = _parametrized(mu, signs[0] * s, signs[1] * u)
+        assume(all(a))
+        solutions, _ = _class_solutions(a)
+        assert mu in solutions
+
+    @given(st.tuples(*[positive] * 4), positive, positive,
+           st.sampled_from([1, -1]), st.sampled_from([0, 3, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_flipped_sign_is_absent(self, n, s, u, sgn, flip):
+        # s and u of one sign make A01, A12 of one sign and A02 the other;
+        # flipping A01, A12 or A02 leaves no mu > 1
+        a = list(_parametrized(tuple(1 + v for v in n), sgn * s, sgn * u))
+        assume(all(a))
+        a[flip] = -a[flip]
+        assert _class_solutions(tuple(a)) == ([], True)
+
+    def test_vanishing_q1_is_undecided(self):
+        # x = A01 A23 = 36, y = A02 A13 = 9, z = A03 A12 = 9 give K = 0,
+        # L = 0 too, and the signs pass the test
+        a = (-6, -3, 3, 3, -3, -6)
+        assert t4._b_quadratics(*a)[1] == (0, 0, 0)
+        assert _class_solutions(a) == ([], False)
+
+
+def _sign_by_isqrt(r, t, d):
+    """The sign of r + t sqrt(d) from isqrt brackets of growing precision."""
+    bits = 64
+    while True:
+        lo = F(math.isqrt(d << 2 * bits), 1 << bits)
+        hi = lo + F(1, 1 << bits)
+        ends = sorted((r + t * lo, r + t * hi))
+        if ends[0] > 0:
+            return 1
+        if ends[1] < 0:
+            return -1
+        bits *= 2
+
+
+class TestSurd:
+    def test_sign_matches_isqrt(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            d = rng.randint(2, 10 ** 6)
+            if math.isqrt(d) ** 2 == d:
+                continue
+            t = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+            # r close to -t sqrt(d) makes the comparison tight
+            r = -t * F(math.isqrt(d * 10 ** 8), 10 ** 4) + \
+                F(rng.randint(-3, 3), rng.randint(1, 10 ** 4))
+            expected = _sign_by_isqrt(r, t, d) if t else (r > 0) - (r < 0)
+            assert Surd(r, t, d).sign() == expected
+            assert float(Surd(r, t, d)) == pytest.approx(
+                float(r) + float(t) * math.sqrt(d), rel=1e-6, abs=1e-3)
+
+    def test_field_operations(self):
+        a, b = Surd(F(1, 2), F(3), 7), Surd(F(-2), F(1, 3), 7)
+        assert a * b == Surd(F(-1) + 7, F(1, 6) - 6, 7)
+        assert (a / b) * b == a
+        assert a - a == 0
+        assert a + 1 == Surd(F(3, 2), F(3), 7)
+
+
+# --- images of known T4s -----------------------------------------------------
+
+
+def _mul(a, b):
+    return Mat2(a.a11 * b.a11 + a.a12 * b.a21, a.a11 * b.a12 + a.a12 * b.a22,
+                a.a21 * b.a11 + a.a22 * b.a21, a.a21 * b.a12 + a.a22 * b.a22)
+
+
+entry = st.integers(-3, 3).map(F)
+invertible = st.tuples(*[entry] * 4).map(lambda e: Mat2(*e)).filter(
+    lambda m: m.det() != 0)
+
+
+class TestImages:
+    @given(st.sampled_from(["classic", "five-point"]), invertible, invertible,
+           st.tuples(*[st.integers(-5, 5).map(lambda v: F(v, 2))] * 4),
+           st.permutations(range(4)))
+    @settings(max_examples=40, deadline=None)
+    def test_image_rotates_the_source_mu(self, name, a, b, m, sigma):
+        # det(A (X - Y) B) = det A det B det(X - Y): the T4 and its mu carry
+        # over to the image, with the points shuffled by sigma
+        src, mu = ((CLASSIC, (F(2),) * 4) if name == "classic"
+                   else (FIVE_POINT.x, FIVE_POINT.mu))
+        x = [_mul(_mul(a, src[s]), b) + Mat2(*m) for s in sigma]
+        witnesses = detect_t4(x).witnesses
+        for w in witnesses:
+            assert check_t4_witness([x[i] for i in w.ordering], w, 0).accepted
+        assert any(
+            src_order == tuple((src_order[0] + k) % 4 for k in range(4))
+            and w.mu == tuple(mu[(src_order[0] + k) % 4] for k in range(4))
+            for w in witnesses
+            for src_order in [tuple(sigma[i] for i in w.ordering)])
