@@ -16,6 +16,8 @@ from rohull.scalar import FLOAT, Surd
 from rohull.t4 import (
     T4Witness,
     _class_solutions,
+    _equations,
+    _pairwise_dets,
     _scaffold,
     check_t4_witness,
     cyclic_class,
@@ -74,11 +76,77 @@ def _reference_system(mu):
     return a
 
 
+PAIRS = list(itertools.combinations(range(4), 2))
+
+
+def _dets(x):
+    """(A01, A02, A03, A12, A13, A23), each det(X_j - X_k) as a Fraction."""
+    return tuple(F((x[j] - x[k]).det()) for j, k in PAIRS)
+
+
+def _solve_exact(m, b):
+    """y with m y = b, m a list of rows, by Gauss-Jordan on Fractions."""
+    rows = [[F(v) for v in row] + [F(bi)] for row, bi in zip(m, b)]
+    for i in range(len(rows)):
+        pivot = next(r for r in range(i, len(rows)) if rows[r][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(len(rows)):
+            if r != i and rows[r][i]:
+                rows[r] = [v - rows[r][i] * w
+                           for v, w in zip(rows[r], rows[i])]
+    return [row[-1] for row in rows]
+
+
 class TestClosedFormSolve:
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.mu = 1 + 4 * rng.random((64, 4))
         self.x = rng.normal(size=(4, 4))
+
+    def test_residual_is_the_solved_dets(self):
+        # at fixed mu the class equations are one linear map of the dets of
+        # the scaffold's C_k, whatever P: the map read off four inputs gives
+        # the equations of every other input
+        rng = random.Random(4)
+        for _ in range(5):
+            mu = [1 + F(rng.randint(1, 40), rng.randint(1, 9))
+                  for _ in range(4)]
+            dets, eqs = [], []
+            for _ in range(8):
+                x = [Mat2(*(F(rng.randint(-9, 9), rng.randint(1, 5))
+                            for _ in range(4))) for _ in range(4)]
+                _, c = _scaffold(x, mu)
+                dets.append([ck.det() for ck in c])
+                eqs.append(_equations(_dets(x), mu))
+            basis = [list(col) for col in zip(*dets[:4])]
+            for d, e in zip(dets[4:], eqs[4:]):
+                lam = _solve_exact(basis, d)
+                assert e == tuple(sum(l * ek[i] for l, ek in zip(lam, eqs))
+                                  for i in range(4))
+        # a T4's mu zeroes the dets and the equations both
+        assert _equations(_dets(CLASSIC), (F(2),) * 4) == (0, 0, 0, 0)
+        assert _equations(_dets(FIVE_POINT.x), FIVE_POINT.mu) == (0, 0, 0, 0)
+
+    def test_residual_from_the_mat2_pairwise_dets(self):
+        # _pairwise_dets scales every det(X_j - X_k) to an int by one
+        # positive factor, for float and exact Mat2 alike (a float det at
+        # its exact value), so the class equations keep zeros and signs
+        floats = [Mat2(*map(float, row)) for row in self.x]
+        exact = [Mat2(*map(F, row)) for row in self.x]
+        for x in (floats, exact, CLASSIC):
+            raw = _dets(x)
+            a = _pairwise_dets(x)
+            assert all(a[j, k] == a[k, j] and type(a[j, k]) is int
+                       for j, k in PAIRS)
+            scaled = tuple(a[pair] for pair in PAIRS)
+            scale = scaled[0] / raw[0]
+            assert scale > 0
+            assert scaled == tuple(scale * v for v in raw)
+            for mu in self.mu[:8]:
+                mu = tuple(map(F, mu))
+                assert _equations(scaled, mu) == tuple(
+                    scale * e for e in _equations(raw, mu))
 
     def test_float_matches_reference_solve(self):
         x = [Mat2(*map(float, row)) for row in self.x]
