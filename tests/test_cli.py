@@ -273,26 +273,47 @@ def test_pc_hull_on_a_huge_entry(tmp_path, capsys):
 
 
 DATA = Path(__file__).parent / "data"
+# (subcommand, mode) -> arguments; every file the run writes is committed
+# as tests/data/<subcommand>.<mode>.<json|csv|svg>
 GOLDEN_ARGV = {
-    "pc-hull": ["pc-hull", "--input", str(DATA / "golden_set.json")],
-    "hausdorff": ["hausdorff", "--input-a", str(DATA / "golden_a.json"),
-                  "--input-b", str(DATA / "golden_b.json")],
-    "t4-detect": ["t4-detect", "--input", str(DATA / "golden_t4.json")],
+    ("pc-hull", "exact"): ["pc-hull",
+                           "--input", str(DATA / "golden_set.json")],
+    ("hausdorff", "exact"): ["hausdorff",
+                             "--input-a", str(DATA / "golden_a.json"),
+                             "--input-b", str(DATA / "golden_b.json")],
+    ("hausdorff", "float"): ["hausdorff",
+                             "--input-a", str(DATA / "golden_a.json"),
+                             "--input-b", str(DATA / "golden_b.json")],
+    ("t4-detect", "exact"): ["t4-detect",
+                             "--input", str(DATA / "golden_t4.json")],
+    ("staircase", "exact"): ["staircase", "--N", "6"],
+    ("usc-probe", "exact"): ["usc-probe", "--N", "6"],
+    ("tri-spiral", "exact"): ["tri-spiral", "--steps", "40"],
+    ("tri-spiral", "float"): ["tri-spiral", "--steps", "300"],
+    ("sym-spiral", "float"): ["sym-spiral", "--iters", "12"],
+    ("five-point", "exact"): ["five-point", "--epsilon", "1/2",
+                              "--rounds", "20"],
 }
 
 
 # float pc-hull is left out: its plane generators come from LAPACK's SVD,
 # whose last bits may vary between builds
-@pytest.mark.parametrize("name, mode", [
-    ("pc-hull", "exact"), ("hausdorff", "exact"), ("hausdorff", "float"),
-    ("t4-detect", "exact")])
+@pytest.mark.parametrize("name, mode", list(GOLDEN_ARGV))
 def test_reports_match_the_committed_ones(tmp_path, name, mode):
-    """The reports are byte-identical to ones committed from an earlier
+    """The JSON reports, and the CSV and SVG files where the subcommand
+    writes them, are byte-identical to ones committed from an earlier
     version of the library."""
     out = tmp_path / "out"
-    assert main(["--out", str(out), "--mode", mode, *GOLDEN_ARGV[name]]) == 0
-    assert (out / f"{name}.json").read_bytes() == \
-        (DATA / f"{name}.{mode}.json").read_bytes()
+    assert main(["--out", str(out), "--mode", mode, "--csv", "--svg",
+                 *GOLDEN_ARGV[name, mode]]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    committed = sorted(p.name.replace(f".{mode}.", ".")
+                       for p in DATA.glob(f"{name}.{mode}.*"))
+    assert written == committed
+    for fname in written:
+        stem, ext = fname.rsplit(".", 1)
+        assert (out / fname).read_bytes() == \
+            (DATA / f"{stem}.{mode}.{ext}").read_bytes(), fname
 
 
 class TestArtifacts:
