@@ -6,6 +6,7 @@ Exit codes: 0 when all certificates pass, 2 on a certificate failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,10 +48,9 @@ def _report(subcommand: str, inputs: dict, results: dict, passed: bool) -> dict:
 
 
 def _write_csv(path: str, rows) -> None:
-    lines = ["subspace,x,y,z"]
-    for subspace, x, y, z in rows:
-        lines.append(f"{subspace},{float(x)!r},{float(y)!r},{float(z)!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "".join(["subspace,x,y,z\n"] + [
+        f"{s},{float(x)!r},{float(y)!r},{float(z)!r}\n"
+        for s, x, y, z in rows]))
 
 
 def _load_matrices(path: str, mode: str):
@@ -228,9 +228,8 @@ def _pc_hull_certified(mats, hull, tol) -> bool:
 
 def cmd_pc_hull(args):
     mats = _load_matrices(args.input, args.mode)
-    tol = args.tol if args.mode == FLOAT else 1e-9
     try:
-        hull = pchull.pc_hull(mats, tol=tol)
+        hull = pchull.pc_hull(mats, tol=args.tol)
     except GeometryError as e:
         return _report("pc-hull", {"input": os.path.basename(args.input)},
                        {"error": str(e)}, False), False, {}
@@ -247,7 +246,7 @@ def cmd_pc_hull(args):
         "singletons": [matrix_to_json(hull.points[i])
                        for i in hull.singleton_indices],
     }
-    passed = _pc_hull_certified(mats, hull, tol)
+    passed = _pc_hull_certified(mats, hull, args.tol)
     return _report("pc-hull", {"input": os.path.basename(args.input)},
                    results, passed), passed, {}
 
@@ -330,7 +329,9 @@ def _finite_float(lo: float, inclusive: bool):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="rohull",
         description="Rank-one geometric constructions for 2x2 matrices")

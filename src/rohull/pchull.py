@@ -168,6 +168,15 @@ class RankOnePlane:
                 den * self._gg)
 
     def matrix_at(self, coeffs) -> Matrix:
+        """Exact entries: b/den + p/q g/gs = (b q gs + p g den)/(den q gs)."""
+        den, gs = self._den, self._gs
+        if den is not None and all(isinstance(c, (int, Fraction))
+                                   for c in coeffs):
+            vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
+                               for b, gk in zip(vec, self._g))
+                         for vec, c in zip(self._base, coeffs)
+                         for q, p in [(c.denominator * gs, c.numerator * den)])
+            return vecs if self.kind == "left" else tuple(zip(*vecs))
         g = self.generator
         if self.kind == "left":
             delta = tuple(tuple(c * gj for gj in g) for c in coeffs)

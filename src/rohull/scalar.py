@@ -16,6 +16,7 @@ Scalar = Union[Fraction, int, float]
 
 EXACT = "exact"
 FLOAT = "float"
+_CLASS_MODES = {Fraction: EXACT, int: EXACT, float: FLOAT}
 
 # Relative tolerance for float-mode rank-one tests: |det D| <= tol * ||D||_F^2.
 # det scales quadratically, hence the quadratic normalization.
@@ -35,7 +36,10 @@ def mode_of(x: Scalar) -> str:
 
 
 def common_mode(*values: Scalar) -> str:
-    modes = {mode_of(v) for v in values}
+    # by exact class; bools, subclasses and non-scalars take mode_of's checks
+    modes = set(map(_CLASS_MODES.get, map(type, values)))
+    if None in modes:
+        modes = {mode_of(v) for v in values}
     if len(modes) > 1:
         raise MixedModeError("cannot mix exact and float scalars")
     return modes.pop()

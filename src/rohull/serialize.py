@@ -1,12 +1,14 @@
 """JSON wire formats: exact scalars as "p/q" strings, floats as numbers,
-matrices as [[a11, a12], [a21, a22]]."""
+matrices as [[a11, a12], [a21, a22]] (exact ones from their stored ints).
+``dump_canonical`` writes the bytes of ``json.dumps`` in one pass."""
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .core import Mat2, rank2x2
 from .hulls import LaminateSet, RankOneSegment
@@ -17,7 +19,7 @@ SCHEMA = "ro-hull/1"
 
 def scalar_to_json(x: Scalar):
     if mode_of(x) == EXACT:
-        return str(Fraction(x))
+        return str(x if x.__class__ is Fraction else Fraction(x))
     return x
 
 
@@ -47,8 +49,13 @@ def scalar_from_json(v, mode: str = EXACT) -> Scalar:
 
 
 def matrix_to_json(m: Mat2):
-    return [[scalar_to_json(m.a11), scalar_to_json(m.a12)],
-            [scalar_to_json(m.a21), scalar_to_json(m.a22)]]
+    d = m._d
+    if d is None:
+        return [[m._n11, m._n12], [m._n21, m._n22]]
+    # str(Fraction(n, d)): n and d over their gcd, "/1" dropped
+    t = [f"{n // g}/{d // g}" if g != d else str(n // g)
+         for n in (m._n11, m._n12, m._n21, m._n22) for g in (gcd(n, d),)]
+    return [t[:2], t[2:]]
 
 
 def matrix_from_json(v, mode: str = EXACT) -> Mat2:
@@ -82,8 +89,55 @@ def laminate_from_json(v, mode: str = EXACT) -> LaminateSet:
 
 
 def dump_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
+    for every value json accepts, else TypeError, without json's Python
+    generators (its C encoder takes no indent)."""
+    return _encode(obj, "\n") + "\n"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the JSON text of a scalar by its exact class
+_SCALARS = {str: _quote, int: int.__repr__,
+            float: lambda x: _NON_FINITE.get(r := float.__repr__(x), r),
+            bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def _encode(v, pad: str) -> str:
+    """v as indented JSON; pad is the newline and indent of v's own line.
+    str, int and float subclasses are written as their base class, as json
+    writes them; scalar items are written without a call of their own."""
+    write = _SCALARS.get(v.__class__)
+    if write is not None:
+        return write(v)
+    inner, get = pad + "  ", _SCALARS.get
+    if isinstance(v, (list, tuple)):
+        items = [f(x) if (f := get(x.__class__)) else _encode(x, inner)
+                 for x in v]
+        brackets = "[]"
+    elif isinstance(v, dict):
+        items = [_key_to_json(k) + ": "
+                 + (f(x) if (f := get(x.__class__)) else _encode(x, inner))
+                 for k, x in sorted(v.items())]
+        brackets = "{}"
+    else:
+        base = next((c for c in (str, int, float) if isinstance(v, c)), None)
+        if base is None:
+            raise TypeError(f"Object of type {v.__class__.__name__} "
+                            "is not JSON serializable")
+        return _SCALARS[base](v)
+    return (brackets[0] + inner + ("," + inner).join(items) + pad
+            + brackets[1]) if items else brackets
+
+
+def _key_to_json(k) -> str:
+    """A dict key as json writes it: a string, or a scalar's text quoted."""
+    if isinstance(k, str):
+        return _quote(k)
+    if not (k is None or isinstance(k, (int, float))):
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return '"' + _encode(k, "") + '"'
 
 
 def write_atomic(path: str, text: str) -> None:

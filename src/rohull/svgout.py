@@ -1,4 +1,5 @@
-"""Minimal static SVG emitter for point/line diagrams in a 2D plane."""
+"""Minimal static SVG emitter for point/line diagrams in a 2D plane: a
+canvas stores floats, and ``tostring`` takes the bounds and writes once."""
 from __future__ import annotations
 
 
@@ -11,61 +12,42 @@ class SvgCanvas:
     def __init__(self):
         self._points = []   # (x, y)
         self._lines = []    # (x1, y1, x2, y2, style)
-        self._bounds = None
-
-    def _track(self, x, y):
-        if self._bounds is None:
-            self._bounds = [x, x, y, y]
-        else:
-            b = self._bounds
-            b[0] = min(b[0], x)
-            b[1] = max(b[1], x)
-            b[2] = min(b[2], y)
-            b[3] = max(b[3], y)
 
     def point(self, x, y):
-        x, y = float(x), float(y)
-        self._track(x, y)
-        self._points.append((x, y))
+        self._points.append((float(x), float(y)))
 
     def line(self, x1, y1, x2, y2, style: str = "solid"):
-        x1, y1, x2, y2 = (float(v) for v in (x1, y1, x2, y2))
-        self._track(x1, y1)
-        self._track(x2, y2)
-        self._lines.append((x1, y1, x2, y2, style))
-
-    def _transform(self):
-        x0, x1, y0, y1 = self._bounds or [0, 1, 0, 1]
-        span_x = max(x1 - x0, 1e-9)
-        span_y = max(y1 - y0, 1e-9)
-        scale = min((WIDTH - 2 * MARGIN) / span_x,
-                    (HEIGHT - 2 * MARGIN) / span_y)
-
-        def tf(x, y):
-            # data y grows upward, svg y grows downward
-            return (MARGIN + (x - x0) * scale,
-                    HEIGHT - MARGIN - (y - y0) * scale)
-        return tf
+        self._lines.append((float(x1), float(y1), float(x2), float(y2),
+                            style))
 
     def tostring(self) -> str:
-        tf = self._transform()
+        points, lines = self._points, self._lines
+        xs = [p[0] for p in points] + [c for q in lines for c in (q[0], q[2])]
+        ys = [p[1] for p in points] + [c for q in lines for c in (q[1], q[3])]
+        x0, x1, y0, y1 = (min(xs), max(xs), min(ys), max(ys)) if xs \
+            else (0, 1, 0, 1)
+        scale = min((WIDTH - 2 * MARGIN) / max(x1 - x0, 1e-9),
+                    (HEIGHT - 2 * MARGIN) / max(y1 - y0, 1e-9))
         dash = {"solid": "", "dashed": ' stroke-dasharray="7 4"',
                 "dotted": ' stroke-dasharray="2 3"'}
+        # data y grows upward, svg y grows downward
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
-        for x1, y1, x2, y2, style in self._lines:
-            (sx1, sy1), (sx2, sy2) = tf(x1, y1), tf(x2, y2)
-            parts.append(
-                f'<line x1="{sx1:.2f}" y1="{sy1:.2f}" x2="{sx2:.2f}" '
-                f'y2="{sy2:.2f}" stroke="black" stroke-width="1"'
-                f'{dash.get(style, "")}/>')
-        for x, y in self._points:
-            sx, sy = tf(x, y)
-            parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{POINT_R}" '
-                         f'fill="black"/>')
+        parts += [
+            f'<line x1="{MARGIN + (ax - x0) * scale:.2f}" '
+            f'y1="{HEIGHT - MARGIN - (ay - y0) * scale:.2f}" '
+            f'x2="{MARGIN + (bx - x0) * scale:.2f}" '
+            f'y2="{HEIGHT - MARGIN - (by - y0) * scale:.2f}" '
+            f'stroke="black" stroke-width="1"{dash.get(style, "")}/>'
+            for ax, ay, bx, by, style in lines]
+        parts += [
+            f'<circle cx="{MARGIN + (x - x0) * scale:.2f}" '
+            f'cy="{HEIGHT - MARGIN - (y - y0) * scale:.2f}" r="{POINT_R}" '
+            'fill="black"/>'
+            for x, y in points]
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

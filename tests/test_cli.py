@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from rohull import pchull, t4
-from rohull.cli import main
+from rohull.cli import build_parser, main
 
 T4_INPUT = [[["-1", "0"], ["0", "3"]], [["3", "0"], ["0", "1"]],
             [["1", "0"], ["0", "-3"]], [["-3", "0"], ["0", "-1"]]]
@@ -239,7 +239,7 @@ def test_pc_hull_checks_its_certificate(tmp_path, monkeypatch, corrupt):
 
 @pytest.mark.parametrize("argv, tol", [
     (["--mode", "float", "--tol", "1e-3"], 1e-3),
-    (["--tol", "1e-3"], 1e-9),  # exact mode keeps the library default
+    (["--tol", "1e-3"], 1e-3),  # an exact hull is handed --tol and reads none
 ])
 def test_pc_hull_honours_tol(tmp_path, monkeypatch, argv, tol):
     build = pchull.pc_hull
@@ -314,6 +314,31 @@ def test_reports_match_the_committed_ones(tmp_path, name, mode):
         stem, ext = fname.rsplit(".", 1)
         assert (out / fname).read_bytes() == \
             (DATA / f"{stem}.{mode}.{ext}").read_bytes(), fname
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    """Runs in one process, a usage error and a float run among them, give
+    the exit codes and bytes of runs on a freshly built parser."""
+    runs = [["staircase", "--N", "3"], ["staircase", "--N", "0"],
+            ["--mode", "float", "tri-spiral", "--steps", "5"],
+            ["tri-spiral", "--steps", "5"], ["--csv", "staircase"],
+            ["five-point", "--rounds", "2"]]
+
+    def results(tag, fresh):
+        got = []
+        for k, argv in enumerate(runs):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / tag / str(k)
+            got.append((main(["--out", str(out), *argv]),
+                        {p.name: p.read_bytes() for p in out.glob("*")}
+                        if out.exists() else {}))
+        return got
+
+    shared = results("shared", False)
+    assert build_parser() is build_parser()
+    assert [code for code, _ in shared] == [0, 1, 0, 0, 0, 0]
+    assert shared == results("fresh", True)
 
 
 class TestArtifacts:

@@ -25,7 +25,7 @@ from rohull.core import (
     rank2x2,
     rank_one_connected,
 )
-from rohull.scalar import MixedModeError
+from rohull.scalar import EXACT, FLOAT, MixedModeError, common_mode
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64)
@@ -94,6 +94,26 @@ def ref_det_cross(e, f):
 def ref_combine(e, f, t):
     s = 1 - t
     return tuple(s * x + t * y for x, y in zip(e, f))
+
+
+class _Float(float):
+    pass
+
+
+def test_common_mode_by_class_and_by_value():
+    assert common_mode(F(1, 2), 3, F(5)) == EXACT
+    assert common_mode(0.5, -2.0) == FLOAT
+    # bools and subclasses take the checked path, with the same answers
+    assert common_mode(True, F(1)) == EXACT
+    assert common_mode(_Float(1.5), 2.0) == FLOAT
+    with pytest.raises(MixedModeError):
+        common_mode(F(1), 1.0)
+    with pytest.raises(MixedModeError):
+        common_mode(True, _Float(1.0))
+    with pytest.raises(TypeError):
+        common_mode(F(1), "1")
+    with pytest.raises(KeyError):
+        common_mode()
 
 
 class TestKernelAgainstFractions:

@@ -315,6 +315,17 @@ def _ref_coords(plane, rows):
                  for v in _vectors(plane, rows))
 
 
+def _ref_matrix_at(plane, coeffs):
+    """matrix_at written over the basepoint and generator entries."""
+    g = plane.generator
+    if plane.kind == "left":
+        delta = [[c * gj for gj in g] for c in coeffs]
+    else:
+        delta = [[c * gi for c in coeffs] for gi in g]
+    return tuple(tuple(b + d for b, d in zip(rb, rd))
+                 for rb, rd in zip(plane.basepoint, delta))
+
+
 def _float_contains(plane, rows, tol):
     """The float test written over tuple rows: minors against tol times
     the largest entry of the difference."""
@@ -375,6 +386,17 @@ class TestRankOnePlaneKernel:
             got = plane.coords(q)
             assert list(map(repr, got)) == list(
                 map(repr, _ref_coords(plane, rows)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matrix_at_matches_fraction_formula(self, data):
+        plane, _ = data.draw(planes_and_queries(rationals))
+        m, n = plane.shape()
+        coeffs = tuple(data.draw(rationals | st.integers(-9, 9))
+                       for _ in range(m if plane.kind == "left" else n))
+        got = plane.matrix_at(coeffs)
+        assert got == _ref_matrix_at(plane, coeffs)
+        assert all(type(e) is F for row in got for e in row)
 
     def test_integer_rows_and_non_integer_generator(self):
         plane = RankOnePlane(((0, 1), (2, 3)), "left", (F(2, 3), F(-1, 2)))
