@@ -70,6 +70,14 @@ def test_dump_canonical_is_stable():
     assert a.endswith("\n")
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 def _canonical_json(v) -> str:
     return json.dumps(v, sort_keys=True, indent=2) + "\n"
 
@@ -96,6 +104,7 @@ def test_dump_canonical_equals_json_dumps(v):
     {True: 1, 2: [False]},
     {None: 0},
     {np.float64(1.5): "key"},
+    {_Str("k"): [_Str("v\n"), _Int(-7)], "m": {_Int(3): np.float64("nan")}},
     {"": [], "a": {}, "b": (), "c": [[], {}], "\u00e9\U0001f600": "\x00\n\""},
     [],
     {},

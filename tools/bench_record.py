@@ -1,8 +1,9 @@
-"""Record one point of the performance trajectory in BENCH_<pr>.json.
+"""Record points of the performance trajectory in BENCH_<pr>.json.
 
-Runs ``perfbench/run.py --trace 0`` of a checkout as a subprocess, once per
-workload of BENCHMARK.json at seed 1, ``--runs`` times, and stores under
-``records[<label>]`` of ``BENCH_<pr>.json`` at the root of this repository:
+Runs ``perfbench/run.py --trace 0`` of one or more checkouts as a
+subprocess, once per workload of BENCHMARK.json at seed 1, ``--runs``
+times, and stores under ``records[<name>]`` of ``BENCH_<pr>.json`` at the
+root of this repository, for each checkout:
 
 - the median of each end-to-end metric of BENCHMARK.json per workload, with
   every run's values and whether every run was correct;
@@ -11,15 +12,15 @@ workload of BENCHMARK.json at seed 1, ``--runs`` times, and stores under
 - with ``--criteria-log``, the time of each ``CRITERION n: PASS`` line of a
   pytest log of the acceptance tests.
 
-Other records in the file are kept, so a ``parent`` and a ``change``
-record measured on the same machine sit side by side:
+The runs of several checkouts alternate, run by run, so that a slow spell
+of the machine falls on all of them.  Records of other names already in the
+file are kept:
 
-    python tools/bench_record.py --pr 12 --label parent --tree ../parent
-    python tools/bench_record.py --pr 12 --label change \\
-        --criteria-log tier1.log
+    python tools/bench_record.py --pr 12 --record parent=../parent \
+        --record change=. --criteria-log change=tier1.log
 
-Standard library only.  It takes ``runs * seconds`` per workload and more,
-so it is run by hand, not in CI.
+Standard library only.  It takes ``runs * seconds`` per workload and
+checkout and more, so it is run by hand, not in CI.
 """
 from __future__ import annotations
 
@@ -61,59 +62,77 @@ def run_workload(tree: Path, workload: str, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def measure(tree: Path, runs: int, seconds: float) -> dict:
+def measure(trees: dict, runs: int, seconds: float) -> dict:
+    """Per checkout name, the runs of every workload, alternating the order
+    of the checkouts from one run to the next."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in bench["end_to_end"]]
-    workloads = {}
+    out = {name: {} for name in trees}
     for w in bench["workloads"]:
-        name = w["name"]
-        results = []
+        results = {name: [] for name in trees}
         for k in range(runs):
-            print(f"{name}: run {k + 1} of {runs}", file=sys.stderr)
-            results.append(run_workload(tree, name, seconds))
-        values = {m: [r["metrics"][m]["value"] for r in results]
-                  for m in metrics}
-        workloads[name] = {
-            "correct": all(r["correct"] for r in results),
-            "median": {m: statistics.median(v) for m, v in values.items()},
-            "runs": values,
-        }
-    return workloads
+            for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+                print(f"{w['name']}: {name} run {k + 1} of {runs}",
+                      file=sys.stderr)
+                results[name].append(run_workload(trees[name], w["name"],
+                                                  seconds))
+        for name, res in results.items():
+            values = {m: [r["metrics"][m]["value"] for r in res]
+                      for m in metrics}
+            out[name][w["name"]] = {
+                "correct": all(r["correct"] for r in res),
+                "median": {m: statistics.median(v)
+                           for m, v in values.items()},
+                "runs": values,
+            }
+    return out
+
+
+def named_path(text: str):
+    name, sep, path = text.partition("=")
+    if not (sep and name and path):
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {text!r}")
+    return name, Path(path).resolve()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="writes BENCH_<pr>.json at the repository root")
-    parser.add_argument("--label", required=True,
-                        help="record name, e.g. parent or change")
-    parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="checkout to measure (default: this one)")
+    parser.add_argument("--record", type=named_path, action="append",
+                        help="NAME=CHECKOUT, repeatable "
+                             "(default: change=this checkout)")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--criteria-log", type=Path,
-                        help="pytest output with the CRITERION lines")
+    parser.add_argument("--criteria-log", type=named_path, action="append",
+                        default=[], help="NAME=LOG: pytest output with the "
+                                         "CRITERION lines, for record NAME")
     args = parser.parse_args(argv)
+    trees = dict(args.record or [("change", ROOT)])
+    logs = dict(args.criteria_log)
     if args.runs < 1 or args.seconds <= 0:
         parser.error("--runs and --seconds must be positive")
-    tree = args.tree.resolve()
-    record = {
-        "seed": 1,
-        "seconds": args.seconds,
-        "workloads": measure(tree, args.runs, args.seconds),
-        "wc_l": line_counts(tree),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": metadata.version("numpy"),
-    }
-    if args.criteria_log is not None:
-        record["criteria_s"] = criteria_times(args.criteria_log)
+    if not logs.keys() <= trees.keys():
+        parser.error("--criteria-log names a record that is not measured")
+    workloads = measure(trees, args.runs, args.seconds)
     path = ROOT / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("pr", args.pr)
-    data.setdefault("records", {})[args.label] = record
+    for name, tree in trees.items():
+        record = {
+            "seed": 1,
+            "seconds": args.seconds,
+            "workloads": workloads[name],
+            "wc_l": line_counts(tree),
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": metadata.version("numpy"),
+        }
+        if name in logs:
+            record["criteria_s"] = criteria_times(logs[name])
+        data.setdefault("records", {})[name] = record
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.label} to {path}", file=sys.stderr)
+    print(f"wrote {', '.join(trees)} to {path}", file=sys.stderr)
     return 0
 
 
