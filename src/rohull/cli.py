@@ -48,9 +48,10 @@ def _report(subcommand: str, inputs: dict, results: dict, passed: bool) -> dict:
 
 
 def _write_csv(path: str, rows) -> None:
-    write_atomic(path, "".join(["subspace,x,y,z\n"] + [
-        f"{s},{float(x)!r},{float(y)!r},{float(z)!r}\n"
-        for s, x, y, z in rows]))
+    lines = ["subspace,x,y,z"]
+    for subspace, x, y, z in rows:
+        lines.append(f"{subspace},{float(x)!r},{float(y)!r},{float(z)!r}")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _load_matrices(path: str, mode: str):

@@ -104,9 +104,8 @@ _SCALARS = {str: _quote, int: int.__repr__,
 
 
 def _encode(v, pad: str) -> str:
-    """v as indented JSON; pad is the newline and indent of v's own line.
-    str, int and float subclasses are written as their base class, as json
-    writes them; scalar items are written without a call of their own."""
+    """v as JSON, pad being the newline and indent of v's line; str, int and
+    float subclasses as their base (as json); scalar items inline, no call."""
     write = _SCALARS.get(v.__class__)
     if write is not None:
         return write(v)

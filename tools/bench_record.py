@@ -6,7 +6,7 @@ times, and stores under ``records[<name>]`` of ``BENCH_<pr>.json`` at the
 root of this repository, for each checkout:
 
 - the median of each end-to-end metric of BENCHMARK.json per workload, with
-  every run's values and whether every run was correct;
+  every run's values, whether every run was correct and the run length;
 - ``wc -l src/rohull/*.py`` of the checkout, per file and in total;
 - ``nproc`` and the Python and numpy versions;
 - with ``--criteria-log``, the time of each ``CRITERION n: PASS`` line of a
@@ -19,8 +19,10 @@ file are kept:
     python tools/bench_record.py --pr 12 --record parent=../parent \
         --record change=. --criteria-log change=tier1.log
 
-Standard library only.  It takes ``runs * seconds`` per workload and
-checkout and more, so it is run by hand, not in CI.
+Each run lasts as long as ``perfbench/run.py`` decides by default; its
+length is read from the record file that the run writes.  Standard library
+only.  It takes minutes per workload and checkout, so it is run by
+hand, not in CI.
 """
 from __future__ import annotations
 
@@ -53,16 +55,20 @@ def criteria_times(log: Path) -> dict:
             for num, t in CRITERION.findall(log.read_text(errors="replace"))}
 
 
-def run_workload(tree: Path, workload: str, seconds: float) -> dict:
-    """The result line of one benchmark run."""
+def run_workload(tree: Path, workload: str) -> dict:
+    """The result line of one benchmark run, with the run's length in
+    seconds from the record file that the run writes."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+         "--seed", "1", "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    record = tree / ".perfbench-out" / f"{workload}-seed1-trace0.json"
+    result["seconds"] = json.loads(record.read_text())["seconds"]
+    return result
 
 
-def measure(trees: dict, runs: int, seconds: float) -> dict:
+def measure(trees: dict, runs: int) -> dict:
     """Per checkout name, the runs of every workload, alternating the order
     of the checkouts from one run to the next."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -74,13 +80,13 @@ def measure(trees: dict, runs: int, seconds: float) -> dict:
             for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
                 print(f"{w['name']}: {name} run {k + 1} of {runs}",
                       file=sys.stderr)
-                results[name].append(run_workload(trees[name], w["name"],
-                                                  seconds))
+                results[name].append(run_workload(trees[name], w["name"]))
         for name, res in results.items():
             values = {m: [r["metrics"][m]["value"] for r in res]
                       for m in metrics}
             out[name][w["name"]] = {
                 "correct": all(r["correct"] for r in res),
+                "seconds": res[0]["seconds"],
                 "median": {m: statistics.median(v)
                            for m, v in values.items()},
                 "runs": values,
@@ -103,25 +109,23 @@ def main(argv=None) -> int:
                         help="NAME=CHECKOUT, repeatable "
                              "(default: change=this checkout)")
     parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--criteria-log", type=named_path, action="append",
                         default=[], help="NAME=LOG: pytest output with the "
                                          "CRITERION lines, for record NAME")
     args = parser.parse_args(argv)
     trees = dict(args.record or [("change", ROOT)])
     logs = dict(args.criteria_log)
-    if args.runs < 1 or args.seconds <= 0:
-        parser.error("--runs and --seconds must be positive")
+    if args.runs < 1:
+        parser.error("--runs must be positive")
     if not logs.keys() <= trees.keys():
         parser.error("--criteria-log names a record that is not measured")
-    workloads = measure(trees, args.runs, args.seconds)
+    workloads = measure(trees, args.runs)
     path = ROOT / f"BENCH_{args.pr}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("pr", args.pr)
     for name, tree in trees.items():
         record = {
             "seed": 1,
-            "seconds": args.seconds,
             "workloads": workloads[name],
             "wc_l": line_counts(tree),
             "nproc": len(os.sched_getaffinity(0)),
