@@ -201,8 +201,7 @@ def cmd_t4_detect(args):
     mats = _load_matrices(args.input, args.mode)
     if len(mats) != 4:
         raise UsageError("t4-detect expects exactly 4 matrices")
-    tol = args.tol if args.mode == FLOAT else 1e-9
-    det = t4.detect_t4(mats, tol=tol)
+    det = t4.detect_t4(mats, tol=args.tol)
     results = {
         "witnesses": [{
             "ordering": list(w.ordering),
@@ -214,7 +213,8 @@ def cmd_t4_detect(args):
         "failures": {"-".join(map(str, k)): v
                      for k, v in sorted(det.failures.items())},
     }
-    passed = all(t4.witness_certified(mats, w, tol) for w in det.witnesses)
+    passed = all(t4.witness_certified(mats, w, args.tol)
+                 for w in det.witnesses)
     return _report("t4-detect", {"input": os.path.basename(args.input)},
                    results, passed), passed, {}
 

@@ -146,19 +146,17 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[TriPt]:
     """Iterates spiralling down to the first corner of the inner rectangle.
 
     Each step certifies the enabling rank-one connection det(X_i - A_i) = 0
-    and is cross-checked against the closed form
-    X_{4i+k} = P_k + r^i (prod_{j<k} lambda_j) (0,0,z0), r = lambda product,
-    with the empty-product convention at k = 0.
+    and is cross-checked against X_{i+1} = P_{(i+1) mod 4} + (0,0,z_{i+1}),
+    where the running product z_{i+1} = z_i lambda_{i mod 4} starts at z0.
     """
     corners = [c.embed() for c in cfg.corners()]
     anchors = [c.embed() for c in cfg.anchors()]
     lams = cfg.lambdas()
-    ratio = lams[0] * lams[1] * lams[2] * lams[3]
     exact = mode_of(cfg.z0) == EXACT
     zero = 0 * cfg.z0
-    x = corners[0] + TriPt(zero, zero, cfg.z0).embed()
+    z = cfg.z0
+    x = corners[0] + TriPt(zero, zero, z).embed()
     out = [x]
-    cycle = Fraction(1) if exact else 1.0
     for i in range(n_steps):
         k = i % 4
         d = (x - anchors[k]).det()
@@ -167,13 +165,8 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[TriPt]:
             raise ConstructionError("iterate lost its rank-one connection")
         x = combine(anchors[k], x, lams[k])
         out.append(x)
-        # closed-form cross-check at index i+1 = 4q + k2
-        q, k2 = divmod(i + 1, 4)
-        prod = cycle
-        for j in range(k2):
-            prod = prod * lams[j]
-        z = (ratio ** q) * prod * cfg.z0
-        expected = corners[k2] + Mat2(0 * z, z, 0 * z, 0 * z)
+        z = z * lams[k]
+        expected = corners[(k + 1) % 4] + Mat2(zero, z, zero, zero)
         if exact:
             if x != expected:
                 raise ConstructionError("closed form disagrees with recursion")

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-
-import numpy as np
+from math import gcd, hypot, lcm
 
 from .core import GeometryError, Mat2, _same_mode, combine
 from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
@@ -51,16 +49,14 @@ def _primitive(v) -> tuple[Fraction, ...]:
     return tuple(Fraction(x // g) for x in v)
 
 
-def _normalize_float(v):
-    arr = np.array([float(x) for x in v])
-    n = np.linalg.norm(arr)
-    if n == 0:
-        return tuple(arr)
-    arr = arr / n
-    lead = next((x for x in arr if abs(x) > 1e-12), 1.0)
-    if lead < 0:
-        arr = -arr
-    return tuple(float(x) for x in arr)
+def _unit(v) -> tuple[float, ...]:
+    """A nonzero float vector over its length, first entry above 1e-12 in
+    magnitude positive."""
+    n = hypot(*v)
+    u = tuple(float(x) / n for x in v)
+    if next(x for x in u if abs(x) > 1e-12) < 0:
+        u = tuple(-x for x in u)
+    return u
 
 
 @dataclass(frozen=True)
@@ -196,31 +192,35 @@ class PlanePair:
 def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     """The two rank-one planes through a rank-one connected pair.
 
-    Factorizes the difference as an outer product; every matrix within
-    rank <= 1 of both inputs lies in one of the two returned planes.
+    Factorizes the difference through its largest entry ``p``: the pivot
+    row and column are the generators, and every matrix within rank <= 1
+    of both inputs lies in one of the two returned planes.  The difference
+    is rank one when the fit ``c r / p`` of its pivot column ``c`` and row
+    ``r`` leaves no residual: exactly when exact; when float, within
+    ``tol`` times its Frobenius norm (at least 1), as ``s1 <= tol max(1,
+    s0)`` would bound it.
     """
     b = to_rows(y0)
+    # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
     d, den = _over_one_denominator(_mat_sub(to_rows(x0), b))
-    if den is not None:
-        # d is den * (x0 - y0): ints with its rank and its directions
-        piv = next(((i, j) for i, row in enumerate(d)
-                    for j, e in enumerate(row) if e), None)
-        if piv is None:
-            raise GeometryError("difference not rank-one")
-        i0, j0 = piv
-        p, r0 = d[i0][j0], d[i0]
-        if any(e * p != row[j0] * r0[j]
-               for row in d for j, e in enumerate(row)):
-            raise GeometryError("difference not rank-one")
-        w0 = _primitive(r0)
-        v0 = _primitive([row[j0] for row in d])
-    else:
-        arr = np.array([[float(e) for e in row] for row in d])
-        u, s, vt = np.linalg.svd(arr)
-        if s[0] == 0 or (len(s) > 1 and s[1] > float(tol) * max(1.0, s[0])):
-            raise GeometryError("difference not rank-one")
-        v0 = _normalize_float(u[:, 0])
-        w0 = _normalize_float(vt[0])
+    r0 = max(d, key=lambda row: max(map(abs, row)))  # the pivot's row
+    j0 = max(range(len(r0)), key=lambda j: abs(r0[j]))
+    p, c0 = r0[j0], [row[j0] for row in d]
+    if not p:
+        raise GeometryError("difference not rank-one")
+    if den is not None:  # p times the residuals: the minors through p
+        bad = any(e * p != c * r
+                  for c, row in zip(c0, d) for e, r in zip(row, r0))
+    else:  # the residuals over p, where no product or norm overflows
+        qc, qr = [c / p for c in c0], [r / p for r in r0]
+        bound = float(tol) * max(1 / abs(p),
+                                 hypot(*(e / p for row in d for e in row)))
+        bad = any(abs(e / p - c * r) > bound
+                  for c, row in zip(qc, d) for e, r in zip(row, qr))
+    if bad:
+        raise GeometryError("difference not rank-one")
+    unit = _primitive if den is not None else _unit
+    w0, v0 = unit(r0), unit(c0)
     inter = tuple(tuple(vi * wj for wj in w0) for vi in v0)
     return PlanePair(RankOnePlane(b, "left", w0),
                      RankOnePlane(b, "right", v0), inter)

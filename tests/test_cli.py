@@ -1,9 +1,13 @@
 """Command line interface: exit codes, report structure, artifacts."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rohull
 from rohull import pchull, t4
 from rohull.cli import build_parser, main
 
@@ -260,6 +264,60 @@ def test_pc_hull_honours_tol(tmp_path, monkeypatch, argv, tol):
     assert seen == [tol]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "float", "--tol", "1e-3"],
+    ["--tol", "1e-3"],  # exact: the check tolerance of a float witness
+])
+def test_t4_detect_honours_tol(tmp_path, monkeypatch, argv):
+    detect, certified = t4.detect_t4, t4.witness_certified
+    seen = []
+
+    def recording_detect(x, **kwargs):
+        seen.append(("detect_t4", kwargs.get("tol")))
+        return detect(x, **kwargs)
+
+    def recording_certified(x, w, tol=1e-9):
+        seen.append(("witness_certified", tol))
+        return certified(x, w, tol)
+
+    monkeypatch.setattr(t4, "detect_t4", recording_detect)
+    monkeypatch.setattr(t4, "witness_certified", recording_certified)
+    src = tmp_path / "quad.json"
+    src.write_text(json.dumps(T4_INPUT))
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *argv, "t4-detect", "--input", str(src)])
+    assert code == 0
+    assert json.loads((out / "t4-detect.json").read_text())["results"][
+        "witnesses"]
+    assert {name for name, _ in seen} == {"detect_t4", "witness_certified"}
+    assert {tol for _, tol in seen} == {1e-3}
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import rohull.pchull
+from rohull import cli
+src, out = sys.argv[1:]
+for mode in ("float", "exact"):
+    code = cli.main(["--out", out + mode, "--mode", mode,
+                     "pc-hull", "--input", src])
+    assert code == 0, (mode, code)
+"""
+
+
+def test_library_and_cli_run_without_numpy(tmp_path):
+    src = tmp_path / "set.json"
+    src.write_text(json.dumps(PC_INPUT))
+    path = [str(Path(rohull.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(src), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pc_hull_on_a_huge_entry(tmp_path, capsys):
     # 10^400 overflows a float; the exact plane test must not convert it
     src = tmp_path / "big.json"
@@ -296,8 +354,9 @@ GOLDEN_ARGV = {
 }
 
 
-# float pc-hull is left out: its plane generators come from LAPACK's SVD,
-# whose last bits may vary between builds
+# float pc-hull is left out: its plane generators are unit vectors over
+# math.hypot, which is accurate to 1 ulp but not correctly rounded, so their
+# last bits may vary between Python versions
 @pytest.mark.parametrize("name, mode", list(GOLDEN_ARGV))
 def test_reports_match_the_committed_ones(tmp_path, name, mode):
     """The JSON reports, and the CSV and SVG files where the subcommand

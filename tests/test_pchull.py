@@ -85,6 +85,58 @@ class TestPlanePair:
         pp = plane_pair(Mat2(*x0.flatten()), Mat2(0.0, 0.0, 0.0, 0.0))
         assert pp.p1.contains(Mat2(*x0.flatten()))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)])
+    def test_float_generators_factor_the_difference(self, shape):
+        """A float rank-one difference is accepted; its generators are unit
+        vectors, first entry above 1e-12 positive, and their outer product
+        is the difference over its Frobenius norm, up to sign."""
+        rng = np.random.default_rng(13)
+        m, n = shape
+        for _ in range(200):
+            x0 = rng.normal(size=shape)
+            y0 = x0 + np.outer(rng.normal(size=m), rng.normal(size=n))
+            pp = plane_pair(tuple(map(tuple, x0.tolist())),
+                            tuple(map(tuple, y0.tolist())))
+            w, v = pp.p1.generator, pp.p2.generator
+            for g in (w, v):
+                assert abs(sum(x * x for x in g) - 1) < 1e-12
+                assert next(x for x in g if abs(x) > 1e-12) > 0
+            d = (x0 - y0) / np.linalg.norm(x0 - y0)
+            outer = np.outer(v, w)
+            assert np.array_equal(pp.intersection_direction, outer)
+            assert min(np.abs(outer - d).max(),
+                       np.abs(outer + d).max()) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)])
+    def test_float_rank_two_difference_rejected(self, shape):
+        """A float difference with s1 >= 10 tol max(1, s0) is rank two."""
+        rng = np.random.default_rng(17)
+        m, n = shape
+        tol = 1e-6
+        zero = ((0.0,) * n,) * m
+        rejected = 0
+        for _ in range(200):
+            scale = 10 ** rng.uniform(-3, 3)
+            d = (np.outer(rng.normal(size=m), rng.normal(size=n)) * scale
+                 + rng.normal(size=shape) * tol * max(1.0, scale)
+                 * 10 ** rng.uniform(1.5, 3))
+            s = np.linalg.svd(d, compute_uv=False)
+            if s[1] < 10 * tol * max(1.0, s[0]):
+                continue
+            with pytest.raises(GeometryError, match="not rank-one"):
+                plane_pair(tuple(map(tuple, d.tolist())), zero, tol)
+            rejected += 1
+        assert rejected >= 100
+
+    def test_float_products_beyond_the_float_range(self):
+        zero = ((0.0, 0.0), (0.0, 0.0))
+        for d in (((1e200, 1.0), (1.0, 1e200)),
+                  ((1e308, -1e308), (-1e308, -1e308))):
+            with pytest.raises(GeometryError, match="not rank-one"):
+                plane_pair(d, zero)
+        pp = plane_pair(((1e200, 2e200), (3e100, 6e100)), zero)
+        assert pp.p2.generator == (1.0, pytest.approx(3e-100))
+
 
 class TestConvexHull2D:
     def test_square(self):
