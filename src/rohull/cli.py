@@ -1,7 +1,9 @@
 """Command-line entry point: reproducible batch runs with JSON/CSV/SVG output.
 
-Exit codes: 0 when all certificates pass, 2 on a certificate failure,
-1 on usage errors or unreadable input.
+Each ``cmd_*`` returns ``(inputs, results, passed, files)``; ``main`` writes
+the report and the files.  Exit codes: 0 when all certificates pass, 2 on a
+certificate failure (any other ``GeometryError``), 1 on usage errors,
+unreadable input and ``constructions.InputError``.
 """
 from __future__ import annotations
 
@@ -37,21 +39,11 @@ class UsageError(Exception):
     pass
 
 
-def _report(subcommand: str, inputs: dict, results: dict, passed: bool) -> dict:
-    return {
-        "schema": SCHEMA,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "results": results,
-        "certificates": {"passed": passed},
-    }
-
-
-def _write_csv(path: str, rows) -> None:
+def _csv(rows) -> str:
     lines = ["subspace,x,y,z"]
     for subspace, x, y, z in rows:
         lines.append(f"{subspace},{float(x)!r},{float(y)!r},{float(z)!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _load_matrices(path: str, mode: str):
@@ -73,17 +65,8 @@ def _load_matrices(path: str, mode: str):
         raise UsageError(f"bad matrix data in {path}: {e}")
 
 
-def _config(build, *args):
-    """A construction's configuration; its range checks reject the input
-    before anything is computed, so they are usage errors."""
-    try:
-        return build(*args)
-    except constructions.ConstructionError as e:
-        raise UsageError(str(e))
-
-
 def cmd_staircase(args):
-    cfg = _config(constructions.StaircaseConfig, args.n_max, args.N)
+    cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
     p_n = constructions.staircase_perturbation(args.N)
@@ -97,15 +80,13 @@ def cmd_staircase(args):
         "combination_steps": len(chain) - 1,
     }
     passed = chain[-1] == DiagPt(0, 1) and rho_sq <= Fraction(1, 4 ** args.N)
-    extra = {}
+    files = {}
     if args.svg:
         pts = [project_diag(m) for m in k0.points]
-        extra["staircase.svg"] = svgout.staircase_diagram(pts, chain)
+        files["staircase.svg"] = svgout.staircase_diagram(pts, chain)
     if args.csv:
-        rows = [("diag", p.x, p.y, 0) for p in chain]
-        extra["staircase.csv"] = rows
-    return _report("staircase", {"n_max": args.n_max, "N": args.N},
-                   results, passed), passed, extra
+        files["staircase.csv"] = _csv(("diag", p.x, p.y, 0) for p in chain)
+    return {"n_max": args.n_max, "N": args.N}, results, passed, files
 
 
 def cmd_tri_spiral(args):
@@ -124,21 +105,21 @@ def cmd_tri_spiral(args):
         "separator_dets": [scalar_to_json(d) for d in witness.pairwise_dets],
     }
     passed = all(0 < l < 1 for l in lams)
-    extra = {}
+    files = {}
     if args.svg:
-        extra["tri-spiral.svg"] = svgout.spiral_diagram(
+        files["tri-spiral.svg"] = svgout.spiral_diagram(
             cfg.corners(), cfg.anchors(), iterates)
     if args.csv:
-        extra["tri-spiral.csv"] = [("tri", p.x, p.y, p.z) for p in iterates]
-    return _report("tri-spiral", {"steps": args.steps, "mode": args.mode},
-                   results, passed), passed, extra
+        files["tri-spiral.csv"] = _csv(("tri", p.x, p.y, p.z)
+                                       for p in iterates)
+    return {"steps": args.steps, "mode": args.mode}, results, passed, files
 
 
 def cmd_sym_spiral(args):
     if args.mode == EXACT:
         raise UsageError("sym-spiral requires --mode float "
                          "(square roots appear in the start offsets)")
-    cfg = _config(constructions.SymSpiralConfig.standard_square, args.xi3)
+    cfg = constructions.SymSpiralConfig.standard_square(args.xi3)
     result = constructions.sym_spiral(cfg, args.iters)
     results = {
         "xi": [scalar_to_json(v) for v in cfg.offsets()],
@@ -154,12 +135,11 @@ def cmd_sym_spiral(args):
         "contraction_bound": result.contraction_bound,
     }
     passed = all(c.ratio < result.contraction_bound for c in result.cycles)
-    extra = {}
+    files = {}
     if args.csv:
-        extra["sym-spiral.csv"] = [("sym", p.x, p.y, p.z)
-                                   for p in result.iterates]
-    return _report("sym-spiral", {"xi3": args.xi3, "iters": args.iters},
-                   results, passed), passed, extra
+        files["sym-spiral.csv"] = _csv(("sym", p.x, p.y, p.z)
+                                       for p in result.iterates)
+    return {"xi3": args.xi3, "iters": args.iters}, results, passed, files
 
 
 def cmd_five_point(args):
@@ -168,8 +148,6 @@ def cmd_five_point(args):
     except (ValueError, ZeroDivisionError):
         raise UsageError("--epsilon must be a rational number, "
                          f"got {args.epsilon!r}")
-    if not 0 < eps < 1:
-        raise UsageError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     cfg = constructions.five_point_build(eps)
     w = cfg.witness()
     lam = t4.laminate_unroll(cfg.x, w, 0, args.rounds)
@@ -192,9 +170,8 @@ def cmd_five_point(args):
         },
     }
     passed = gap_sq > 0 and lam.barycenter == cfg.p[0]
-    return _report("five-point",
-                   {"epsilon": str(Fraction(eps)), "rounds": args.rounds},
-                   results, passed), passed, {}
+    return ({"epsilon": str(cfg.epsilon), "rounds": args.rounds}, results,
+            passed, {})
 
 
 def cmd_t4_detect(args):
@@ -215,8 +192,7 @@ def cmd_t4_detect(args):
     }
     passed = all(t4.witness_certified(mats, w, args.tol)
                  for w in det.witnesses)
-    return _report("t4-detect", {"input": os.path.basename(args.input)},
-                   results, passed), passed, {}
+    return {"input": os.path.basename(args.input)}, results, passed, {}
 
 
 def _pc_hull_certified(mats, hull, tol) -> bool:
@@ -229,11 +205,11 @@ def _pc_hull_certified(mats, hull, tol) -> bool:
 
 def cmd_pc_hull(args):
     mats = _load_matrices(args.input, args.mode)
+    inputs = {"input": os.path.basename(args.input)}
     try:
         hull = pchull.pc_hull(mats, tol=args.tol)
     except GeometryError as e:
-        return _report("pc-hull", {"input": os.path.basename(args.input)},
-                       {"error": str(e)}, False), False, {}
+        return inputs, {"error": str(e)}, False, {}
     results = {
         "planes": [{
             "kind": ph.plane.kind,
@@ -247,9 +223,7 @@ def cmd_pc_hull(args):
         "singletons": [matrix_to_json(hull.points[i])
                        for i in hull.singleton_indices],
     }
-    passed = _pc_hull_certified(mats, hull, args.tol)
-    return _report("pc-hull", {"input": os.path.basename(args.input)},
-                   results, passed), passed, {}
+    return inputs, results, _pc_hull_certified(mats, hull, args.tol), {}
 
 
 def cmd_hausdorff(args):
@@ -273,9 +247,8 @@ def cmd_hausdorff(args):
         "directed_a_to_b_sq": scalar_to_json(a_to_b),
         "directed_b_to_a_sq": scalar_to_json(b_to_a),
     }
-    return _report("hausdorff", {"input_a": os.path.basename(args.input_a),
-                                 "input_b": os.path.basename(args.input_b)},
-                   results, True), True, {}
+    return ({"input_a": os.path.basename(args.input_a),
+             "input_b": os.path.basename(args.input_b)}, results, True, {})
 
 
 def cmd_usc_probe(args):
@@ -283,7 +256,7 @@ def cmd_usc_probe(args):
 
     The chain from P_n is the chain from P_N without its first 2(N - n)
     points, so one staircase and one chain serve every n."""
-    cfg = _config(constructions.StaircaseConfig, args.n_max, args.N)
+    cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
     dist_sq = [point_to_set_dist_sq(p.embed(), k0) for p in chain]
@@ -303,9 +276,8 @@ def cmd_usc_probe(args):
             "hull_distance_sq": scalar_to_json(hull_dist_sq),
             "jump_certified": ok,
         })
-    passed = all(s["jump_certified"] for s in sweep)
-    return _report("usc-probe", {"N": args.N, "n_max": args.n_max},
-                   {"sweep": sweep}, passed), passed, {}
+    return ({"N": args.N, "n_max": args.n_max}, {"sweep": sweep},
+            all(s["jump_certified"] for s in sweep), {})
 
 
 def _int_at_least(lo: int):
@@ -390,24 +362,22 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        report, passed, extra = args.func(args)
-    except UsageError as e:
+        inputs, results, passed, files = args.func(args)
+    except (UsageError, constructions.InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (GeometryError, constructions.ConstructionError) as e:
+    except GeometryError as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return 2
-    out_path = os.path.join(args.out, f"{report['subcommand']}.json")
-    write_atomic(out_path, dump_canonical(report))
-    for name, content in extra.items():
-        path = os.path.join(args.out, name)
-        if name.endswith(".csv"):
-            _write_csv(path, content)
-        else:
-            write_atomic(path, content)
-    print(f"{report['subcommand']}: "
-          f"{'certificates passed' if passed else 'CERTIFICATE FAILURE'} "
-          f"-> {out_path}")
+    sub = args.subcommand
+    out_path = os.path.join(args.out, f"{sub}.json")
+    write_atomic(out_path, dump_canonical({
+        "schema": SCHEMA, "subcommand": sub, "inputs": inputs,
+        "results": results, "certificates": {"passed": passed}}))
+    for name, text in files.items():
+        write_atomic(os.path.join(args.out, name), text)
+    verdict = "certificates passed" if passed else "CERTIFICATE FAILURE"
+    print(f"{sub}: {verdict} -> {out_path}")
     return 0 if passed else 2
 
 

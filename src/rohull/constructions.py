@@ -1,4 +1,4 @@
-"""Generators and verifiers for the five explicit counterexample families.
+"""Generators and verifiers for the four explicit counterexample families.
 
 Every generator re-checks its own certificates (rank-one connections, zero
 determinants, sign conditions) as it runs, and raises on the first failure.
@@ -33,6 +33,11 @@ class ConstructionError(GeometryError):
     """A construction certificate failed."""
 
 
+class InputError(ConstructionError):
+    """A construction's parameters are out of range; raised before anything
+    is computed."""
+
+
 # --- staircase (diagonal plane) ------------------------------------------
 
 
@@ -43,7 +48,7 @@ class StaircaseConfig:
 
     def __post_init__(self):
         if not self.n_max >= self.perturbation_index >= 1:
-            raise ConstructionError("need n_max >= N >= 1")
+            raise InputError("need n_max >= N >= 1")
 
 
 def _staircase_pair(n: int) -> tuple[DiagPt, DiagPt]:
@@ -108,7 +113,7 @@ class TriSpiralConfig:
     def __post_init__(self):
         if not (self.x1 < self.x2 and self.y2 < self.y1 and self.z0 > 0
                 and all(a > 0 for a in self.alpha)):
-            raise ConstructionError(
+            raise InputError(
                 "need x1 < x2, y2 < y1, z0 > 0 and all alpha > 0")
 
     @classmethod
@@ -190,14 +195,14 @@ class SymSpiralConfig:
     def __post_init__(self):
         vals = (self.x1, self.x2, self.y1, self.y2, *self.alpha, self.xi3)
         if any(mode_of(v) != "float" for v in vals):
-            raise ConstructionError("symmetric spiral requires float mode "
-                                    "(square roots appear in xi1)")
+            raise InputError("symmetric spiral requires float mode "
+                             "(square roots appear in xi1)")
         if not (self.x1 < self.x2 and self.y2 < self.y1
                 and all(a > 0 for a in self.alpha) and self.xi3 > 0):
-            raise ConstructionError("need x1 < x2, y2 < y1, alpha > 0, xi3 > 0")
+            raise InputError("need x1 < x2, y2 < y1, alpha > 0, xi3 > 0")
         span = self.y1 + self.alpha[0] - self.y2
         if self.alpha[3] ** 2 < 4 * self.alpha[3] * self.xi3 ** 2 / span:
-            raise ConstructionError("xi3 too large (xi1 is not real)")
+            raise InputError("xi3 too large (xi1 is not real)")
 
     @classmethod
     def standard_square(cls, xi3: float) -> "SymSpiralConfig":
@@ -337,7 +342,7 @@ def five_point_build(epsilon: Scalar) -> FivePointConfig:
     """The 5-point set whose lamination hull misses a corner of its T4 scaffold."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
-        raise ConstructionError("epsilon must lie in (0, 1)")
+        raise InputError("epsilon must lie in (0, 1)")
     x1 = Mat2(1, 0, 0, 0)
     x2 = Mat2(0, 0, 0, 1)
     x3 = Mat2(-eps, -1, -eps * eps, -eps)

@@ -82,10 +82,17 @@ def laminate_from_json(v, mode: str = EXACT) -> LaminateSet:
         b = matrix_from_json(seg["b"], mode)
         if rank2x2(b - a) == 2:
             raise ValueError(f"segment {k} is not rank-one: b - a has rank 2")
-        segments.append(RankOneSegment(a, b, int(seg.get("generation", 1)),
+        segments.append(RankOneSegment(a, b, _count(seg.get("generation", 1)),
                                        bool(seg.get("approx", False))))
     return LaminateSet(points=points, segments=tuple(segments),
-                       order=int(v.get("order", 1 if segments else 0)))
+                       order=_count(v.get("order", 1 if segments else 0)))
+
+
+def _count(v) -> int:
+    """An order or generation as int; a float must be integral (so finite)."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
 
 
 def dump_canonical(obj) -> str:

@@ -340,7 +340,13 @@ def laminate_unroll(x, w: T4Witness, target_corner: int,
 
     Each split replaces the unique off-support atom Q_k with
     (1/mu_k) X_k + (1 - 1/mu_k) Q_{k-1}; the split direction is the rank-one
-    increment C_k and the mean is preserved exactly.
+    increment C_k and the mean is preserved exactly.  ``x`` must be in the
+    witness's order: ``x[k]`` is its X_k.
+
+    A round splits at X_{c-1}, .., X_{c-4} (indices mod 4, c the target
+    corner) and leaves rho = prod(1 - 1/mu_k) of the mass at the corner, so
+    after ``rounds`` rounds the split at X_i holds (mass before it) / mu_i
+    times 1 + rho + .. + rho^(rounds-1), and the corner holds rho^rounds.
     """
     if not 0 <= target_corner <= 3:
         raise GeometryError("target_corner must be in 0..3")
@@ -351,20 +357,17 @@ def laminate_unroll(x, w: T4Witness, target_corner: int,
     if not report.accepted:
         raise GeometryError("invalid T4 witness")
     one = Fraction(1) if exact else 1.0
-    q = w.corners()  # Q_0..Q_4 with Q_4 == Q_0
-    target = q[target_corner]
-    weights = {}  # mass accumulated at each X_i
-    off_atom = target
-    off_mass = one
-    k = target_corner if target_corner >= 1 else 4
-    for _ in range(4 * rounds):
-        mu_k = w.mu[k - 1]
-        weights[k - 1] = weights.get(k - 1, 0 * one) + off_mass / mu_k
-        off_mass = off_mass * (one - one / mu_k)
-        off_atom = q[k - 1]
-        k = k - 1 if k - 1 >= 1 else 4
-    atoms = [(x[i], weights[i]) for i in sorted(weights)]
-    atoms.append((off_atom, off_mass))
+    target = w.corners()[target_corner]
+    first = {}  # the mass the first round puts on each X_i
+    rho = one
+    for j in range(1, 5):
+        i = (target_corner - j) % 4
+        first[i] = rho / w.mu[i]
+        rho = rho * (one - one / w.mu[i])
+    off_mass = rho ** rounds
+    series = (one - off_mass) / (one - rho)
+    atoms = [(x[i], first[i] * series) for i in sorted(first) if rounds]
+    atoms.append((target, off_mass))
     bary = None
     for m, wt in atoms:
         term = m.scale(wt)

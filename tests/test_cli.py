@@ -1,15 +1,21 @@
 """Command line interface: exit codes, report structure, artifacts."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rohull
-from rohull import pchull, t4
+from rohull import constructions, pchull, t4
 from rohull.cli import build_parser, main
+from rohull.core import GeometryError
 
 T4_INPUT = [[["-1", "0"], ["0", "3"]], [["3", "0"], ["0", "1"]],
             [["1", "0"], ["0", "-3"]], [["-3", "0"], ["0", "-1"]]]
@@ -126,6 +132,8 @@ class TestSubcommands:
     ["usc-probe", "--N", "5", "--n-max", "4"],
     ["staircase", "--N", "5", "--n-max", "4"],
     ["--mode", "float", "sym-spiral", "--xi3", "1.5"],
+    ["five-point", "--epsilon", "0"],
+    ["five-point", "--epsilon", "-1/2"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
@@ -177,11 +185,21 @@ RANK_TWO_SEGMENT = {"points": [], "segments": [
     (["--mode", "float", "hausdorff", "--input-a", "{}", "--input-b", "{}"],
      {"points": [[["1e400", "0"], ["0", "0"]]], "segments": [], "order": 0},
      "not a finite float: '1e400'"),
+    # JSON 1e400 and Infinity both read as float infinity
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": SET_B["points"], "segments": [], "order": float("inf")},
+     "not an integer: inf"),
+    (["hausdorff", "--input-a", "{}", "--input-b", "{}"],
+     {"points": [], "segments": [{"a": SET_B["points"][0],
+                                  "b": SET_B["points"][1],
+                                  "generation": float("inf")}], "order": 1},
+     "not an integer: inf"),
 ], ids=["t4-detect-object", "hausdorff-segment-list", "t4-detect-zero-den",
         "pc-hull-zero-den", "hausdorff-zero-den", "hausdorff-rank-two",
         "hausdorff-empty", "float-pc-hull-inf", "float-pc-hull-overflow",
         "float-pc-hull-huge-int", "float-t4-detect-overflow",
-        "float-hausdorff-nan", "float-hausdorff-overflow"])
+        "float-hausdorff-nan", "float-hausdorff-overflow",
+        "hausdorff-infinite-order", "hausdorff-infinite-generation"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, data,
                                              message):
     src = tmp_path / "input.json"
@@ -193,6 +211,92 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, data,
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (constructions.InputError, 1),
+    (constructions.ConstructionError, 2),
+    (GeometryError, 2),
+])
+def test_exit_code_of_a_library_error(tmp_path, monkeypatch, capsys, error,
+                                      code):
+    """An out-of-range construction input is a usage error; any other
+    library error is a failed certificate.  Neither writes a report."""
+    def failing(cfg):
+        raise error("raised by the test")
+
+    monkeypatch.setattr(constructions, "staircase_iterate", failing)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "staircase"]) == code
+    prefix = "error" if code == 1 else "certificate failure"
+    assert f"{prefix}: raised by the test" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _mostly(usual, rare):
+    """``usual`` in nine draws of ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k < 9 else rare)
+
+
+# any JSON leaf, bounded: no string like "1e999999999", ints up to 10^6
+LEAF = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.floats(), st.none(), st.booleans(),
+    st.text("0123456789/-.", max_size=8),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=2),
+    st.dictionaries(st.text("ab", max_size=2), st.integers(0, 9), max_size=2))
+ENTRY = _mostly(st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(1, 999))),
+    LEAF)
+MATRIX = _mostly(st.lists(st.lists(ENTRY, min_size=2, max_size=2),
+                          min_size=2, max_size=2),
+                 st.one_of(LEAF, st.lists(LEAF, max_size=3)))
+MATRICES = _mostly(st.lists(MATRIX, min_size=1, max_size=6), LEAF)
+QUADRUPLE = _mostly(st.lists(MATRIX, min_size=4, max_size=4), MATRICES)
+
+
+def _segment(a11, a12, a21, a22, b11, extra):
+    """A segment along the first entry, so rank-one when both ends load."""
+    return {"a": [[a11, a12], [a21, a22]], "b": [[b11, a12], [a21, a22]],
+            **extra}
+
+
+SEGMENT = _mostly(
+    st.builds(_segment, *[ENTRY] * 5, st.fixed_dictionaries({}, optional={
+        "generation": _mostly(st.integers(1, 3), LEAF), "approx": LEAF})),
+    st.one_of(LEAF, st.fixed_dictionaries({"a": MATRIX, "b": MATRIX})))
+LAMINATE_SET = _mostly(st.fixed_dictionaries(
+    {"points": st.lists(MATRIX, min_size=1, max_size=2)},
+    optional={"segments": st.lists(SEGMENT, max_size=2),
+              "order": _mostly(st.integers(0, 3), LEAF)}),
+    LEAF)
+FUZZED = {"t4-detect": (["--input"], QUADRUPLE),
+          "pc-hull": (["--input"], MATRICES),
+          "hausdorff": (["--input-a", "--input-b"], LAMINATE_SET)}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("sub", list(FUZZED))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_input_loaders_never_raise(sub, mode, data):
+    """On near-valid input files every run exits 0, 1 or 2 without an
+    exception, and a usage error writes no report."""
+    options, docs = FUZZED[sub]
+    argv = ["--mode", mode, sub]
+    with tempfile.TemporaryDirectory() as tmp:
+        for option in options:
+            path = os.path.join(tmp, option.strip("-") + ".json")
+            with open(path, "w") as f:
+                json.dump(data.draw(docs, label=option), f)
+            argv += [option, path]
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--out", out, *argv])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert not os.path.exists(out)
 
 
 def test_t4_detect_checks_its_witnesses(tmp_path, monkeypatch):

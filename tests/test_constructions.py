@@ -6,6 +6,7 @@ import pytest
 
 from rohull.constructions import (
     ConstructionError,
+    InputError,
     StaircaseConfig,
     SymSpiralConfig,
     TriSpiralConfig,
@@ -203,3 +204,37 @@ class TestFivePoint:
             five_point_build(F(1, 1))
         with pytest.raises(ConstructionError):
             five_point_build(F(0, 1))
+
+
+# each range check of a construction's parameters, run before anything is
+# computed
+OUT_OF_RANGE = {
+    "staircase-n-max-below-n": lambda: StaircaseConfig(4, 5),
+    "staircase-n-zero": lambda: StaircaseConfig(4, 0),
+    "tri-spiral-x-order": lambda: TriSpiralConfig(1, -1, 1, -1, 1, (2,) * 4),
+    "tri-spiral-y-order": lambda: TriSpiralConfig(-1, 1, -1, 1, 1, (2,) * 4),
+    "tri-spiral-z0": lambda: TriSpiralConfig(-1, 1, 1, -1, 0, (2,) * 4),
+    "tri-spiral-alpha": lambda: TriSpiralConfig(-1, 1, 1, -1, 1,
+                                                (2, 2, 0, 2)),
+    "sym-spiral-exact": lambda: SymSpiralConfig.standard_square(F(1, 1000)),
+    "sym-spiral-x-order": lambda: SymSpiralConfig(
+        1.0, -1.0, 1.0, -1.0, (2.0,) * 4, 1e-3),
+    "sym-spiral-alpha": lambda: SymSpiralConfig(
+        -1.0, 1.0, 1.0, -1.0, (2.0, -2.0, 2.0, 2.0), 1e-3),
+    "sym-spiral-xi3-zero": lambda: SymSpiralConfig.standard_square(0.0),
+    "sym-spiral-xi3-too-large": lambda: SymSpiralConfig.standard_square(1.5),
+    "five-point-epsilon-one": lambda: five_point_build(F(1)),
+    "five-point-epsilon-zero": lambda: five_point_build(F(0)),
+    "five-point-epsilon-negative": lambda: five_point_build(F(-1, 2)),
+}
+
+
+def test_input_error_is_a_construction_error():
+    assert issubclass(InputError, ConstructionError)
+
+
+@pytest.mark.parametrize("build", list(OUT_OF_RANGE.values()),
+                         ids=list(OUT_OF_RANGE))
+def test_range_checks_raise_input_error(build):
+    with pytest.raises(InputError):
+        build()

@@ -247,6 +247,56 @@ class TestLaminateUnroll:
         assert m6 < m3
 
 
+def _split_by_split(mu, target_corner, rounds):
+    """The weights on X_0..X_3 and the mass left at the corner, one split
+    at a time: the mass at the corner moves 1/mu_k of itself onto X_k,
+    for k = c-1, c-2, ... (mod 4)."""
+    weights, mass, k = [F(0)] * 4, F(1), target_corner
+    for _ in range(4 * rounds):
+        k = (k - 1) % 4
+        weights[k] += mass / F(mu[k])
+        mass *= 1 - 1 / F(mu[k])
+    return weights, mass
+
+
+def _five_point_case():
+    cfg = constructions.five_point_build(F(1, 3))
+    return list(cfg.x), cfg.witness()
+
+
+def _float_case():
+    def flt(m):
+        return Mat2(*(float(e) for e in m.entries()))
+    x, w = _five_point_case()
+    return [flt(m) for m in x], T4Witness(
+        w.ordering, flt(w.p), tuple(flt(c) for c in w.c),
+        tuple(float(m) for m in w.mu))
+
+
+@pytest.mark.parametrize("case", [lambda: (CLASSIC, classic_witness()),
+                                  _five_point_case, _float_case],
+                         ids=["classic", "five-point", "five-point-float"])
+def test_unroll_matches_split_by_split(case):
+    x, w = case()
+    exact = w.p.mode != FLOAT
+    for corner in range(4):
+        target = w.corners()[corner]
+        for rounds in range(10):
+            lam = laminate_unroll(x, w, corner, rounds)
+            weights, mass = _split_by_split(w.mu, corner, rounds)
+            want = [(x[i], weights[i]) for i in range(4) if rounds]
+            want.append((target, mass))
+            assert [m for m, _ in lam.atoms] == [m for m, _ in want]
+            for (_, got), (_, ref) in zip(lam.atoms, want):
+                if exact:
+                    assert got == ref
+                else:
+                    assert math.isclose(got, ref, rel_tol=1e-12)
+            assert lam.off_support_mass == lam.atoms[-1][1]
+            if exact:
+                assert lam.barycenter == target
+
+
 class TestDetect:
     def test_classic_all_cyclic_rotations(self):
         det_res = detect_t4(CLASSIC)
