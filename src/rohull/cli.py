@@ -241,9 +241,16 @@ def cmd_hausdorff(args):
     s2 = load_set(args.input_b)
     a_to_b, b_to_a = directed_dist_sq(s1, s2), directed_dist_sq(s2, s1)
     hsq = max(a_to_b, b_to_a)  # = hausdorff_sq(s1, s2)
+    try:
+        root = scalar_sqrt(hsq)
+    except OverflowError:
+        root = math.inf
+    if not all(math.isfinite(v) for v in (hsq, root, a_to_b, b_to_a)
+               if type(v) is float):
+        raise UsageError("the Hausdorff distance is not a finite float")
     results = {
         "hausdorff_sq": scalar_to_json(hsq),
-        "hausdorff": scalar_to_json(scalar_sqrt(hsq)),
+        "hausdorff": scalar_to_json(root),
         "directed_a_to_b_sq": scalar_to_json(a_to_b),
         "directed_b_to_a_sq": scalar_to_json(b_to_a),
     }

@@ -4,8 +4,8 @@ A hull iterate is represented as a finite union of points and rank-one
 segments.  Along a rank-one segment the determinant of the difference to a
 point is affine, so each point-segment pair has one linear crossing (or none,
 or the whole segment), and a segment that is not rank-one raises
-GeometryError.  Point-point and point-segment offspring are exact;
-segment-segment offspring are sampled and flagged approximate.  Exact
+GeometryError.  A lamination step joins point-point and point-segment
+pairs, exactly; segment pairs add nothing (ROADMAP item 4).  Exact
 distances to a set are compared as integer ratios; only the least becomes a
 Fraction.
 """
@@ -27,8 +27,6 @@ from .core import (
 )
 from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, scalar_sqrt
 
-# points sampled on the first segment of a segment-segment pair
-SEGMENT_SAMPLES = 64
 # a segment's sup distance to a set with segments is sampled at
 # t = k / SUP_SAMPLES, 0 < k < SUP_SAMPLES
 SUP_SAMPLES = 33
@@ -41,7 +39,6 @@ class RankOneSegment:
     a: Mat2
     b: Mat2
     generation: int
-    approx: bool = False
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,7 @@ def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
     else:
         t = -c0 / c1
         ends = (combine(seg.a, seg.b, t),) if 0 <= t <= 1 else ()
-    return [RankOneSegment(p, q, generation, seg.approx)
-            for q in ends if q != p]
+    return [RankOneSegment(p, q, generation) for q in ends if q != p]
 
 
 def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
@@ -101,34 +97,30 @@ def _stored(m: Mat2):
 def _dedup_segments(segments):
     # drop zero-length, exact duplicates, and exact segments contained in a
     # longer collinear exact segment
-    kept, ends, seen = [], [], set()  # ends: each kept one's endpoint set
+    kept, seen = [], set()
     for seg in segments:
         if seg.a == seg.b:
             continue
-        key = frozenset([_stored(seg.a), _stored(seg.b)]), seg.approx
+        key = frozenset([_stored(seg.a), _stored(seg.b)])
         if key in seen:
             continue
         seen.add(key)
         kept.append(seg)
-        ends.append(key[0])
     if any(s.a.mode == FLOAT for s in kept):
         return kept
-    # two kept segments contain each other only with the same endpoints
-    # (and other approx flags); of those, the earlier one stays
+    # kept segments have distinct endpoint sets, so none contains another
+    # both ways
     return [seg for i, seg in enumerate(kept)
             if not any(i != j and _segment_contains(other, seg)
-                       and not (i < j and ends[i] == ends[j])
                        for j, other in enumerate(kept))]
 
 
-def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
-                    segment_segment: bool = True) -> LaminateSet:
+def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
     """One application of the segment-adding step.
 
     Point-point rank-one pairs and point-segment crossings contribute exact
-    segments; segment-segment offspring are sampled at SEGMENT_SAMPLES
-    points of the first segment and flagged approximate.  A segment whose
-    ends are not rank-one connected raises GeometryError.
+    segments; segment pairs add nothing.  A segment whose ends are not
+    rank-one connected raises GeometryError.
     """
     gen = s.order + 1
     new = []
@@ -142,28 +134,13 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL,
     for p in pts:
         for seg in s.segments:
             new.extend(_point_segment_offspring(p, seg, gen, tol))
-    if segment_segment:
-        segs = list(s.segments)
-        for i in range(len(segs)):
-            for j in range(len(segs)):
-                if i == j:
-                    continue
-                s1, s2 = segs[i], segs[j]
-                for k in range(SEGMENT_SAMPLES):
-                    t = Fraction(k, SEGMENT_SAMPLES - 1) \
-                        if s1.a.mode == EXACT else k / (SEGMENT_SAMPLES - 1)
-                    p = combine(s1.a, s1.b, t)
-                    for child in _point_segment_offspring(p, s2, gen, tol):
-                        new.append(RankOneSegment(child.a, child.b, gen, True))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)
 
 
 def l2_hull(k, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
-    """Order-2 lamination iterate of a finite set, exact point/segment steps."""
-    s = LaminateSet(points=tuple(k), order=0)
-    s = lamination_step(s, tol, segment_segment=False)
-    return lamination_step(s, tol, segment_segment=False)
+    """Order-2 lamination iterate of a finite set: two lamination steps."""
+    return lamination_step(lamination_step(LaminateSet(tuple(k)), tol), tol)
 
 
 # --- distances -----------------------------------------------------------

@@ -124,7 +124,7 @@ class Surd:
         return (self - o).sign() > 0
 
     def __float__(self):
-        root = math.sqrt(self.t * self.t * self.d) * sign(self.t)
+        root = scalar_sqrt(self.t * self.t * self.d) * sign(self.t)
         if sign(self.r) * sign(self.t) >= 0:
             return float(self.r) + root
         # opposite signs: divide to avoid the cancellation
@@ -149,12 +149,17 @@ def quadratic_roots(p2: Scalar, p1: Scalar, p0: Scalar) -> list:
 
 def scalar_sqrt(x: Scalar) -> Scalar:
     """Square root; stays exact when the input is an exact perfect square,
-    otherwise falls back to the correctly rounded float."""
+    otherwise falls back to the correctly rounded float (OverflowError
+    when that exceeds the float range)."""
     if mode_of(x) == EXACT:
         r = rational_sqrt(x)
         if r is not None:
             return r
-        return math.sqrt(x)
+        # x / 4^k lies in (1/2, 4): beyond the float range, take its root
+        k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+        if abs(k) < 500:
+            return math.sqrt(x)
+        return math.ldexp(math.sqrt(x / Fraction(4) ** k), k)
     if x < 0 and x > -1e-30:
         x = 0.0
     return math.sqrt(x)

@@ -68,7 +68,7 @@ def laminate_to_json(s: LaminateSet):
     return {
         "points": [matrix_to_json(p) for p in s.points],
         "segments": [{"a": matrix_to_json(seg.a), "b": matrix_to_json(seg.b),
-                      "generation": seg.generation, "approx": seg.approx}
+                      "generation": seg.generation}
                      for seg in s.segments],
         "order": s.order,
     }
@@ -82,8 +82,7 @@ def laminate_from_json(v, mode: str = EXACT) -> LaminateSet:
         b = matrix_from_json(seg["b"], mode)
         if rank2x2(b - a) == 2:
             raise ValueError(f"segment {k} is not rank-one: b - a has rank 2")
-        segments.append(RankOneSegment(a, b, _count(seg.get("generation", 1)),
-                                       bool(seg.get("approx", False))))
+        segments.append(RankOneSegment(a, b, _count(seg.get("generation", 1))))
     return LaminateSet(points=points, segments=tuple(segments),
                        order=_count(v.get("order", 1 if segments else 0)))
 

@@ -67,8 +67,10 @@ def _float_mat(m: Mat2) -> Mat2:
 def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     """Residual report for a candidate witness against four given matrices.
 
-    When the witness and the inputs are in different scalar modes the whole
-    comparison is performed in float.
+    An exact witness passes iff every residual, every det C_k and sum C_k
+    are zero, no C_k is zero and every mu_k > 1; tol applies to float
+    witnesses only.  When the witness and the inputs are in different
+    scalar modes the whole comparison is performed in float.
     """
     if w.p.mode != x[0].mode:
         x = [_float_mat(m) for m in x]
@@ -80,13 +82,14 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     dets = tuple(ci.det() for ci in w.c)
     csum = w.c[0] + w.c[1] + w.c[2] + w.c[3]
     margin = min(w.mu) - 1
-    scale = max(1, max(float(xi.frob_sq()) for xi in x))
-    ok = all(float(r) <= float(tol) ** 2 * scale for r in res_sq)
-    ok = ok and all(abs(float(d)) <= max(float(tol), float(tol) ** 2 * scale)
-                    for d in dets)
-    ok = ok and float(csum.frob_sq()) <= float(tol) ** 2 * scale
-    ok = ok and all(not ci.is_zero() for ci in w.c)
-    ok = ok and margin > tol
+    if w.p.mode == EXACT:
+        tol, ok = 0, not any(res_sq) and not any(dets) and csum.is_zero()
+    else:
+        tol = float(tol)
+        bound = tol ** 2 * max(1, max(xi.frob_sq() for xi in x))
+        ok = (all(r <= bound for r in res_sq) and csum.frob_sq() <= bound
+              and all(abs(d) <= max(tol, bound) for d in dets))
+    ok = ok and margin > tol and all(not ci.is_zero() for ci in w.c)
     return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
 
 
@@ -214,11 +217,15 @@ def _decide_class(x, a, perm, tol):
         tuple(a[perm[j], perm[k]] for j, k in _PAIRS))
     if not solutions:
         return "no converged seed", "absent" if complete else "undecided"
-    mu = min(solutions, key=lambda m: tuple(float(v) for v in m))
     ordered = [x[i] for i in perm]
-    if x[0].mode != EXACT or any(isinstance(m, Surd) for m in mu):
-        ordered = [_float_mat(xi) for xi in ordered]
-        mu = tuple(float(m) for m in mu)
+    try:
+        mu = min(solutions, key=lambda m: tuple(
+            float(v) if isinstance(v, Surd) else v for v in m))
+        if x[0].mode != EXACT or any(isinstance(m, Surd) for m in mu):
+            ordered = [_float_mat(xi) for xi in ordered]
+            mu = tuple(float(m) for m in mu)
+    except OverflowError:
+        return "witness beyond the float range", "undecided"
     built = _scaffold(ordered, mu)
     w = built and T4Witness(tuple(perm), *built, mu)
     if w and witness_certified(x, w, tol):

@@ -2,10 +2,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -246,7 +248,9 @@ LEAF = st.one_of(
     st.dictionaries(st.text("ab", max_size=2), st.integers(0, 9), max_size=2))
 ENTRY = _mostly(st.one_of(
     st.integers(-10 ** 6, 10 ** 6),
-    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(1, 999))),
+    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(1, 999)),
+    # exact, or beyond the float range
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-400, 400))),
     LEAF)
 MATRIX = _mostly(st.lists(st.lists(ENTRY, min_size=2, max_size=2),
                           min_size=2, max_size=2),
@@ -275,13 +279,18 @@ FUZZED = {"t4-detect": (["--input"], QUADRUPLE),
           "hausdorff": (["--input-a", "--input-b"], LAMINATE_SET)}
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("sub", list(FUZZED))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_input_loaders_never_raise(sub, mode, data):
     """On near-valid input files every run exits 0, 1 or 2 without an
-    exception, and a usage error writes no report."""
+    exception, a usage error writes no report, and a written report is
+    JSON with finite numbers only."""
     options, docs = FUZZED[sub]
     argv = ["--mode", mode, sub]
     with tempfile.TemporaryDirectory() as tmp:
@@ -297,6 +306,9 @@ def test_input_loaders_never_raise(sub, mode, data):
         assert code in (0, 1, 2)
         if code == 1:
             assert not os.path.exists(out)
+        elif os.path.exists(out):
+            with open(os.path.join(out, sub + ".json")) as f:
+                json.load(f, parse_constant=_no_constant)
 
 
 def test_t4_detect_checks_its_witnesses(tmp_path, monkeypatch):
@@ -432,6 +444,49 @@ def test_pc_hull_on_a_huge_entry(tmp_path, capsys):
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
     assert report["certificates"]["passed"] is True
+
+
+def test_t4_detect_on_huge_exact_entries(tmp_path, capsys):
+    # |X_k|^2 is about 10^401, beyond the float range
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps([[[e + "e200" for e in row] for row in m]
+                               for m in T4_INPUT]))
+    code, report, _ = run(tmp_path, "t4-detect", "--input", str(src))
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert [w["mu"] for w in report["results"]["witnesses"]] == \
+        [["2"] * 4] * 4
+
+
+def _hausdorff_to_zero(tmp_path, mode, entry):
+    """hausdorff from {[[entry, entry], [0, 0]]} to {0}."""
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"points": [[[entry, entry], [0, 0]]]}))
+    pb.write_text(json.dumps({"points": [[[0, 0], [0, 0]]]}))
+    return run(tmp_path, "--mode", mode, "hausdorff",
+               "--input-a", str(pa), "--input-b", str(pb))
+
+
+@pytest.mark.parametrize("entry", ["1e-200", "1e200"])
+def test_hausdorff_root_beyond_the_float_range(tmp_path, entry):
+    # hausdorff_sq = 2 entry^2 lies outside the float range, its root inside
+    code, report, _ = _hausdorff_to_zero(tmp_path, "exact", entry)
+    assert code == 0
+    assert report["results"]["hausdorff_sq"] == str(2 * Fraction(entry) ** 2)
+    assert report["results"]["hausdorff"] == \
+        pytest.approx(math.sqrt(2) * float(entry), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("mode, entry", [("float", 1e200),
+                                         ("exact", "1e350")])
+def test_hausdorff_not_a_finite_float_is_usage_error(tmp_path, capsys, mode,
+                                                     entry):
+    code, report, out = _hausdorff_to_zero(tmp_path, mode, entry)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "the Hausdorff distance is not a finite float" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 DATA = Path(__file__).parent / "data"

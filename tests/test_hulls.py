@@ -122,8 +122,7 @@ class TestPointSegmentCrossing:
         assume(any(d[i] * n[j] != d[j] * n[i]
                    for i in range(4) for j in range(i + 1, 4)))
         seg = RankOneSegment(a, b, 1)
-        out = lamination_step(LaminateSet((p,), (seg,), 1),
-                              segment_segment=False)
+        out = lamination_step(LaminateSet((p,), (seg,), 1))
         want = [RankOneSegment(p, q, 2) for q in _linear_crossings(p, a, b)]
         assert out.segments == (seg, *want)
 
@@ -132,9 +131,8 @@ class TestPointSegmentCrossing:
             points=(Mat2.diag(2, 0),),
             segments=(RankOneSegment(Mat2.zero(), Mat2.diag(1, 1), 1),),
             order=1)
-        for segment_segment in (True, False):
-            with pytest.raises(GeometryError, match="not rank-one"):
-                lamination_step(s, segment_segment=segment_segment)
+        with pytest.raises(GeometryError, match="not rank-one"):
+            lamination_step(s)
 
     def test_float_crossings_stay_rank_one(self):
         # non-dyadic floats leave det(b - a) about 1e-17 off zero; a
@@ -142,12 +140,11 @@ class TestPointSegmentCrossing:
         # 0.39), which are not rank-one connected
         k = [Mat2(2.0, 1.0, 0.0, 0.0), Mat2(-1 / 3, -2 / 3, 1.0, -1.0),
              Mat2(-1.0, 0.0, 0.0, 0.0)]
-        two_steps = lamination_step(lamination_step(points_only(k)))
-        for s in (l2_hull(k), two_steps):
-            assert s.segments
-            for seg in s.segments:
-                n = seg.b - seg.a
-                assert abs(n.det()) <= 1e-12 * n.frob_sq()
+        s = l2_hull(k)
+        assert s.segments
+        for seg in s.segments:
+            n = seg.b - seg.a
+            assert abs(n.det()) <= 1e-12 * n.frob_sq()
 
 
 class TestL2Hull:
@@ -164,7 +161,7 @@ class TestL2Hull:
         segs = (RankOneSegment(Mat2.diag(0, 1), Mat2.diag(1, 1), 1),
                 RankOneSegment(Mat2.diag(0, half), Mat2.diag(half, half), 1))
         s = LaminateSet(points=(), segments=segs, order=1)
-        out = lamination_step(s, segment_segment=False)
+        out = lamination_step(s)
         assert out.segments == segs
 
     def test_square_fills_ties(self):
@@ -181,46 +178,41 @@ params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 @st.composite
 def collinear_families(draw):
     """Segments A + E_l + [s, t] D on two parallel lines (E_0 = 0), as
-    (line, s, t, approx) spans with their segments; D is rank one and E_1
+    (line, s, t) spans with their segments; D is rank one and E_1
     is not a multiple of it."""
     d = _outer(draw(vectors), draw(vectors))
     a = Mat2(*draw(st.tuples(*[rationals] * 4)))
     off = Mat2(*draw(st.tuples(*[rationals] * 4)))
     # the second line is another line: off is no multiple of d
     assume(not (off - d.scale(inner(off, d) / d.frob_sq())).is_zero())
-    spans = draw(st.lists(st.tuples(st.integers(0, 1), params, params,
-                                    st.booleans()),
+    spans = draw(st.lists(st.tuples(st.integers(0, 1), params, params),
                           min_size=1, max_size=8))
-    # repeat some spans, reversed or not, with either flag
+    # repeat some spans, reversed or not
     for k in draw(st.lists(st.integers(0, len(spans) - 1), max_size=3)):
-        line, s, t, _ = spans[k]
-        s, t = (t, s) if draw(st.booleans()) else (s, t)
-        spans.append((line, s, t, draw(st.booleans())))
+        line, s, t = spans[k]
+        spans.append((line, *((t, s) if draw(st.booleans()) else (s, t))))
     base = (a, a + off)
-    segs = [RankOneSegment(base[line] + d.scale(s), base[line] + d.scale(t),
-                           1, approx)
-            for line, s, t, approx in spans]
+    segs = [RankOneSegment(base[line] + d.scale(s), base[line] + d.scale(t), 1)
+            for line, s, t in spans]
     return spans, segs
 
 
 def _interval_dedup(spans):
     """Indices the dedup keeps, decided on the parameter intervals."""
     kept, seen = [], set()
-    for k, (line, s, t, approx) in enumerate(spans):
+    for k, (line, s, t) in enumerate(spans):
         key = (line, min(s, t), max(s, t))
-        if s != t and (key, approx) not in seen:
-            seen.add((key, approx))
+        if s != t and key not in seen:
+            seen.add(key)
             kept.append((k, key))
 
     def within(big, small):
         return (big[0] == small[0] and big[1] <= small[1]
                 and small[2] <= big[2])
 
-    # a span inside another goes, and of two identical spans the earlier
-    # one stays
+    # a span inside another goes; kept spans are distinct
     return [k for i, (k, key) in enumerate(kept)
             if not any(j != i and within(other, key)
-                       and not (within(key, other) and i < j)
                        for j, (_, other) in enumerate(kept))]
 
 
@@ -230,8 +222,16 @@ class TestDedup:
     def test_matches_the_interval_oracle(self, family):
         spans, segs = family
         s = LaminateSet(points=(), segments=tuple(segs), order=1)
-        out = lamination_step(s, segment_segment=False)
+        out = lamination_step(s)
         assert out.segments == tuple(segs[k] for k in _interval_dedup(spans))
+
+    def test_float_drops_repeats_and_keeps_contained(self):
+        a, b, c = (Mat2(x, 0.0, 0.0, 0.5) for x in (0.1, 0.7, 0.3))
+        seg, inside = RankOneSegment(a, b, 1), RankOneSegment(a, c, 1)
+        segs = (seg, RankOneSegment(a, a, 1), RankOneSegment(a, b, 1),
+                RankOneSegment(b, a, 1), inside)
+        out = lamination_step(LaminateSet((), segs, 1))
+        assert out.segments == (seg, inside)
 
 
 class TestDistances:

@@ -53,6 +53,27 @@ class TestWitnessCheck:
         bad = T4Witness(w.ordering, w.p, w.c, (F(1), F(2), F(2), F(2)))
         assert not check_t4_witness(CLASSIC, bad).accepted
 
+    def test_tiny_exact_residuals_rejected(self):
+        # each residual is 10^-400, which a float rounds to 0
+        w = classic_witness()
+        tiny = Mat2(F(1, 10 ** 200), F(0), F(0), F(0))
+        moved = T4Witness(w.ordering, w.p + tiny, w.c, w.mu)
+        rep = check_t4_witness(CLASSIC, moved, 0)
+        assert all(r != 0 for r in rep.eq_residual_sq)
+        assert not rep.accepted
+        assert not t4.witness_certified(CLASSIC, moved)
+
+    def test_huge_exact_witness_accepted(self):
+        # |X_k|^2 is about 10^401, beyond the float range
+        x = [m.scale(10 ** 200) for m in CLASSIC]
+        w = classic_witness()
+        big = T4Witness(w.ordering, w.p.scale(10 ** 200),
+                        tuple(c.scale(10 ** 200) for c in w.c), w.mu)
+        assert check_t4_witness(x, big, 0).accepted
+        det_res = detect_t4(x)
+        assert [v.mu for v in det_res.witnesses] == [w.mu] * 4
+        assert all(t4.witness_certified(x, v) for v in det_res.witnesses)
+
     def test_corners_close_cycle(self):
         w = classic_witness()
         corners = w.corners()
@@ -471,6 +492,24 @@ class TestClassDecision:
         w = next(w for w in det_res.witnesses if w.ordering == (0, 3, 2, 1))
         assert all(isinstance(m, float) for m in w.mu)
         assert t4.witness_certified(x, w)
+
+    def test_irrational_mu_beyond_the_float_range(self):
+        # mu_0 = 1.618e154 (the golden ratio times 10^154): its surd
+        # overflows a float while the smallest mu is picked
+        x = [Mat2(*map(F, e)) for e in ((0, 0, 0, 0), (0, -1, -4, 0),
+                                        (5, 0, 0, 1), (1, 0, 0, 10 ** 154))]
+        w = next(w for w in detect_t4(x).witnesses
+                 if w.ordering == (3, 2, 1, 0))
+        assert w.mu[0] == pytest.approx(1.6180339887498948e154)
+        # float copies of entries near 10^400 overflow: the class is left
+        # undecided, with its reason
+        x = [Mat2(*map(F, e)).scale(10 ** 400)
+             for e in ((3, 9, -9, -7), (-7, -7, -6, -1), (4, 1, 3, 9),
+                       (5, 5, 5, 8))]
+        det_res = detect_t4(x)
+        assert det_res.status[0, 3, 2, 1] == "undecided"
+        assert det_res.failures[0, 3, 2, 1] == \
+            "witness beyond the float range"
 
 
 # --- the class equations, on A_jk built from a scaffold -------------------
