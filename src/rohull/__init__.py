@@ -3,17 +3,10 @@ configurations, laminate measures, Hausdorff distances, and polyconvex
 hulls of determinant-nonnegative sets."""
 
 from .core import (
-    DiagPt,
     GeometryError,
     Mat2,
-    SubspaceError,
-    SymPt,
-    TriPt,
     crossing_parameter,
     det,
-    project_diag,
-    project_sym,
-    project_tri,
     rank2x2,
     rank_one_connected,
 )
@@ -43,15 +36,13 @@ from .t4 import (
 )
 
 __all__ = [
-    "DiagPt", "DiscreteLaminate", "EXACT", "FLOAT", "GeometryError",
-    "LaminateSet", "Mat2", "MixedModeError", "RankOneSegment", "Scalar",
-    "SeparatorWitness", "SubspaceError", "SymPt", "T4Report", "T4Witness",
-    "TriPt", "check_t4_witness", "crossing_parameter", "det",
+    "DiscreteLaminate", "EXACT", "FLOAT", "GeometryError", "LaminateSet",
+    "Mat2", "MixedModeError", "RankOneSegment", "Scalar", "SeparatorWitness",
+    "T4Report", "T4Witness", "check_t4_witness", "crossing_parameter", "det",
     "detect_t4", "directed_dist_sq", "directed_distance", "hausdorff",
     "hausdorff_sq", "l2_hull", "lamination_step", "laminate_unroll",
-    "point_to_set_dist_sq", "point_to_set_distance", "project_diag",
-    "project_sym", "project_tri", "rank2x2", "rank_one_connected",
-    "separator_check", "solve_t4_ordering",
+    "point_to_set_dist_sq", "point_to_set_distance", "rank2x2",
+    "rank_one_connected", "separator_check", "solve_t4_ordering",
 ]
 
 __version__ = "0.1.0"

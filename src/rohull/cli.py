@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, pchull, svgout, t4
-from .core import DiagPt, GeometryError, project_diag
+from .core import GeometryError, Mat2
 from .hulls import (
     directed_dist_sq,
     point_to_set_dist_sq,
@@ -46,6 +46,12 @@ def _csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _xyz(iterates):
+    """The subspace coordinates (x, y, z) = (a11, a22, a12) of each iterate
+    of a spiral."""
+    return [(m.a11, m.a22, m.a12) for m in iterates]
+
+
 def _load_matrices(path: str, mode: str):
     try:
         with open(path) as f:
@@ -70,22 +76,24 @@ def cmd_staircase(args):
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
     p_n = constructions.staircase_perturbation(args.N)
-    rho_sq = point_to_set_dist_sq(p_n.embed(), k0)
+    rho_sq = point_to_set_dist_sq(p_n, k0)
+    xy = [(p.a11, p.a22) for p in chain]
     results = {
         "points": laminate_to_json(k0),
-        "perturbation": [str(p_n.x), str(p_n.y)],
-        "chain": [[str(p.x), str(p.y)] for p in chain],
-        "final_point": [str(chain[-1].x), str(chain[-1].y)],
+        "perturbation": [str(p_n.a11), str(p_n.a22)],
+        "chain": [[str(x), str(y)] for x, y in xy],
+        "final_point": [str(c) for c in xy[-1]],
         "perturbation_distance_sq": scalar_to_json(rho_sq),
         "combination_steps": len(chain) - 1,
     }
-    passed = chain[-1] == DiagPt(0, 1) and rho_sq <= Fraction(1, 4 ** args.N)
+    passed = (chain[-1] == Mat2.diag(0, 1)
+              and rho_sq <= Fraction(1, 4 ** args.N))
     files = {}
     if args.svg:
-        pts = [project_diag(m) for m in k0.points]
-        files["staircase.svg"] = svgout.staircase_diagram(pts, chain)
+        files["staircase.svg"] = svgout.staircase_diagram(
+            [(m.a11, m.a22) for m in k0.points], xy)
     if args.csv:
-        files["staircase.csv"] = _csv(("diag", p.x, p.y, 0) for p in chain)
+        files["staircase.csv"] = _csv(("diag", x, y, 0) for x, y in xy)
     return {"n_max": args.n_max, "N": args.N}, results, passed, files
 
 
@@ -95,23 +103,23 @@ def cmd_tri_spiral(args):
     else:
         cfg = constructions.TriSpiralConfig(
             -1.0, 1.0, 1.0, -1.0, 1.0, (2.0, 2.0, 2.0, 2.0))
-    iterates = constructions.tri_spiral(cfg, args.steps)
-    witness = separator_check(cfg.anchors(), "tri")
+    pts = _xyz(constructions.tri_spiral(cfg, args.steps))
+    anchors = cfg.anchors()
+    witness = separator_check(anchors)
     lams = cfg.lambdas()
     results = {
         "lambda": [scalar_to_json(l) for l in lams],
-        "iterates": [[scalar_to_json(p.x), scalar_to_json(p.y),
-                      scalar_to_json(p.z)] for p in iterates],
+        "iterates": [[scalar_to_json(c) for c in p] for p in pts],
         "separator_dets": [scalar_to_json(d) for d in witness.pairwise_dets],
     }
     passed = all(0 < l < 1 for l in lams)
     files = {}
     if args.svg:
         files["tri-spiral.svg"] = svgout.spiral_diagram(
-            cfg.corners(), cfg.anchors(), iterates)
+            [(m.a11, m.a22) for m in cfg.corners()],
+            [(m.a11, m.a22) for m in anchors], [p[:2] for p in pts])
     if args.csv:
-        files["tri-spiral.csv"] = _csv(("tri", p.x, p.y, p.z)
-                                       for p in iterates)
+        files["tri-spiral.csv"] = _csv(("tri", *p) for p in pts)
     return {"steps": args.steps, "mode": args.mode}, results, passed, files
 
 
@@ -121,9 +129,10 @@ def cmd_sym_spiral(args):
                          "(square roots appear in the start offsets)")
     cfg = constructions.SymSpiralConfig.standard_square(args.xi3)
     result = constructions.sym_spiral(cfg, args.iters)
+    pts = _xyz(result.iterates)
     results = {
         "xi": [scalar_to_json(v) for v in cfg.offsets()],
-        "iterates": [[p.x, p.y, p.z] for p in result.iterates],
+        "iterates": [list(p) for p in pts],
         "cycles": [{
             "t": list(c.t),
             "det_residual_rel": list(c.det_residual_rel),
@@ -137,8 +146,7 @@ def cmd_sym_spiral(args):
     passed = all(c.ratio < result.contraction_bound for c in result.cycles)
     files = {}
     if args.csv:
-        files["sym-spiral.csv"] = _csv(("sym", p.x, p.y, p.z)
-                                       for p in result.iterates)
+        files["sym-spiral.csv"] = _csv(("sym", *p) for p in pts)
     return {"xi3": args.xi3, "iters": args.iters}, results, passed, files
 
 
@@ -245,9 +253,12 @@ def cmd_hausdorff(args):
         root = scalar_sqrt(hsq)
     except OverflowError:
         root = math.inf
+    # a nonzero distance whose float root underflows would be written as 0
     if not all(math.isfinite(v) for v in (hsq, root, a_to_b, b_to_a)
-               if type(v) is float):
-        raise UsageError("the Hausdorff distance is not a finite float")
+               if type(v) is float) or (hsq != 0 and type(root) is float
+                                        and root < sys.float_info.min):
+        raise UsageError("the Hausdorff distance is not a finite float "
+                         "or is below the float range")
     results = {
         "hausdorff_sq": scalar_to_json(hsq),
         "hausdorff": scalar_to_json(root),
@@ -266,7 +277,7 @@ def cmd_usc_probe(args):
     cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
-    dist_sq = [point_to_set_dist_sq(p.embed(), k0) for p in chain]
+    dist_sq = [point_to_set_dist_sq(p, k0) for p in chain]
     sweep = []
     for n in range(1, args.N + 1):
         start = 2 * (args.N - n)

@@ -2,6 +2,9 @@
 
 Every generator re-checks its own certificates (rank-one connections, zero
 determinants, sign conditions) as it runs, and raises on the first failure.
+Points are ``Mat2``: the staircase is diagonal, the spirals run in the
+upper-triangular and the symmetric subspace (see ``Mat2.diag``), and each
+spiral checks that every iterate it returns lies in its subspace.
 """
 from __future__ import annotations
 
@@ -9,17 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    DiagPt,
-    GeometryError,
-    Mat2,
-    SymPt,
-    TriPt,
-    combine,
-    crossing_parameter,
-    project_sym,
-    project_tri,
-)
+from .core import GeometryError, Mat2, combine, crossing_parameter
 from .hulls import (
     LaminateSet,
     RankOneSegment,
@@ -51,29 +44,29 @@ class StaircaseConfig:
             raise InputError("need n_max >= N >= 1")
 
 
-def _staircase_pair(n: int) -> tuple[DiagPt, DiagPt]:
+def _staircase_pair(n: int) -> tuple[Mat2, Mat2]:
     h = Fraction(1, 2 ** (n + 1))
-    return (DiagPt(1 - 3 * h, h), DiagPt(1 - 2 * h, 3 * h))
+    return (Mat2.diag(1 - 3 * h, h), Mat2.diag(1 - 2 * h, 3 * h))
 
 
-def staircase_perturbation(n: int) -> DiagPt:
+def staircase_perturbation(n: int) -> Mat2:
     h = Fraction(1, 2 ** (n + 1))
-    return DiagPt(1 - h, h)
+    return Mat2.diag(1 - h, h)
 
 
 def staircase_points(cfg: StaircaseConfig) -> LaminateSet:
     """The truncated staircase set, with its no-rank-one-connections check."""
-    pts: list[DiagPt] = [DiagPt(1, 0)]
+    pts = [Mat2.diag(1, 0)]
     for n in range(cfg.n_max + 1):
         pts.extend(_staircase_pair(n))
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs = [p.a11 for p in pts]
+    ys = [p.a22 for p in pts]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise ConstructionError("staircase points share a coordinate")
-    return LaminateSet(points=tuple(p.embed() for p in pts), order=0)
+    return LaminateSet(points=tuple(pts), order=0)
 
 
-def staircase_iterate(cfg: StaircaseConfig) -> list[DiagPt]:
+def staircase_iterate(cfg: StaircaseConfig) -> list[Mat2]:
     """Midpoint chain from the perturbed point down to (0, 1).
 
     Each combination joins two points sharing a coordinate (a rank-one
@@ -85,15 +78,15 @@ def staircase_iterate(cfg: StaircaseConfig) -> list[DiagPt]:
     chain = [current]
     for m in range(n, -1, -1):
         low, high = _staircase_pair(m)
-        if low.y != current.y:
+        if low.a22 != current.a22:
             raise ConstructionError("horizontal step is not rank-one")
-        mid = DiagPt((low.x + current.x) / 2, current.y)
+        mid = combine(current, low, Fraction(1, 2))
         chain.append(mid)
-        if high.x != mid.x:
+        if high.a11 != mid.a11:
             raise ConstructionError("vertical step is not rank-one")
-        current = DiagPt(mid.x, (mid.y + high.y) / 2)  # P_{m-1}
+        current = combine(mid, high, Fraction(1, 2))  # P_{m-1}
         chain.append(current)
-    if current != DiagPt(0, 1):
+    if current != Mat2.diag(0, 1):
         raise ConstructionError("chain did not terminate at (0, 1)")
     return chain
 
@@ -122,22 +115,19 @@ class TriSpiralConfig:
         return cls(Fraction(-1), Fraction(1), Fraction(1), Fraction(-1),
                    Fraction(1), (Fraction(2),) * 4)
 
-    def corners(self) -> tuple[TriPt, TriPt, TriPt, TriPt]:
-        zero = Fraction(0) if mode_of(self.x1) == EXACT else 0.0
-        return (TriPt(self.x1, self.y2, zero), TriPt(self.x1, self.y1, zero),
-                TriPt(self.x2, self.y1, zero), TriPt(self.x2, self.y2, zero))
+    def corners(self) -> tuple[Mat2, Mat2, Mat2, Mat2]:
+        return (Mat2.diag(self.x1, self.y2), Mat2.diag(self.x1, self.y1),
+                Mat2.diag(self.x2, self.y1), Mat2.diag(self.x2, self.y2))
 
-    def anchors(self) -> tuple[TriPt, TriPt, TriPt, TriPt]:
-        zero = Fraction(0) if mode_of(self.x1) == EXACT else 0.0
+    def anchors(self) -> tuple[Mat2, Mat2, Mat2, Mat2]:
         a0, a1, a2, a3 = self.alpha
-        return (TriPt(self.x1, self.y1 + a0, zero),
-                TriPt(self.x2 + a1, self.y1, zero),
-                TriPt(self.x2, self.y2 - a2, zero),
-                TriPt(self.x1 - a3, self.y2, zero))
+        return (Mat2.diag(self.x1, self.y1 + a0),
+                Mat2.diag(self.x2 + a1, self.y1),
+                Mat2.diag(self.x2, self.y2 - a2),
+                Mat2.diag(self.x1 - a3, self.y2))
 
     def lambdas(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        p = [c.embed() for c in self.corners()]
-        a = [c.embed() for c in self.anchors()]
+        p, a = self.corners(), self.anchors()
         lams = []
         for i in range(4):
             lam = crossing_parameter(a[i], a[(i + 1) % 4], p[i])
@@ -147,20 +137,20 @@ class TriSpiralConfig:
         return tuple(lams)
 
 
-def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[TriPt]:
+def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[Mat2]:
     """Iterates spiralling down to the first corner of the inner rectangle.
 
     Each step certifies the enabling rank-one connection det(X_i - A_i) = 0
     and is cross-checked against X_{i+1} = P_{(i+1) mod 4} + (0,0,z_{i+1}),
     where the running product z_{i+1} = z_i lambda_{i mod 4} starts at z0.
     """
-    corners = [c.embed() for c in cfg.corners()]
-    anchors = [c.embed() for c in cfg.anchors()]
+    corners = cfg.corners()
+    anchors = cfg.anchors()
     lams = cfg.lambdas()
     exact = mode_of(cfg.z0) == EXACT
     zero = 0 * cfg.z0
     z = cfg.z0
-    x = corners[0] + TriPt(zero, zero, z).embed()
+    x = corners[0] + Mat2(zero, z, zero, zero)
     out = [x]
     for i in range(n_steps):
         k = i % 4
@@ -177,7 +167,9 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[TriPt]:
                 raise ConstructionError("closed form disagrees with recursion")
         elif (x - expected).frob_sq() > 1e-20 * max(1.0, x.frob_sq()):
             raise ConstructionError("closed form disagrees with recursion")
-    return [project_tri(m) for m in out]
+    if any(m.a21 != 0 for m in out):
+        raise ConstructionError("iterate left the upper-triangular subspace")
+    return out
 
 
 # --- symmetric spiral ----------------------------------------------------
@@ -200,8 +192,7 @@ class SymSpiralConfig:
         if not (self.x1 < self.x2 and self.y2 < self.y1
                 and all(a > 0 for a in self.alpha) and self.xi3 > 0):
             raise InputError("need x1 < x2, y2 < y1, alpha > 0, xi3 > 0")
-        span = self.y1 + self.alpha[0] - self.y2
-        if self.alpha[3] ** 2 < 4 * self.alpha[3] * self.xi3 ** 2 / span:
+        if self.alpha[3] ** 2 < 4 * self.alpha[3] * self.xi3 ** 2 / self.span:
             raise InputError("xi3 too large (xi1 is not real)")
 
     @classmethod
@@ -213,18 +204,23 @@ class SymSpiralConfig:
         return TriSpiralConfig(self.x1, self.x2, self.y1, self.y2, 1.0,
                                self.alpha)
 
+    @property
+    def span(self) -> float:
+        return self.y1 + self.alpha[0] - self.y2
+
     def offsets(self) -> tuple[float, float, float]:
-        return _branch_offsets(self.alpha, self.y1, self.y2, self.xi3) + (self.xi3,)
+        """The in-plane offsets forced by the two zero-determinant conditions
+        at the start corner (positive square-root branch), and xi3."""
+        xi1, _ = _start_roots(self, self.xi3)
+        return xi1, -xi1 * self.span / self.alpha[3], self.xi3
 
 
-def _branch_offsets(alpha, y1, y2, z_off) -> tuple[float, float]:
-    """The in-plane offsets forced by the two zero-determinant conditions
-    at the start corner (positive square-root branch)."""
-    span = y1 + alpha[0] - y2
-    disc = alpha[3] ** 2 - 4 * alpha[3] * z_off ** 2 / span
-    xi1 = 0.5 * (-alpha[3] + math.sqrt(max(disc, 0.0)))
-    xi2 = -xi1 * span / alpha[3]
-    return xi1, xi2
+def _start_roots(cfg: SymSpiralConfig, z: float) -> tuple[float, float]:
+    """The positive and the negative root xi1 of the start-offset quadratic
+    xi1^2 + alpha_3 xi1 + alpha_3 z^2 / span = 0."""
+    a3 = cfg.alpha[3]
+    root = math.sqrt(max(a3 ** 2 - 4 * a3 * z ** 2 / cfg.span, 0.0))
+    return 0.5 * (-a3 + root), 0.5 * (-a3 - root)
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ class SymCycle:
 
 @dataclass(frozen=True)
 class SymSpiralResult:
-    iterates: tuple[SymPt, ...]
+    iterates: tuple[Mat2, ...]
     cycles: tuple[SymCycle, ...]
     lambda_product: float
     contraction_bound: float
@@ -251,26 +247,23 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
     end-of-cycle offset equations, and the z-contraction bound; failures abort
     with the name of the exceeded smallness bound.
     """
-    # the upper-triangular corners and anchors have z = 0, where both
-    # embeddings give the same matrix
+    # the upper-triangular corners and anchors have z = 0: they are
+    # diagonal, so they lie in the symmetric subspace too
     tri = cfg.tri_config()
-    corners = [c.embed() for c in tri.corners()]
-    anchors = [a.embed() for a in tri.anchors()]
+    anchors = tri.anchors()
     lams = tri.lambdas()
     lam_prod = lams[0] * lams[1] * lams[2] * lams[3]
     bound = 0.5 * (1.0 + lam_prod)
-    span = cfg.y1 + cfg.alpha[0] - cfg.y2
-    p0 = corners[0]
+    p0 = tri.corners()[0]
 
-    xi1, xi2 = _branch_offsets(cfg.alpha, cfg.y1, cfg.y2, cfg.xi3)
-    y = p0 + SymPt(xi1, xi2, cfg.xi3).embed()
+    xi1, xi2, xi3 = cfg.offsets()
+    y = p0 + Mat2(xi1, xi3, xi3, xi2)
     for which in (0, 3):
         d = (y - anchors[which]).det()
         if abs(d) > 1e-9 * max(1.0, (y - anchors[which]).frob_sq()):
             raise ConstructionError("start point lost its determinant zeros")
     iterates = [y]
     cycles = []
-    xi3 = cfg.xi3
     for cycle in range(1, n_iters + 1):
         b = y
         ts = []
@@ -298,9 +291,7 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
         t_prod = ts[0] * ts[1] * ts[2] * ts[3]
         if not t_prod < bound:
             raise ConstructionError("xi3 too large (epsilon_2 exceeded)")
-        pos1, _ = _branch_offsets(cfg.alpha, cfg.y1, cfg.y2, eta3)
-        neg1 = 0.5 * (-cfg.alpha[3] - math.sqrt(max(
-            cfg.alpha[3] ** 2 - 4 * cfg.alpha[3] * eta3 ** 2 / span, 0.0)))
+        pos1, neg1 = _start_roots(cfg, eta3)
         if abs(eta1 - pos1) >= abs(eta1 - neg1):
             raise ConstructionError("xi3 too large (epsilon_3 exceeded)")
         ratio = eta3 / xi3
@@ -311,8 +302,9 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
         y = b
         xi3 = eta3
         iterates.append(y)
-    return SymSpiralResult(tuple(project_sym(m) for m in iterates),
-                           tuple(cycles), lam_prod, bound)
+    if any(m.a12 != m.a21 for m in iterates):
+        raise ConstructionError("iterate left the symmetric subspace")
+    return SymSpiralResult(tuple(iterates), tuple(cycles), lam_prod, bound)
 
 
 # --- five-point T4 set ----------------------------------------------------

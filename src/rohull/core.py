@@ -1,11 +1,10 @@
-"""2x2 matrix algebra, subspace embeddings, and rank-one predicates.
+"""2x2 matrix algebra and rank-one predicates.
 
 All matrix entries live in a single scalar mode (exact rational or float);
 values are immutable and safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,13 +23,6 @@ from .scalar import (
 
 class GeometryError(ValueError):
     """A geometric precondition was violated."""
-
-
-def _coerce(x: Scalar) -> Scalar:
-    # plain ints become Fractions so exact values have a uniform type
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    return x
 
 
 class Mat2:
@@ -100,6 +92,11 @@ class Mat2:
 
     @staticmethod
     def diag(x: Scalar, y: Scalar) -> "Mat2":
+        # the constructions work in three subspaces, each a set of Mat2:
+        # diagonal    [[x, 0], [0, y]]    det = x*y
+        # triangular  [[x, z], [0, y]]    det = x*y
+        # symmetric   [[x, z], [z, y]]    det = x*y - z^2
+        # z = 0 gives the diagonal in both of the last two
         z = 0 if mode_of(x) == EXACT else 0.0
         return Mat2(x, z, z, y)
 
@@ -295,79 +292,3 @@ def crossing_parameter(a: Mat2, a_next: Mat2, b: Mat2) -> Scalar:
             "segment endpoints are not rank-one connected")
     return t
 
-
-# --- subspace embeddings -------------------------------------------------
-#
-# diagonal  (x, y)    <-> [[x, 0], [0, y]]        det = x*y
-# triangular (x,y,z)  <-> [[x, z], [0, y]]        det = x*y
-# symmetric (x,y,z)   <-> [[x, z], [z, y]]        det = x*y - z^2
-
-
-@dataclass(frozen=True)
-class DiagPt:
-    x: Scalar
-    y: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
-        common_mode(self.x, self.y)
-
-    def embed(self) -> Mat2:
-        z = 0 if mode_of(self.x) == EXACT else 0.0
-        return Mat2(self.x, z, z, self.y)
-
-
-@dataclass(frozen=True)
-class TriPt:
-    x: Scalar
-    y: Scalar
-    z: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
-        object.__setattr__(self, "z", _coerce(self.z))
-        common_mode(self.x, self.y, self.z)
-
-    def embed(self) -> Mat2:
-        zero = 0 if mode_of(self.x) == EXACT else 0.0
-        return Mat2(self.x, self.z, zero, self.y)
-
-
-@dataclass(frozen=True)
-class SymPt:
-    x: Scalar
-    y: Scalar
-    z: Scalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _coerce(self.x))
-        object.__setattr__(self, "y", _coerce(self.y))
-        object.__setattr__(self, "z", _coerce(self.z))
-        common_mode(self.x, self.y, self.z)
-
-    def embed(self) -> Mat2:
-        return Mat2(self.x, self.z, self.z, self.y)
-
-
-class SubspaceError(GeometryError):
-    """Matrix does not lie in the requested subspace."""
-
-
-def project_diag(m: Mat2) -> DiagPt:
-    if m.a12 != 0 or m.a21 != 0:
-        raise SubspaceError("matrix is not diagonal")
-    return DiagPt(m.a11, m.a22)
-
-
-def project_tri(m: Mat2) -> TriPt:
-    if m.a21 != 0:
-        raise SubspaceError("matrix is not upper triangular")
-    return TriPt(m.a11, m.a22, m.a12)
-
-
-def project_sym(m: Mat2) -> SymPt:
-    if m.a12 != m.a21:
-        raise SubspaceError("matrix is not symmetric")
-    return SymPt(m.a11, m.a22, m.a12)

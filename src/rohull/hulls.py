@@ -17,8 +17,6 @@ from fractions import Fraction
 from .core import (
     GeometryError,
     Mat2,
-    TriPt,
-    SymPt,
     combine,
     det_cross,
     inner,
@@ -264,35 +262,31 @@ def directed_distance(s1: LaminateSet, s2: LaminateSet) -> Scalar:
 
 @dataclass(frozen=True)
 class SeparatorWitness:
-    boundary_points: tuple
-    subspace: str
+    boundary_points: tuple[Mat2, ...]
     pairwise_dets: tuple[Scalar, ...]
 
 
-def separator_check(boundary, subspace: str) -> SeparatorWitness:
+def separator_check(boundary) -> SeparatorWitness:
     """Certify that {z > 0} union the boundary points is lamination convex.
 
-    Segments joining a boundary point to the open half-space stay inside it
-    except at the endpoint, so only boundary-boundary rank-one connections can
-    break lamination convexity; those are excluded by nonzero pairwise dets.
+    The boundary points lie on z = 0, the diagonal matrices of both the
+    upper-triangular and the symmetric subspace.  Segments joining a
+    boundary point to the open half-space stay inside it except at the
+    endpoint, so only boundary-boundary rank-one connections can break
+    lamination convexity; those are excluded by nonzero pairwise dets.
     """
-    if subspace not in ("tri", "sym"):
-        raise GeometryError(f"unknown subspace {subspace!r}")
-    cls = TriPt if subspace == "tri" else SymPt
-    pts = []
-    for p in boundary:
-        if not isinstance(p, cls):
-            raise GeometryError(f"boundary point {p!r} not in {subspace} subspace")
-        if p.z != 0:
-            raise GeometryError("boundary points must have z = 0")
-        pts.append(p)
+    pts = tuple(boundary)
+    for p in pts:
+        if p.a12 != 0 or p.a21 != 0:
+            raise GeometryError(
+                f"boundary point {p!r} is not diagonal (z = 0)")
     dets = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = (pts[i].embed() - pts[j].embed()).det()
+            d = (pts[i] - pts[j]).det()
             if d == 0:
                 raise GeometryError(
                     "separator fails: rank-one connection in boundary set "
                     f"between points {i} and {j}")
             dets.append(d)
-    return SeparatorWitness(tuple(pts), subspace, tuple(dets))
+    return SeparatorWitness(pts, tuple(dets))

@@ -53,26 +53,26 @@ class SvgCanvas:
 
 
 def staircase_diagram(points, chain) -> str:
-    """Staircase points with the dotted rank-one lines of the descent chain."""
+    """Staircase points with the dotted rank-one lines of the descent chain;
+    every point is an (x, y) pair."""
     svg = SvgCanvas()
     for p in points:
-        svg.point(p.x, p.y)
+        svg.point(*p)
     for a, b in zip(chain, chain[1:]):
-        svg.line(a.x, a.y, b.x, b.y, "dotted")
+        svg.line(*a, *b, "dotted")
     return svg.tostring()
 
 
 def spiral_diagram(corners, anchors, iterates) -> str:
     """Projection of the spiral onto the base plane: the inner rectangle,
-    the four outriggers, and the dashed spiral path."""
+    the four outriggers, and the dashed spiral path; every point is an
+    (x, y) pair."""
     svg = SvgCanvas()
     for i in range(4):
-        a = corners[i]
-        b = corners[(i + 1) % 4]
-        svg.line(a.x, a.y, b.x, b.y)
+        svg.line(*corners[i], *corners[(i + 1) % 4])
     for p, a in zip(corners, anchors):
-        svg.line(p.x, p.y, a.x, a.y)
-        svg.point(a.x, a.y)
+        svg.line(*p, *a)
+        svg.point(*a)
     for a, b in zip(iterates, iterates[1:]):
-        svg.line(a.x, a.y, b.x, b.y, "dashed")
+        svg.line(*a, *b, "dashed")
     return svg.tostring()

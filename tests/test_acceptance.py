@@ -27,7 +27,7 @@ from rohull.constructions import (
     sym_spiral,
     tri_spiral,
 )
-from rohull.core import DiagPt, Mat2, combine, det, det_cross
+from rohull.core import Mat2, combine, det, det_cross
 from rohull.hulls import point_to_set_dist_sq, separator_check
 from rohull.pchull import pc_hull, plane_pair
 from rohull.t4 import check_t4_witness, detect_t4, laminate_unroll
@@ -57,7 +57,7 @@ def test_criterion_1_staircase_discontinuity():
             gap_sq = point_to_set_dist_sq(staircase_perturbed_point(n), k0)
             assert gap_sq <= F(1, 4 ** n)
             chain = staircase_iterate(cfg)
-            assert chain[-1] == DiagPt(0, 1)
+            assert chain[-1] == Mat2.diag(0, 1)
     _verdict(1, "staircase perturbation reaches (0,1) while moving the "
                 "input by at most 2^-N", body, 1.0)
 
@@ -72,13 +72,13 @@ def test_criterion_2_upper_triangular_spiral():
         cfg = TriSpiralConfig.standard_square()
         assert cfg.lambdas() == (F(1, 2),) * 4
         xs = tri_spiral(cfg, 40)
-        first = [(p.x, p.y, p.z) for p in xs[1:5]]
+        first = [(p.a11, p.a22, p.a12) for p in xs[1:5]]
         assert first == [(-1, 1, F(1, 2)), (1, 1, F(1, 4)),
                          (1, -1, F(1, 8)), (-1, -1, F(1, 16))]
         anchors = cfg.anchors()
         for i, p in enumerate(xs):
-            assert det(p.embed() - anchors[i % 4].embed()) == 0
-        separator_check(anchors, "tri")
+            assert det(p - anchors[i % 4]) == 0
+        separator_check(anchors)
     _verdict(2, "square spiral contracts with lambda = 1/2 on certified "
                 "rank-one steps", body, 1.0)
 
@@ -92,7 +92,7 @@ def test_criterion_3_symmetric_spiral():
             assert all(r <= 1e-10 for r in cyc.det_residual_rel)
             assert cyc.ratio < 17 / 32
             assert cyc.branch_error <= 1e-12
-        last = res.iterates[-1].embed()
+        last = res.iterates[-1]
         p0 = Mat2(cfg.x1, 0.0, 0.0, cfg.y2)
         assert (last - p0).frob() <= 1e-9
     _verdict(3, "symmetric spiral completes 12 cycles within det and "

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rohull import constructions
 from rohull.constructions import (
     ConstructionError,
     InputError,
@@ -19,7 +20,7 @@ from rohull.constructions import (
     sym_spiral,
     tri_spiral,
 )
-from rohull.core import DiagPt, Mat2, det
+from rohull.core import Mat2, det
 from rohull.hulls import point_to_set_dist_sq
 from rohull.t4 import check_t4_witness
 
@@ -46,19 +47,19 @@ class TestStaircase:
     def test_perturbation_close_to_staircase(self):
         for n in range(1, 21):
             p = staircase_perturbation(n)
-            assert p == DiagPt(1 - F(1, 2 ** (n + 1)), F(1, 2 ** (n + 1)))
+            assert p == Mat2.diag(1 - F(1, 2 ** (n + 1)), F(1, 2 ** (n + 1)))
 
     def test_iterate_reaches_limit_point(self):
         cfg = StaircaseConfig(n_max=30, perturbation_index=10)
         chain = staircase_iterate(cfg)
-        assert chain[-1] == DiagPt(0, 1)
+        assert chain[-1] == Mat2.diag(0, 1)
         assert len(chain) == 2 * (10 + 1) + 1
 
     def test_iterate_steps_share_a_coordinate(self):
         cfg = StaircaseConfig(n_max=30, perturbation_index=6)
         chain = staircase_iterate(cfg)
         for a, b in zip(chain, chain[1:]):
-            assert a.x == b.x or a.y == b.y
+            assert a.a11 == b.a11 or a.a22 == b.a22
 
     def test_chain_from_p_n_is_a_tail_of_the_chain_from_p_big_n(self):
         # usc-probe reads every n off the one chain from P_N
@@ -81,8 +82,8 @@ class TestTriSpiral:
     def test_first_cycle_iterates(self):
         cfg = TriSpiralConfig.standard_square()
         xs = tri_spiral(cfg, 4)
-        assert (xs[0].x, xs[0].y, xs[0].z) == (-1, -1, 1)
-        got = [(p.x, p.y, p.z) for p in xs[1:5]]
+        assert (xs[0].a11, xs[0].a22, xs[0].a12) == (-1, -1, 1)
+        got = [(p.a11, p.a22, p.a12) for p in xs[1:5]]
         assert got == [(-1, 1, F(1, 2)), (1, 1, F(1, 4)),
                        (1, -1, F(1, 8)), (-1, -1, F(1, 16))]
 
@@ -92,11 +93,11 @@ class TestTriSpiral:
         anchors = cfg.anchors()
         for i, p in enumerate(xs):
             a = anchors[i % 4]
-            assert det(p.embed() - a.embed()) == 0
+            assert det(p - a) == 0
 
     def test_z_strictly_decreasing(self):
         xs = tri_spiral(TriSpiralConfig.standard_square(), 24)
-        zs = [p.z for p in xs]
+        zs = [p.a12 for p in xs]
         assert all(a > b for a, b in zip(zs, zs[1:]))
         assert zs[-1] > 0
 
@@ -104,7 +105,13 @@ class TestTriSpiral:
         xs = tri_spiral(TriSpiralConfig.standard_square(), 12)
         # same corner four steps apart shrinks by the product of lambdas
         for i in range(8):
-            assert xs[i + 4].z == xs[i].z * F(1, 16)
+            assert xs[i + 4].a12 == xs[i].a12 * F(1, 16)
+
+    @pytest.mark.parametrize("cfg", [
+        TriSpiralConfig.standard_square(),
+        TriSpiralConfig(-1.0, 1.0, 1.0, -1.0, 1.0, (2.0,) * 4)])
+    def test_iterates_are_upper_triangular(self, cfg):
+        assert all(m.a21 == 0 for m in tri_spiral(cfg, 40))
 
     def test_non_spiral_config_rejected(self):
         with pytest.raises(ConstructionError):
@@ -128,8 +135,12 @@ class TestSymSpiral:
         cfg = SymSpiralConfig.standard_square(1e-3)
         res = sym_spiral(cfg, 12)
         last = res.iterates[-1]
-        gap = (last.embed() - Mat2(cfg.x1, 0.0, 0.0, cfg.y2)).frob()
+        gap = (last - Mat2(cfg.x1, 0.0, 0.0, cfg.y2)).frob()
         assert gap <= 1e-9
+
+    def test_iterates_are_symmetric(self):
+        res = sym_spiral(SymSpiralConfig.standard_square(1e-3), 12)
+        assert all(m.a12 == m.a21 for m in res.iterates)
 
     def test_large_xi3_aborts_with_named_bound(self):
         with pytest.raises(ConstructionError, match="xi3 too large"):
@@ -138,6 +149,26 @@ class TestSymSpiral:
     def test_exact_mode_rejected(self):
         with pytest.raises((ConstructionError, TypeError)):
             SymSpiralConfig.standard_square(F(1, 1000))
+
+
+# a step pushed out of its subspace by 1e-12 passes the float closed-form and
+# rank-one checks, so only the subspace check of the returned iterates sees it
+SUBSPACE_ESCAPES = {
+    "tri-spiral": (Mat2(0.0, 0.0, 1e-12, 0.0), lambda: tri_spiral(
+        TriSpiralConfig(-1.0, 1.0, 1.0, -1.0, 1.0, (2.0,) * 4), 8)),
+    "sym-spiral": (Mat2(0.0, 1e-12, 0.0, 0.0), lambda: sym_spiral(
+        SymSpiralConfig.standard_square(1e-3), 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBSPACE_ESCAPES))
+def test_step_out_of_the_subspace_raises(monkeypatch, name):
+    skew, run = SUBSPACE_ESCAPES[name]
+    combine = constructions.combine
+    monkeypatch.setattr(constructions, "combine",
+                        lambda a, b, t: combine(a, b, t) + skew)
+    with pytest.raises(ConstructionError, match="left the"):
+        run()
 
 
 class TestFivePoint:

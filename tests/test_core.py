@@ -1,4 +1,4 @@
-"""Matrix arithmetic, rank predicates, subspace embeddings, crossing roots."""
+"""Matrix arithmetic, rank predicates, subspace dets, crossing roots."""
 import math
 import pickle
 from fractions import Fraction as F
@@ -8,20 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rohull.core import (
-    DiagPt,
     GeometryError,
     Mat2,
-    SubspaceError,
-    SymPt,
-    TriPt,
     combine,
     crossing_parameter,
     det,
     det_cross,
     inner,
-    project_diag,
-    project_sym,
-    project_tri,
     rank2x2,
     rank_one_connected,
 )
@@ -252,39 +245,13 @@ class TestRankPredicates:
 
 
 class TestEmbeddings:
-    def test_diag_round_trip(self):
-        p = DiagPt(F(1, 3), F(-2, 7))
-        assert project_diag(p.embed()) == p
-
-    def test_tri_round_trip(self):
-        p = TriPt(1, 2, F(5, 2))
-        m = p.embed()
-        assert m == Mat2(1, F(5, 2), 0, 2)
-        assert m.det() == 2
-        assert project_tri(m) == p
-
-    def test_sym_round_trip(self):
-        p = SymPt(1, 2, 3)
-        m = p.embed()
-        assert m == Mat2(1, 3, 3, 2)
-        assert m.det() == 2 - 9
-        assert project_sym(m) == p
-
-    def test_projection_rejects_outsiders(self):
-        with pytest.raises(SubspaceError):
-            project_diag(Mat2(1, 1, 0, 1))
-        with pytest.raises(SubspaceError):
-            project_tri(Mat2(1, 0, 1, 1))
-        with pytest.raises(SubspaceError):
-            project_sym(Mat2(1, 2, 3, 4))
-
     @given(rationals, rationals, rationals)
     def test_tri_det_is_xy(self, x, y, z):
-        assert TriPt(x, y, z).embed().det() == x * y
+        assert Mat2(x, z, 0, y).det() == x * y
 
     @given(rationals, rationals, rationals)
     def test_sym_det_is_xy_minus_z_sq(self, x, y, z):
-        assert SymPt(x, y, z).embed().det() == x * y - z * z
+        assert Mat2(x, z, z, y).det() == x * y - z * z
 
 
 class TestDetAlgebra:

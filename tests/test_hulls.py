@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rohull.core import GeometryError, Mat2, TriPt, combine, det, inner
+from rohull.core import GeometryError, Mat2, combine, det, inner
 from rohull.scalar import FLOAT, MixedModeError
 from rohull.hulls import (
     LaminateSet,
@@ -43,7 +43,7 @@ class TestLaminationStep:
 
     def test_no_connections_no_segments(self):
         # four points of the base-plane cross have pairwise nonzero dets
-        pts = [TriPt(x, y, 0).embed()
+        pts = [Mat2.diag(x, y)
                for x, y in [(-1, 1), (1, 2), (2, -1), (-2, -2)]]
         out = lamination_step(points_only(pts))
         assert out.segments == ()
@@ -365,15 +365,19 @@ class TestDistances:
 
 class TestSeparatorCheck:
     def test_base_plane_cross_passes(self):
-        pts = [TriPt(x, y, 0) for x, y in [(-3, 1), (1, 3), (3, -1), (-1, -3)]]
-        w = separator_check(pts, "tri")
+        pts = [Mat2.diag(x, y)
+               for x, y in [(-3, 1), (1, 3), (3, -1), (-1, -3)]]
+        w = separator_check(pts)
         assert all(d != 0 for d in w.pairwise_dets)
 
     def test_rank_one_pair_fails(self):
-        pts = [TriPt(0, 0, 0), TriPt(1, 0, 0), TriPt(2, 3, 0)]
+        pts = [Mat2.diag(0, 0), Mat2.diag(1, 0), Mat2.diag(2, 3)]
         with pytest.raises(GeometryError, match="separator fails"):
-            separator_check(pts, "tri")
+            separator_check(pts)
 
     def test_nonzero_z_rejected(self):
-        with pytest.raises(GeometryError):
-            separator_check([TriPt(1, 2, 1), TriPt(2, 1, 0)], "tri")
+        # z = 1 in the upper-triangular and in the symmetric subspace, and
+        # a matrix in neither
+        for m in (Mat2(1, 1, 0, 2), Mat2(1, 1, 1, 2), Mat2(1, 0, 1, 2)):
+            with pytest.raises(GeometryError, match="not diagonal"):
+                separator_check([m, Mat2.diag(2, 1)])
