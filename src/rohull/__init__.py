@@ -15,13 +15,11 @@ from .hulls import (
     RankOneSegment,
     SeparatorWitness,
     directed_dist_sq,
-    directed_distance,
     hausdorff,
     hausdorff_sq,
     l2_hull,
     lamination_step,
     point_to_set_dist_sq,
-    point_to_set_distance,
     separator_check,
 )
 from .scalar import EXACT, FLOAT, MixedModeError, Scalar
@@ -39,9 +37,8 @@ __all__ = [
     "DiscreteLaminate", "EXACT", "FLOAT", "GeometryError", "LaminateSet",
     "Mat2", "MixedModeError", "RankOneSegment", "Scalar", "SeparatorWitness",
     "T4Report", "T4Witness", "check_t4_witness", "crossing_parameter", "det",
-    "detect_t4", "directed_dist_sq", "directed_distance", "hausdorff",
-    "hausdorff_sq", "l2_hull", "lamination_step", "laminate_unroll",
-    "point_to_set_dist_sq", "point_to_set_distance", "rank2x2",
+    "detect_t4", "directed_dist_sq", "hausdorff", "hausdorff_sq", "l2_hull",
+    "lamination_step", "laminate_unroll", "point_to_set_dist_sq", "rank2x2",
     "rank_one_connected", "separator_check", "solve_t4_ordering",
 ]
 

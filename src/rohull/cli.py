@@ -18,6 +18,8 @@ from fractions import Fraction
 from . import constructions, pchull, svgout, t4
 from .core import GeometryError, Mat2
 from .hulls import (
+    LaminateSet,
+    RankOneSegment,
     directed_dist_sq,
     point_to_set_dist_sq,
     separator_check,
@@ -52,6 +54,11 @@ def _xyz(iterates):
     return [(m.a11, m.a22, m.a12) for m in iterates]
 
 
+def _require_mode(args, mode: str, why: str) -> None:
+    if args.mode != mode:
+        raise UsageError(f"{args.subcommand} requires --mode {mode} ({why})")
+
+
 def _load_matrices(path: str, mode: str):
     try:
         with open(path) as f:
@@ -72,6 +79,7 @@ def _load_matrices(path: str, mode: str):
 
 
 def cmd_staircase(args):
+    _require_mode(args, EXACT, "its certificates are exact comparisons")
     cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)
@@ -124,9 +132,7 @@ def cmd_tri_spiral(args):
 
 
 def cmd_sym_spiral(args):
-    if args.mode == EXACT:
-        raise UsageError("sym-spiral requires --mode float "
-                         "(square roots appear in the start offsets)")
+    _require_mode(args, FLOAT, "square roots appear in the start offsets")
     cfg = constructions.SymSpiralConfig.standard_square(args.xi3)
     result = constructions.sym_spiral(cfg, args.iters)
     pts = _xyz(result.iterates)
@@ -151,6 +157,7 @@ def cmd_sym_spiral(args):
 
 
 def cmd_five_point(args):
+    _require_mode(args, EXACT, "its certificates are exact comparisons")
     try:
         eps = parse_scalar(args.epsilon)
     except (ValueError, ZeroDivisionError):
@@ -234,6 +241,16 @@ def cmd_pc_hull(args):
     return inputs, results, _pc_hull_certified(mats, hull, args.tol), {}
 
 
+def _exact(s: LaminateSet) -> LaminateSet:
+    """The float set s at the exact values of its floats."""
+    def exact(m):
+        return Mat2(*map(Fraction, m.entries()))
+    return LaminateSet(
+        [exact(p) for p in s.points],
+        [RankOneSegment(exact(g.a), exact(g.b), g.generation)
+         for g in s.segments], s.order)
+
+
 def cmd_hausdorff(args):
     def load_set(path):
         try:
@@ -253,10 +270,14 @@ def cmd_hausdorff(args):
         root = scalar_sqrt(hsq)
     except OverflowError:
         root = math.inf
-    # a nonzero distance whose float root underflows would be written as 0
+    # a nonzero distance is never written as 0: an exact square's float root
+    # may not underflow, nor may a float square, recomputed exactly at 0.0
     if not all(math.isfinite(v) for v in (hsq, root, a_to_b, b_to_a)
                if type(v) is float) or (hsq != 0 and type(root) is float
-                                        and root < sys.float_info.min):
+                                        and root < sys.float_info.min) or any(
+            type(v) is float and v == 0
+            and 0 < directed_dist_sq(_exact(x), _exact(y)) < sys.float_info.min
+            for v, x, y in ((a_to_b, s1, s2), (b_to_a, s2, s1))):
         raise UsageError("the Hausdorff distance is not a finite float "
                          "or is below the float range")
     results = {
@@ -274,6 +295,7 @@ def cmd_usc_probe(args):
 
     The chain from P_n is the chain from P_N without its first 2(N - n)
     points, so one staircase and one chain serve every n."""
+    _require_mode(args, EXACT, "its certificates are exact comparisons")
     cfg = constructions.StaircaseConfig(args.n_max, args.N)
     k0 = constructions.staircase_points(cfg)
     chain = constructions.staircase_iterate(cfg)

@@ -200,10 +200,6 @@ def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     return Fraction(n, d)
 
 
-def point_to_set_distance(p: Mat2, s: LaminateSet) -> Scalar:
-    return scalar_sqrt(point_to_set_dist_sq(p, s))
-
-
 def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
     """sup over the segment of the distance to the target set.
 
@@ -251,10 +247,6 @@ def hausdorff_sq(s1: LaminateSet, s2: LaminateSet) -> Scalar:
 def hausdorff(s1: LaminateSet, s2: LaminateSet) -> Scalar:
     """Hausdorff distance; exact when the squared value is a rational square."""
     return scalar_sqrt(hausdorff_sq(s1, s2))
-
-
-def directed_distance(s1: LaminateSet, s2: LaminateSet) -> Scalar:
-    return scalar_sqrt(directed_dist_sq(s1, s2))
 
 
 # --- separator certificates ----------------------------------------------

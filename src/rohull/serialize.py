@@ -1,13 +1,13 @@
 """JSON wire formats: exact scalars as "p/q" strings, floats as numbers,
 matrices as [[a11, a12], [a21, a22]] (exact ones from their stored ints).
-``dump_canonical`` writes the bytes of ``json.dumps`` in one pass."""
+Reports are ``json.dumps`` text with sorted keys and a two-space indent."""
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .core import Mat2, rank2x2
@@ -95,54 +95,8 @@ def _count(v) -> int:
 
 
 def dump_canonical(obj) -> str:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
-    for every value json accepts, else TypeError, without json's Python
-    generators (its C encoder takes no indent)."""
-    return _encode(obj, "\n") + "\n"
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# the JSON text of a scalar by its exact class
-_SCALARS = {str: _quote, int: int.__repr__,
-            float: lambda x: _NON_FINITE.get(r := float.__repr__(x), r),
-            bool: lambda b: "true" if b else "false",
-            type(None): lambda _: "null"}
-
-
-def _encode(v, pad: str) -> str:
-    """v as JSON, pad being the newline and indent of v's line; str, int and
-    float subclasses as their base (as json); scalar items inline, no call."""
-    write = _SCALARS.get(v.__class__)
-    if write is not None:
-        return write(v)
-    inner, get = pad + "  ", _SCALARS.get
-    if isinstance(v, (list, tuple)):
-        items = [f(x) if (f := get(x.__class__)) else _encode(x, inner)
-                 for x in v]
-        brackets = "[]"
-    elif isinstance(v, dict):
-        items = [_key_to_json(k) + ": "
-                 + (f(x) if (f := get(x.__class__)) else _encode(x, inner))
-                 for k, x in sorted(v.items())]
-        brackets = "{}"
-    else:
-        base = next((c for c in (str, int, float) if isinstance(v, c)), None)
-        if base is None:
-            raise TypeError(f"Object of type {v.__class__.__name__} "
-                            "is not JSON serializable")
-        return _SCALARS[base](v)
-    return (brackets[0] + inner + ("," + inner).join(items) + pad
-            + brackets[1]) if items else brackets
-
-
-def _key_to_json(k) -> str:
-    """A dict key as json writes it: a string, or a scalar's text quoted."""
-    if isinstance(k, str):
-        return _quote(k)
-    if not (k is None or isinstance(k, (int, float))):
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return '"' + _encode(k, "") + '"'
+    """The canonical report text: sorted keys, two-space indent, newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -136,6 +136,9 @@ class TestSubcommands:
     ["--mode", "float", "sym-spiral", "--xi3", "1.5"],
     ["five-point", "--epsilon", "0"],
     ["five-point", "--epsilon", "-1/2"],
+    ["--mode", "float", "staircase"],
+    ["--mode", "float", "usc-probe"],
+    ["--mode", "float", "five-point"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
@@ -479,7 +482,8 @@ def test_hausdorff_root_beyond_the_float_range(tmp_path, entry):
 
 @pytest.mark.parametrize("mode, entry", [("float", 1e200),
                                          ("exact", "1e350"),
-                                         ("exact", "1e-350")])
+                                         ("exact", "1e-350"),
+                                         ("float", 1e-170)])
 def test_hausdorff_not_a_finite_float_is_usage_error(tmp_path, capsys, mode,
                                                      entry):
     code, report, out = _hausdorff_to_zero(tmp_path, mode, entry)
@@ -488,6 +492,17 @@ def test_hausdorff_not_a_finite_float_is_usage_error(tmp_path, capsys, mode,
     assert "the Hausdorff distance is not a finite float" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_hausdorff_of_a_float_set_to_itself_is_zero(tmp_path):
+    # every distance is 0.0, and so is its exact value: no underflow error
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"points": [[[1e-170, 1e-170], [0, 0]],
+                                           [[0, 0], [0, 0]]]}))
+    code, report, _ = run(tmp_path, "--mode", "float", "hausdorff",
+                          "--input-a", str(path), "--input-b", str(path))
+    assert code == 0
+    assert set(report["results"].values()) == {0.0}
 
 
 DATA = Path(__file__).parent / "data"
