@@ -270,13 +270,15 @@ def cmd_hausdorff(args):
         root = scalar_sqrt(hsq)
     except OverflowError:
         root = math.inf
-    # a nonzero distance is never written as 0: an exact square's float root
-    # may not underflow, nor may a float square, recomputed exactly at 0.0
-    if not all(math.isfinite(v) for v in (hsq, root, a_to_b, b_to_a)
-               if type(v) is float) or (hsq != 0 and type(root) is float
-                                        and root < sys.float_info.min) or any(
+    # a nonzero distance is never written as 0 or as a subnormal float, which
+    # has lost precision: an exact square's float root may not underflow,
+    # nor may a float square, recomputed exactly at 0.0
+    tiny = sys.float_info.min
+    if not all(math.isfinite(v) and not 0 < v < tiny
+               for v in (hsq, root, a_to_b, b_to_a) if type(v) is float) or (
+            hsq != 0 and root == 0) or any(
             type(v) is float and v == 0
-            and 0 < directed_dist_sq(_exact(x), _exact(y)) < sys.float_info.min
+            and 0 < directed_dist_sq(_exact(x), _exact(y)) < tiny
             for v, x, y in ((a_to_b, s1, s2), (b_to_a, s2, s1))):
         raise UsageError("the Hausdorff distance is not a finite float "
                          "or is below the float range")

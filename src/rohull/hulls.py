@@ -5,14 +5,20 @@ segments.  Along a rank-one segment the determinant of the difference to a
 point is affine, so each point-segment pair has one linear crossing (or none,
 or the whole segment), and a segment that is not rank-one raises
 GeometryError.  A lamination step joins point-point and point-segment
-pairs, exactly; segment pairs add nothing (ROADMAP item 4).  Exact
-distances to a set are compared as integer ratios; only the least becomes a
-Fraction.
+pairs, exactly; segment pairs add nothing (ROADMAP item 4).
+
+An exact set holds its matrices once more as int rows over one common
+denominator D, the lcm of all of theirs: a point as the int 4-vector of its
+entries times D, a segment [a, b] as (A, N = B - A, |N|^2).  Exact
+distances, the dedup of a step's segments and its point-segment crossings
+run on these ints; only the least distance becomes a Fraction.  Float sets
+work on their Mat2 values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     GeometryError,
@@ -23,7 +29,14 @@ from .core import (
     rank2x2,
     rank_one_connected,
 )
-from .scalar import DEFAULT_TOL, EXACT, FLOAT, Scalar, scalar_sqrt
+from .scalar import (
+    DEFAULT_TOL,
+    EXACT,
+    FLOAT,
+    MixedModeError,
+    Scalar,
+    scalar_sqrt,
+)
 
 # a segment's sup distance to a set with segments is sampled at
 # t = k / SUP_SAMPLES, 0 < k < SUP_SAMPLES
@@ -39,6 +52,26 @@ class RankOneSegment:
     generation: int
 
 
+def _exact_rows(points, ends):
+    """(D, point rows, segment rows (A, N, |N|^2)) of exact matrices and
+    (a, b) ends over their common denominator D; None if any is a float."""
+    mats = [*points, *(m for ab in ends for m in ab)]
+    if any(m._d is None for m in mats):
+        return None
+    big = lcm(*(m._d for m in mats))
+
+    def row(m):
+        k = big // m._d
+        return m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k
+
+    segs = []
+    for a, b in ends:
+        ra, rb = row(a), row(b)
+        n = (rb[0] - ra[0], rb[1] - ra[1], rb[2] - ra[2], rb[3] - ra[3])
+        segs.append((ra, n, n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2))
+    return big, tuple(row(q) for q in points), tuple(segs)
+
+
 @dataclass(frozen=True)
 class LaminateSet:
     points: tuple[Mat2, ...]
@@ -52,65 +85,96 @@ class LaminateSet:
             raise GeometryError("order must be nonnegative")
         if self.order == 0 and self.segments:
             raise GeometryError("order-0 sets have no segments")
+        # not a field: equality, hash and repr stay those of the values
+        object.__setattr__(self, "_rows", _exact_rows(
+            self.points, [(g.a, g.b) for g in self.segments]))
 
     def is_empty(self) -> bool:
         return not self.points and not self.segments
 
 
-def _point_segment_offspring(p: Mat2, seg: RankOneSegment, generation: int,
-                             tol: Scalar):
-    """Segments from p to the rank-one crossing points on seg.
+def _point_segment_offspring(s: LaminateSet, generation: int, tol: Scalar):
+    """Segments from each point p of s to its rank-one crossings on each
+    segment [a, b] of s, point by point.
 
-    On a rank-one segment det(a - p + t n) = det(a - p) + t det_cross(a - p, n)
-    is affine in t, so it vanishes once, nowhere, or everywhere.
+    On a rank-one segment det(a - p + t n) = c0 + t c1, with n = b - a,
+    c0 = det(a - p) and c1 = det_cross(a - p, n), is affine in t, so it
+    vanishes once, nowhere, or everywhere.  An exact set reads c0 and c1,
+    both times D^2, off its rows.
     """
-    m = seg.a - p
-    n = seg.b - seg.a
-    if rank2x2(n, tol) == 2:
-        raise GeometryError("segment is not rank-one")
-    c0 = m.det()
-    c1 = det_cross(m, n)
-    if c1 == 0:
-        # det is constant along seg: zero means the whole segment is rank-one
-        # visible from p, and the extreme rungs are kept
-        ends = (seg.a, seg.b) if c0 == 0 else ()
+    rows = s._rows
+    if rows is None:
+        ns = [g.b - g.a for g in s.segments]
+        flat = all(rank2x2(n, tol) < 2 for n in ns)
     else:
-        t = -c0 / c1
-        ends = (combine(seg.a, seg.b, t),) if 0 <= t <= 1 else ()
-    return [RankOneSegment(p, q, generation) for q in ends if q != p]
+        ns = [n for _, n, _ in rows[2]]
+        flat = all(n[0] * n[3] == n[1] * n[2] for n in ns)
+    if not flat:
+        raise GeometryError("segment is not rank-one")
+    out = []
+    for i, p in enumerate(s.points):
+        for j, g in enumerate(s.segments):
+            n = ns[j]
+            if rows is None:
+                m = g.a - p
+                c0, c1 = m.det(), det_cross(m, n)
+                t = -c0 / c1 if c1 != 0 else None
+                inside = t is not None and 0 <= t <= 1
+            else:
+                (x1, x2, x3, x4), (a1, a2, a3, a4) = rows[1][i], rows[2][j][0]
+                m1, m2, m3, m4 = a1 - x1, a2 - x2, a3 - x3, a4 - x4
+                c0 = m1 * m4 - m2 * m3
+                c1 = m1 * n[3] + n[0] * m4 - m2 * n[2] - n[1] * m3
+                if c1 < 0:
+                    c0, c1 = -c0, -c1
+                inside = c1 != 0 and 0 <= -c0 <= c1
+                t = Fraction(-c0, c1) if inside else None
+            if c1 == 0:
+                # det is constant along g: zero means the whole segment is
+                # rank-one visible from p, and the extreme rungs are kept
+                ends = (g.a, g.b) if c0 == 0 else ()
+            else:
+                ends = (combine(g.a, g.b, t),) if inside else ()
+            out.extend(RankOneSegment(p, q, generation)
+                       for q in ends if q != p)
+    return out
 
 
-def _segment_contains(big: RankOneSegment, small: RankOneSegment) -> bool:
-    """True iff both endpoints of small, hence small, lie on big (exact)."""
-    return (_point_segment_ratio(small.a, big.a, big.b)[0] == 0
-            and _point_segment_ratio(small.b, big.a, big.b)[0] == 0)
-
-
-def _stored(m: Mat2):
-    # one set has one mode, and exact storage is in lowest terms, so equal
-    # matrices have equal stored numbers
-    return m._n11, m._n12, m._n21, m._n22, m._d
+def _on_segment(x, seg) -> bool:
+    """True iff the int row x lies on the segment row (A, N, |N|^2) over
+    the same denominator: with m = x - A, 0 <= m.N <= |N|^2 and m is
+    parallel to N."""
+    (a1, a2, a3, a4), (n1, n2, n3, n4), nn = seg
+    m1, m2, m3, m4 = x[0] - a1, x[1] - a2, x[2] - a3, x[3] - a4
+    mn = m1 * n1 + m2 * n2 + m3 * n3 + m4 * n4
+    return (0 <= mn <= nn
+            and (m1 * m1 + m2 * m2 + m3 * m3 + m4 * m4) * nn == mn * mn)
 
 
 def _dedup_segments(segments):
-    # drop zero-length, exact duplicates, and exact segments contained in a
-    # longer collinear exact segment
+    """Drop zero-length and repeated segments, and exact segments that lie
+    on another kept segment; the rest keep their order."""
+    rows = _exact_rows((), [(g.a, g.b) for g in segments])
+    if rows is None:
+        ends = [(g.a, g.b) for g in segments]
+    else:
+        # equal exact matrices have equal rows over one denominator
+        ends = [(a, (a[0] + n[0], a[1] + n[1], a[2] + n[2], a[3] + n[3]))
+                for a, n, _ in rows[2]]
     kept, seen = [], set()
-    for seg in segments:
-        if seg.a == seg.b:
-            continue
-        key = frozenset([_stored(seg.a), _stored(seg.b)])
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(seg)
-    if any(s.a.mode == FLOAT for s in kept):
-        return kept
-    # kept segments have distinct endpoint sets, so none contains another
+    for i, (a, b) in enumerate(ends):
+        key = frozenset([a, b])
+        if a != b and key not in seen:
+            seen.add(key)
+            kept.append(i)
+    if rows is None:
+        return [segments[i] for i in kept]
+    # kept segments have distinct endpoint sets, so none lies on another
     # both ways
-    return [seg for i, seg in enumerate(kept)
-            if not any(i != j and _segment_contains(other, seg)
-                       for j, other in enumerate(kept))]
+    segs = rows[2]
+    return [segments[i] for i in kept
+            if not any(j != i and _on_segment(ends[i][0], segs[j])
+                       and _on_segment(ends[i][1], segs[j]) for j in kept)]
 
 
 def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
@@ -129,9 +193,8 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
                 continue
             if rank_one_connected(pts[i], pts[j], tol):
                 new.append(RankOneSegment(pts[i], pts[j], gen))
-    for p in pts:
-        for seg in s.segments:
-            new.extend(_point_segment_offspring(p, seg, gen, tol))
+    if pts:
+        new.extend(_point_segment_offspring(s, gen, tol))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)
 
@@ -144,37 +207,47 @@ def l2_hull(k, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
 # --- distances -----------------------------------------------------------
 
 
-def point_point_dist_sq(p: Mat2, q: Mat2) -> Scalar:
-    return (p - q).frob_sq()
+def _exact_dist_sq(p: Mat2, rows) -> Fraction:
+    """The squared distance from an exact p to the points and segments of
+    _exact_rows, as a Fraction.
 
-
-def _dot(m: Mat2, n: Mat2):
-    return (m._n11 * n._n11 + m._n12 * n._n12
-            + m._n21 * n._n21 + m._n22 * n._n22)
-
-
-def _point_point_ratio(p: Mat2, q: Mat2):
-    """|p - q|^2 of exact matrices as ints (numerator, denominator > 0)."""
-    v = p - q
-    return _dot(v, v), v._d * v._d
-
-
-def _point_segment_ratio(p: Mat2, a: Mat2, b: Mat2):
-    """The squared distance from p to [a, b] as in _point_point_ratio."""
-    m, n = p - a, b - a
-    # the foot of p on line ab is at t = (m.n) dn / ((n.n) dm): compare ints
-    mn, dm = _dot(m, n), m._d
-    if mn <= 0:
-        return _dot(m, m), dm * dm
-    nn = _dot(n, n)
-    if mn * n._d >= nn * dm:
-        return _point_point_ratio(p, b)
-    return _dot(m, m) * nn - mn * mn, dm * dm * nn
+    Over dp * D, with dp the denominator of p, p - X is m = P * D - X * dp.
+    The foot of p on a segment (A, N, |N|^2) is at t = m.N / (dp |N|^2),
+    so it is clamped to A when m.N <= 0 and to B when m.N >= dp |N|^2; in
+    between the squared distance is (|m|^2 |N|^2 - (m.N)^2) / |N|^2, over
+    (dp D)^2 like every candidate.  The least numerator-denominator pair is
+    kept by cross-multiplying.
+    """
+    if rows is None:
+        raise MixedModeError("cannot mix exact and float scalars")
+    big, points, segments = rows
+    dp = p._d
+    p1, p2, p3, p4 = p._n11 * big, p._n12 * big, p._n21 * big, p._n22 * big
+    num, den = None, 1
+    for x1, x2, x3, x4 in points:
+        m1, m2, m3, m4 = p1 - x1 * dp, p2 - x2 * dp, p3 - x3 * dp, p4 - x4 * dp
+        mm = m1 * m1 + m2 * m2 + m3 * m3 + m4 * m4
+        if num is None or mm * den < num:
+            num, den = mm, 1
+    for (a1, a2, a3, a4), (n1, n2, n3, n4), nn in segments:
+        m1, m2, m3, m4 = p1 - a1 * dp, p2 - a2 * dp, p3 - a3 * dp, p4 - a4 * dp
+        mm = m1 * m1 + m2 * m2 + m3 * m3 + m4 * m4
+        mn = m1 * n1 + m2 * n2 + m3 * n3 + m4 * n4
+        if mn <= 0:
+            n, d = mm, 1
+        elif mn >= dp * nn:  # |m - dp N|^2
+            n, d = mm - 2 * dp * mn + dp * dp * nn, 1
+        else:
+            n, d = mm * nn - mn * mn, nn
+        if num is None or n * den < num * d:
+            num, den = n, d
+    scale = dp * big
+    return Fraction(num, den * scale * scale)
 
 
 def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
-    if a._d is not None:
-        return Fraction(*_point_segment_ratio(p, a, b))
+    if p._d is not None:
+        return _exact_dist_sq(p, _exact_rows((), [(a, b)]))
     m, n = p - a, b - a
     dd = n.frob_sq()
     if dd == 0:
@@ -186,18 +259,11 @@ def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
 def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     if s.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    if p._d is None:
-        return min([point_point_dist_sq(p, q) for q in s.points]
-                   + [point_segment_dist_sq(p, seg.a, seg.b)
-                      for seg in s.segments])
-    # exact: keep the least (numerator, denominator) by cross-multiplying
-    ratios = [_point_point_ratio(p, q) for q in s.points]
-    ratios += [_point_segment_ratio(p, seg.a, seg.b) for seg in s.segments]
-    n, d = ratios[0]
-    for n2, d2 in ratios:
-        if n2 * d < n * d2:
-            n, d = n2, d2
-    return Fraction(n, d)
+    if p._d is not None:
+        return _exact_dist_sq(p, s._rows)
+    return min([(p - q).frob_sq() for q in s.points]
+               + [point_segment_dist_sq(p, seg.a, seg.b)
+                  for seg in s.segments])
 
 
 def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:

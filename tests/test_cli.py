@@ -483,7 +483,8 @@ def test_hausdorff_root_beyond_the_float_range(tmp_path, entry):
 @pytest.mark.parametrize("mode, entry", [("float", 1e200),
                                          ("exact", "1e350"),
                                          ("exact", "1e-350"),
-                                         ("float", 1e-170)])
+                                         ("float", 1e-170),
+                                         ("float", 1e-160)])
 def test_hausdorff_not_a_finite_float_is_usage_error(tmp_path, capsys, mode,
                                                      entry):
     code, report, out = _hausdorff_to_zero(tmp_path, mode, entry)

@@ -1,4 +1,6 @@
 """Lamination step, two-step hulls, distances, separator certificates."""
+import pickle
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -216,6 +218,85 @@ def _interval_dedup(spans):
                        for j, (_, other) in enumerate(kept))]
 
 
+def _ref_step(points, segments, gen):
+    """lamination_step on entry 4-tuples in plain Fractions: segments
+    (a, b, generation) in first-seen order, containment by collinearity
+    and the interval of the foot."""
+    def sub(x, y):
+        return tuple(u - v for u, v in zip(x, y))
+
+    def det4(m):
+        return m[0] * m[3] - m[1] * m[2]
+
+    def dot(x, y):
+        return sum(u * v for u, v in zip(x, y))
+
+    new = [(p, q, gen) for i, p in enumerate(points) for q in points[i + 1:]
+           if p != q and det4(sub(p, q)) == 0]
+    for p in points:
+        for a, b, _ in segments:
+            # det(a - p + t (b - a)) = c0 + c1 t
+            n, m = sub(b, a), sub(a, p)
+            c0 = det4(m)
+            c1 = det4(tuple(x + y for x, y in zip(m, n))) - c0 - det4(n)
+            if c1 == 0:
+                ends = [a, b] if c0 == 0 else []
+            else:
+                t = -c0 / c1
+                ends = ([tuple(x + t * y for x, y in zip(a, n))]
+                        if 0 <= t <= 1 else [])
+            new += [(p, q, gen) for q in ends if q != p]
+    kept = []
+    for a, b, g in list(segments) + new:
+        if a != b and not any({a, b} == {c, d} for c, d, _ in kept):
+            kept.append((a, b, g))
+
+    def on(x, seg):
+        m, n = sub(x, seg[0]), sub(seg[1], seg[0])
+        collinear = all(m[i] * n[j] == m[j] * n[i]
+                        for i in range(4) for j in range(i + 1, 4))
+        return collinear and 0 <= dot(m, n) <= dot(n, n)
+
+    return [seg for seg in kept
+            if not any(o is not seg and on(seg[0], o) and on(seg[1], o)
+                       for o in kept)]
+
+
+def _as_tuples(s):
+    return [(g.a.entries(), g.b.entries(), g.generation) for g in s.segments]
+
+
+grid = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)])
+
+
+@st.composite
+def chains_and_points(draw):
+    """Diagonal points on a grid of unequal denominators, which share rows
+    and columns, and a rank-one chain a + (k / q) d of three or four
+    points, with the chain's own denominator q."""
+    pts = [Mat2.diag(x, y) for x, y in draw(
+        st.lists(st.tuples(grid, grid), max_size=4, unique=True))]
+    a = Mat2(*draw(st.tuples(*[rationals] * 4)))
+    d = _outer(draw(vectors), draw(vectors))
+    q = draw(st.integers(1, 5))
+    ks = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=4,
+                       unique=True))
+    return pts + [a + d.scale(F(k, q)) for k in ks]
+
+
+class TestStepOracle:
+    @given(chains_and_points())
+    @settings(max_examples=60, deadline=None)
+    def test_step_and_l2_hull_match_the_fraction_oracle(self, pts):
+        entries = [m.entries() for m in pts]
+        first = _ref_step(entries, [], 1)
+        s1 = lamination_step(points_only(pts))
+        assert _as_tuples(s1) == first
+        s2 = l2_hull(pts)
+        assert _as_tuples(s2) == _ref_step(entries, first, 2)
+        assert s2.order == 2 and s2.points == tuple(pts)
+
+
 class TestDedup:
     @given(collinear_families())
     @settings(max_examples=200, deadline=None)
@@ -232,6 +313,26 @@ class TestDedup:
                 RankOneSegment(b, a, 1), inside)
         out = lamination_step(LaminateSet((), segs, 1))
         assert out.segments == (seg, inside)
+
+
+def _ref_point_to_set(p, pts, segs):
+    """The squared distance from p to points and segments, on the entries
+    in plain Fractions, with the foot of p clamped to each segment."""
+    e = p.entries()
+
+    def dist_sq(f):
+        return sum((x - y) ** 2 for x, y in zip(e, f))
+
+    def to_segment(seg):
+        a, b = seg.a.entries(), seg.b.entries()
+        n = [y - x for x, y in zip(a, b)]
+        nn = sum(x * x for x in n)
+        t = F(0) if nn == 0 else min(max(
+            sum((x - y) * z for x, y, z in zip(e, a, n)) / nn, F(0)), F(1))
+        return dist_sq([x + t * z for x, z in zip(a, n)])
+
+    return min([dist_sq(q.entries()) for q in pts]
+               + [to_segment(seg) for seg in segs])
 
 
 class TestDistances:
@@ -294,23 +395,52 @@ class TestDistances:
             for q in pts[:1] or [segs[0].a]:
                 pts.append(p.scale(2) - q)
         s = LaminateSet(tuple(pts), tuple(segs), 1 if segs else 0)
-
-        def ref_dist_sq(e, f):
-            return sum((x - y) ** 2 for x, y in zip(e, f))
-
-        def ref_segment(seg):
-            e, a, b = p.entries(), seg.a.entries(), seg.b.entries()
-            n = [y - x for x, y in zip(a, b)]
-            nn = sum(x * x for x in n)
-            t = F(0) if nn == 0 else min(max(
-                sum((x - y) * z for x, y, z in zip(e, a, n)) / nn, F(0)),
-                F(1))
-            return ref_dist_sq(e, [x + t * z for x, z in zip(a, n)])
-
-        want = min([ref_dist_sq(p.entries(), q.entries()) for q in pts]
-                   + [ref_segment(seg) for seg in segs])
         got = point_to_set_dist_sq(p, s)
-        assert got == want and type(got) is F
+        assert got == _ref_point_to_set(p, pts, segs) and type(got) is F
+
+    @given(st.lists(st.tuples(*[rationals] * 4), max_size=3),
+           st.lists(st.tuples(st.tuples(*[rationals] * 4), vectors, vectors),
+                    min_size=1, max_size=3),
+           st.tuples(*[rationals] * 4),
+           st.lists(st.tuples(st.tuples(*[rationals] * 4),
+                              st.integers(1, 7)), min_size=1, max_size=4),
+           st.tuples(*[rationals] * 4))
+    @settings(max_examples=100, deadline=None)
+    def test_one_set_answers_many_queries(self, pts, segs, c, free, w):
+        # one set, its rows built once, against queries of other
+        # denominators and against points whose foot is exactly an end
+        pts = [Mat2(*e) for e in pts]
+        segs = [RankOneSegment(Mat2(*a), Mat2(*a) + _outer(u, v), 1)
+                for a, u, v in segs]
+        segs.append(RankOneSegment(Mat2(*c), Mat2(*c), 1))  # zero length
+        s = LaminateSet(tuple(pts), tuple(segs), 1)
+        queries = [Mat2(*e).scale(F(1, k)) for e, k in free]
+        w = Mat2(*w)
+        for seg in segs[:-1]:
+            # w minus its part along b - a: the foot is at t = 0, t = 1
+            n = seg.b - seg.a
+            w_perp = w - n.scale(inner(w, n) / n.frob_sq())
+            queries += [seg.a + w_perp, seg.b + w_perp]
+        for p in queries:
+            got = point_to_set_dist_sq(p, s)
+            assert got == _ref_point_to_set(p, pts, segs) and type(got) is F
+
+    def test_cached_rows_are_not_part_of_the_value(self):
+        def build():
+            seg = RankOneSegment(Mat2.diag(0, F(1, 3)), Mat2.diag(2, F(1, 3)),
+                                 1)
+            return LaminateSet((Mat2.diag(F(5, 2), 5),), (seg,), 1)
+
+        s, t = build(), build()
+        assert point_to_set_dist_sq(Mat2.diag(F(1, 7), 1), s) == F(4, 9)
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert [f.name for f in fields(s)] == ["points", "segments", "order"]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(s, protocol))
+            assert back == t and hash(back) == hash(t)
+            assert repr(back) == repr(t)
+            assert point_to_set_dist_sq(Mat2.diag(3, 4), back) == \
+                point_to_set_dist_sq(Mat2.diag(3, 4), t)
 
     def test_exact_point_against_float_set_raises(self):
         p = Mat2.diag(1, 1)
