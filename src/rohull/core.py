@@ -184,8 +184,6 @@ class Mat2:
         return scalar_sqrt(self.frob_sq())
 
     def is_zero(self) -> bool:
-        if self._d is None:
-            return self.frob_sq() == 0
         return not (self._n11 or self._n12 or self._n21 or self._n22)
 
 
@@ -247,22 +245,24 @@ def combine(a: Mat2, b: Mat2, t: Scalar) -> Mat2:
 
 
 def rank_one_connected(x: Mat2, y: Mat2, tol: Scalar = DEFAULT_TOL) -> bool:
-    """True iff rank(x - y) == 1 (det of the difference vanishes, x != y)."""
+    """rank2x2(x - y, tol) == 1; identical matrices raise GeometryError."""
     if x == y:
         raise GeometryError("identical matrices have rank-0 difference")
-    d = x - y
-    if d.mode == EXACT:
-        return d._det_num() == 0
-    return abs(d.det()) <= tol * d.frob_sq()
+    return rank2x2(x - y, tol) == 1
 
 
 def rank2x2(m: Mat2, tol: Scalar = DEFAULT_TOL) -> int:
-    """Rank of a 2x2 matrix via the determinant; valid only in this dimension."""
+    """Rank of a 2x2 matrix, the library's one rank-one rule.  Float: with
+    the entries over the largest |entry|, rank 1 iff |ad - bc| <= tol (a^2 +
+    b^2 + c^2 + d^2), where no product overflows or underflows to 0."""
     if m.is_zero():
         return 0
     if m.mode == EXACT:
         return 1 if m._det_num() == 0 else 2
-    return 1 if abs(m.det()) <= tol * m.frob_sq() else 2
+    p = max(abs(m._n11), abs(m._n12), abs(m._n21), abs(m._n22))
+    a, b, c, d = m._n11 / p, m._n12 / p, m._n21 / p, m._n22 / p
+    frob_sq = a * a + b * b + c * c + d * d
+    return 1 if abs(a * d - b * c) <= tol * frob_sq else 2
 
 
 def crossing_parameter(a: Mat2, a_next: Mat2, b: Mat2) -> Scalar:

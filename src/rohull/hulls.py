@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .core import (
@@ -30,7 +31,6 @@ from .core import (
     rank_one_connected,
 )
 from .scalar import (
-    DEFAULT_TOL,
     EXACT,
     FLOAT,
     MixedModeError,
@@ -93,7 +93,7 @@ class LaminateSet:
         return not self.points and not self.segments
 
 
-def _point_segment_offspring(s: LaminateSet, generation: int, tol: Scalar):
+def _point_segment_offspring(s: LaminateSet, generation: int):
     """Segments from each point p of s to its rank-one crossings on each
     segment [a, b] of s, point by point.
 
@@ -105,7 +105,7 @@ def _point_segment_offspring(s: LaminateSet, generation: int, tol: Scalar):
     rows = s._rows
     if rows is None:
         ns = [g.b - g.a for g in s.segments]
-        flat = all(rank2x2(n, tol) < 2 for n in ns)
+        flat = all(rank2x2(n) < 2 for n in ns)
     else:
         ns = [n for _, n, _ in rows[2]]
         flat = all(n[0] * n[3] == n[1] * n[2] for n in ns)
@@ -177,7 +177,7 @@ def _dedup_segments(segments):
                        and _on_segment(ends[i][1], segs[j]) for j in kept)]
 
 
-def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
+def lamination_step(s: LaminateSet) -> LaminateSet:
     """One application of the segment-adding step.
 
     Point-point rank-one pairs and point-segment crossings contribute exact
@@ -185,23 +185,17 @@ def lamination_step(s: LaminateSet, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
     rank-one connected raises GeometryError.
     """
     gen = s.order + 1
-    new = []
-    pts = list(s.points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                continue
-            if rank_one_connected(pts[i], pts[j], tol):
-                new.append(RankOneSegment(pts[i], pts[j], gen))
-    if pts:
-        new.extend(_point_segment_offspring(s, gen, tol))
+    new = [RankOneSegment(a, b, gen) for a, b in combinations(s.points, 2)
+           if a != b and rank_one_connected(a, b)]
+    if s.points:
+        new.extend(_point_segment_offspring(s, gen))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)
 
 
-def l2_hull(k, tol: Scalar = DEFAULT_TOL) -> LaminateSet:
+def l2_hull(k) -> LaminateSet:
     """Order-2 lamination iterate of a finite set: two lamination steps."""
-    return lamination_step(lamination_step(LaminateSet(tuple(k)), tol), tol)
+    return lamination_step(lamination_step(LaminateSet(tuple(k))))
 
 
 # --- distances -----------------------------------------------------------
@@ -331,7 +325,8 @@ def separator_check(boundary) -> SeparatorWitness:
     upper-triangular and the symmetric subspace.  Segments joining a
     boundary point to the open half-space stay inside it except at the
     endpoint, so only boundary-boundary rank-one connections can break
-    lamination convexity; those are excluded by nonzero pairwise dets.
+    lamination convexity; those are excluded by pairwise differences of
+    rank 2 (``rank2x2``).
     """
     pts = tuple(boundary)
     for p in pts:
@@ -341,10 +336,10 @@ def separator_check(boundary) -> SeparatorWitness:
     dets = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = (pts[i] - pts[j]).det()
-            if d == 0:
+            diff = pts[i] - pts[j]
+            if rank2x2(diff) < 2:
                 raise GeometryError(
                     "separator fails: rank-one connection in boundary set "
                     f"between points {i} and {j}")
-            dets.append(d)
+            dets.append(diff.det())
     return SeparatorWitness(pts, tuple(dets))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot, lcm
 
-from .core import GeometryError, Mat2, _same_mode, combine
+from .core import GeometryError, Mat2, _same_mode, combine, rank2x2
 from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -196,9 +196,9 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     row and column are the generators, and every matrix within rank <= 1
     of both inputs lies in one of the two returned planes.  The difference
     is rank one when the fit ``c r / p`` of its pivot column ``c`` and row
-    ``r`` leaves no residual: exactly when exact; when float, within
-    ``tol`` times its Frobenius norm (at least 1), as ``s1 <= tol max(1,
-    s0)`` would bound it.
+    ``r`` leaves no residual: exactly when exact; when float, each residual
+    over ``p`` within ``tol`` times the sum of the ``(e/p)^2``, the m x n
+    form of ``rank2x2``'s rule (on a 2x2, the same float values).
     """
     b = to_rows(y0)
     # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
@@ -211,10 +211,9 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     if den is not None:  # p times the residuals: the minors through p
         bad = any(e * p != c * r
                   for c, row in zip(c0, d) for e, r in zip(row, r0))
-    else:  # the residuals over p, where no product or norm overflows
+    else:  # the residuals over p, where no product overflows
         qc, qr = [c / p for c in c0], [r / p for r in r0]
-        bound = float(tol) * max(1 / abs(p),
-                                 hypot(*(e / p for row in d for e in row)))
+        bound = float(tol) * sum((e / p) * (e / p) for row in d for e in row)
         bad = any(abs(e / p - c * r) > bound
                   for c, row in zip(qc, d) for e, r in zip(row, qr))
     if bad:
@@ -238,18 +237,20 @@ class DetCheckReport:
 
 
 def pairwise_det_check(k) -> DetCheckReport:
+    """Pairwise dets; a pair violates only at rank 2 (rank2x2) and det < 0."""
     pts = list(k)
     dets = []
     rank_one = []
     violating = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = (pts[i] - pts[j]).det()
-            dets.append((i, j, d))
-            if d == 0 and pts[i] != pts[j]:
-                rank_one.append((i, j))
-            if d < 0 and violating is None:
-                violating = (i, j)
+    for i, j in combinations(range(len(pts)), 2):
+        diff = pts[i] - pts[j]
+        d = diff.det()
+        dets.append((i, j, d))
+        rank = rank2x2(diff)
+        if rank == 1:
+            rank_one.append((i, j))
+        elif rank == 2 and d < 0 and violating is None:
+            violating = (i, j)
     return DetCheckReport(violating is None, violating,
                           tuple(rank_one), tuple(dets))
 
@@ -389,7 +390,7 @@ def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:
         raise GeometryError("det sign condition violated")
     groups = {}  # member set -> the first plane found that holds it
     for (i, j) in report.rank_one_pairs:
-        pair = plane_pair(pts[i], pts[j], tol)
+        pair = plane_pair(pts[i], pts[j])  # at the pairs' DEFAULT_TOL
         for plane in (pair.p1, pair.p2):
             members = frozenset(idx for idx, p in enumerate(pts)
                                 if plane.contains(p, tol))

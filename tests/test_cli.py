@@ -87,6 +87,18 @@ class TestSubcommands:
         code, report, _ = run(tmp_path, "pc-hull", "--input", str(src))
         assert code == 2
 
+    def test_float_pc_hull_of_a_decimal_rank_one_pair(self, tmp_path):
+        # rank one in decimal; the float det of the difference is -2.2e-16
+        src = tmp_path / "pair.json"
+        src.write_text(json.dumps(
+            [[["0", "0"], ["0", "0"]], [["0.1", "0.9"], ["1.3", "11.7"]]]))
+        code, report, _ = run(tmp_path, "--mode", "float", "pc-hull",
+                              "--input", str(src))
+        assert code == 0
+        assert report["certificates"]["passed"] is True
+        assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
+        assert report["results"]["singletons"] == []
+
     def test_hausdorff(self, tmp_path):
         pa = tmp_path / "a.json"
         pb = tmp_path / "b.json"

@@ -235,6 +235,19 @@ class TestRankPredicates:
         b = Mat2(0.0, 0.0, 0.0, 0.0)
         assert rank_one_connected(a, b, tol=1e-9)
 
+    def test_float_rank_across_the_float_range(self):
+        # det and the squared norm of these overflow to inf or underflow
+        # to 0; the quotients by the largest entry do neither
+        assert rank2x2(Mat2(1e200, 0.0, 0.0, 1e200)) == 2
+        assert rank2x2(Mat2(1e-170, 0.0, 0.0, 1e-170)) == 2
+        assert rank2x2(Mat2(*[1e200] * 4)) == 1
+        assert rank2x2(Mat2(1e-170, 0.0, 0.0, 0.0)) == 1
+        assert not Mat2(1e-170, 0.0, 0.0, 0.0).is_zero()
+        assert Mat2(0.0, -0.0, 0.0, -0.0).is_zero()
+        zero = Mat2.zero(FLOAT)
+        assert not rank_one_connected(Mat2(1e200, 0.0, 0.0, 1e200), zero)
+        assert rank_one_connected(Mat2(*[1e-170] * 4), zero)
+
     def test_staircase_neighbors_not_connected(self):
         # neighbors of the diagonal staircase never share a coordinate
         for n in range(21):

@@ -166,6 +166,13 @@ class TestL2Hull:
         out = lamination_step(s)
         assert out.segments == segs
 
+    def test_float_pairs_beyond_the_float_range(self):
+        # the det of a diag(1e200, 1e200) difference overflows; it is
+        # rank two all the same, and four equal entries are rank one
+        zero = Mat2.zero(FLOAT)
+        assert l2_hull([zero, Mat2(1e200, 0.0, 0.0, 1e200)]).segments == ()
+        assert len(l2_hull([zero, Mat2(*[1e200] * 4)]).segments) == 1
+
     def test_square_fills_ties(self):
         k = [Mat2.diag(0, 0), Mat2.diag(1, 0), Mat2.diag(0, 1),
              Mat2.diag(1, 1)]
@@ -504,6 +511,12 @@ class TestSeparatorCheck:
         pts = [Mat2.diag(0, 0), Mat2.diag(1, 0), Mat2.diag(2, 3)]
         with pytest.raises(GeometryError, match="separator fails"):
             separator_check(pts)
+
+    def test_float_pair_rank_one_within_tol_fails(self):
+        # the difference diag(1, -1e-12) has det -1e-12, within DEFAULT_TOL
+        # of its squared norm
+        with pytest.raises(GeometryError, match="separator fails"):
+            separator_check([Mat2.diag(1.0, 0.0), Mat2.diag(0.0, 1e-12)])
 
     def test_nonzero_z_rejected(self):
         # z = 1 in the upper-triangular and in the symmetric subspace, and

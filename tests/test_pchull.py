@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, det, rank2x2
-from rohull.scalar import MixedModeError
+from rohull.hulls import l2_hull
+from rohull.scalar import FLOAT, MixedModeError
 from rohull.pchull import (
     HullDescription,
     OutsideHullError,
@@ -137,6 +138,30 @@ class TestPlanePair:
         pp = plane_pair(((1e200, 2e200), (3e100, 6e100)), zero)
         assert pp.p2.generator == (1.0, pytest.approx(3e-100))
 
+    def test_small_float_rank_two_difference_rejected(self):
+        with pytest.raises(GeometryError, match="not rank-one"):
+            plane_pair(Mat2(1e-12, 0.0, 0.0, 1e-12), Mat2.zero(FLOAT))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+           st.integers(-20, 0), st.integers(-150, 150))
+    def test_float_rank_one_rule_is_rank2x2(self, e, j, k):
+        """plane_pair raises on a nonzero 2x2 float difference exactly when
+        rank2x2 calls it rank two: u v^T plus a perturbation of size 10^j,
+        scaled by 10^k, reaches both sides of the threshold."""
+        u1, u2, v1, v2, w11, w12, w21, w22 = e
+        eps, s = 10.0 ** j, 10.0 ** k
+        d = Mat2((u1 * v1 + w11 * eps) * s, (u1 * v2 + w12 * eps) * s,
+                 (u2 * v1 + w21 * eps) * s, (u2 * v2 + w22 * eps) * s)
+        if d.is_zero():
+            return
+        try:
+            plane_pair(d, Mat2.zero(FLOAT))
+            raised = False
+        except GeometryError:
+            raised = True
+        assert raised == (rank2x2(d) == 2)
+
 
 class TestConvexHull2D:
     def test_square(self):
@@ -166,6 +191,39 @@ class TestDetCheck:
         rep = pairwise_det_check([Mat2.zero(), Mat2(1, 0, 0, -1)])
         assert not rep.passed
         assert rep.violating_pair == (0, 1)
+
+    def test_float_pair_rank_one_to_rounding(self):
+        # exactly rank one in decimal; its float det is -2.2e-16
+        k = [Mat2.zero(FLOAT), Mat2(0.1, 0.9, 1.3, 11.7)]
+        rep = pairwise_det_check(k)
+        assert rep.dets[0][2] < 0
+        assert rep.passed and rep.rank_one_pairs == ((0, 1),)
+        hull = pc_hull(k)
+        assert [ph.indices for ph in hull.planes] == [(0, 1)]
+
+    def test_plane_of_a_rank_one_pair_at_a_smaller_tol(self):
+        # relative det 7.5e-10: rank one at DEFAULT_TOL, where pc_hull
+        # decides its pairs, though not at tol = 1e-12
+        k = [Mat2.zero(FLOAT), Mat2(1e-4, 1e-4, 1e-4, 1e-4 * (1 + 3e-9))]
+        hull = pc_hull(k, tol=1e-12)
+        assert [ph.indices for ph in hull.planes] == [(0, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+           st.integers(-150, 150))
+    def test_float_pairs_agree_with_l2_hull(self, e, k):
+        """For float A and A + u v^T, scaled by 10^k, pc_hull has a plane
+        exactly when l2_hull has a segment."""
+        a11, a12, a21, a22, u1, u2, v1, v2 = e
+        s = 10.0 ** k
+        a = Mat2(a11 * s, a12 * s, a21 * s, a22 * s)
+        b = Mat2((a11 + u1 * v1) * s, (a12 + u1 * v2) * s,
+                 (a21 + u2 * v1) * s, (a22 + u2 * v2) * s)
+        try:
+            planes = bool(pc_hull([a, b]).planes)
+        except GeometryError:
+            planes = False
+        assert planes == bool(l2_hull([a, b]).segments)
 
 
 @st.composite

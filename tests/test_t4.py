@@ -366,13 +366,25 @@ class TestDetect:
 
 
     def test_overflowing_float_dets_are_undecided(self):
-        # det(X_0 - X_1) is inf - inf in floats; nothing is decided on it
-        x = [Mat2(*[1e200] * 4), Mat2.zero(FLOAT),
+        # det(X_0 - X_1) is 2e400, beyond the float range, on a rank-two
+        # pair; nothing is decided on it
+        x = [Mat2(1e200, -1e200, 1e200, 1e200), Mat2.zero(FLOAT),
              Mat2(1.0, 2.0, 3.0, 5.0), Mat2(-2.0, 1.0, 4.0, 1.0)]
         det_res = detect_t4(x)
         assert det_res.witnesses == ()
         assert set(det_res.failures.values()) == {"no converged seed"}
         assert det_res.status == dict.fromkeys(REPRESENTATIVES, "undecided")
+
+    def test_rank_one_pair_beyond_the_float_range_fails_preconditions(self):
+        # X_0 - X_1 has four equal entries: rank one, though its float
+        # det and squared norm overflow
+        x = [Mat2(*[1e200] * 4), Mat2.zero(FLOAT),
+             Mat2(1.0, 2.0, 3.0, 5.0), Mat2(-2.0, 1.0, 4.0, 1.0)]
+        det_res = detect_t4(x)
+        assert det_res.witnesses == ()
+        assert len(det_res.failures) == 24
+        assert set(det_res.failures.values()) == \
+            {"rank-one connection present"}
 
 
 def _counting_search(monkeypatch):
