@@ -4,7 +4,7 @@ Exact values are `fractions.Fraction` (plain ints are accepted and coerced);
 float values are `float`.  The two modes never mix inside one computation:
 anything that would combine them raises `MixedModeError`.  `Surd`, an exact
 element r + t sqrt(d) of a real quadratic field, serves exact decisions on
-the roots of quadratics (`quadratic_roots`).
+the roots of integer quadratics (`quadratic_roots`).
 """
 from __future__ import annotations
 
@@ -74,8 +74,9 @@ def rational_sqrt(x: Scalar) -> Fraction | None:
 
 
 class Surd:
-    """r + t sqrt(d): r and t Fractions, d a positive int that is not a
-    square.  Exact arithmetic with rationals and with surds of the same d."""
+    """r + t sqrt(d): r and t rationals (Fractions or ints), d a positive
+    int that is not a square.  Exact arithmetic with rationals and with
+    surds of the same d."""
 
     __slots__ = ("r", "t", "d")
 
@@ -132,19 +133,17 @@ class Surd:
             (float(self.r) - root)
 
 
-def quadratic_roots(p2: Scalar, p1: Scalar, p0: Scalar) -> list:
-    """The real roots of p2 z^2 + p1 z + p0, exact coefficients, p2 != 0:
-    Fractions, or Surds when the discriminant is not a rational square."""
-    disc = Fraction(p1 * p1 - 4 * p2 * p0)
+def quadratic_roots(p2: int, p1: int, p0: int) -> list:
+    """The real roots of p2 z^2 + p1 z + p0, int coefficients, p2 != 0, as
+    pairs (p, q) with root p / q and q = 2 p2: p is an int, or a Surd with
+    int parts when the discriminant is not a square."""
+    disc = p1 * p1 - 4 * p2 * p0
     if disc < 0:
         return []
-    mid, half = -Fraction(p1) / (2 * p2), 1 / Fraction(2 * p2)
-    root = rational_sqrt(disc)
-    if root is not None:
-        return [mid + half * root, mid - half * root]
-    # sqrt(n / m) = sqrt(n m) / m
-    n, half = disc.numerator * disc.denominator, half / disc.denominator
-    return [Surd(mid, half, n), Surd(mid, -half, n)]
+    root = math.isqrt(disc)
+    if root * root == disc:
+        return [(root - p1, 2 * p2), (-root - p1, 2 * p2)]
+    return [(Surd(-p1, 1, disc), 2 * p2), (Surd(-p1, -1, disc), 2 * p2)]
 
 
 def scalar_sqrt(x: Scalar) -> Scalar:

@@ -3,11 +3,15 @@
 Take four matrices in a fixed order, A_jk = det(X_j - X_k) and
 mu = (a, b, c, d).  Every T4 in that order (base point P, rank-one C_k with
 sum 0, every mu_k > 1) solves four equations in mu whose coefficients are
-the six A_jk.  Detection decides each cyclic class exactly from them: a sign
-test rules most classes out, else b is a root of one of two integer
-quadratics and c, a and d follow.  Roots are rational or lie in
-Q(sqrt disc), and every check runs exactly there.  Each class is "found"
-(with a witness), "absent" or "undecided" (the elimination degenerates).
+the six A_jk.  Detection decides each cyclic class exactly from them, on
+ints: a sign test rules most classes out, else b is a root of one of two
+integer quadratics and c, a and d follow.  Roots are rational or lie in
+Q(sqrt disc); each root and each mu_k is held as a pair (numerator,
+denominator) of ints, or of Surds with int parts, and the formulas are
+written in that homogeneous form, so a Fraction is built only for a mu that
+is returned.  Each class is "found" (with a witness), "absent" or
+"undecided" (the elimination degenerates).  An exact scaffold and an exact
+witness check run on the matrices' int rows over one denominator.
 tools/derive_t4.py derives these formulas and checks the ones here.
 """
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GeometryError, Mat2, rank_one_connected
+from .core import GeometryError, Mat2, _make, rank_one_connected
 from .scalar import (
     DEFAULT_TOL,
     EXACT,
@@ -64,14 +68,37 @@ def _float_mat(m: Mat2) -> Mat2:
     return Mat2(*(float(e) for e in m.entries()))
 
 
+def _rows(mats) -> tuple:
+    """(D, rows): exact matrices as int 4-vectors over D, the lcm of their
+    denominators."""
+    d = math.lcm(*(m._d for m in mats))
+    return d, [(m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k)
+               for m in mats for k in [d // m._d]]
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """n / d; the zeros of a report share one Fraction."""
+    return Fraction(n, d) if n else _ZERO
+
+
+_ZERO = Fraction(0)
+
+
 def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     """Residual report for a candidate witness against four given matrices.
 
     An exact witness passes iff every residual, every det C_k and sum C_k
     are zero, no C_k is zero and every mu_k > 1; tol applies to float
-    witnesses only.  When the witness and the inputs are in different
-    scalar modes the whole comparison is performed in float.
+    witnesses only.  Exact, X, P and the C_k are int rows over one
+    denominator D, and with mu_k = m_k / n_k the residual X_k - Q_k -
+    mu_k C_k is (n_k X_k - n_k Q_k - m_k C_k) / (n_k D).  When the witness
+    and the inputs are in different scalar modes the whole comparison is
+    performed in float.
     """
+    mats = (*x, w.p, *w.c)
+    if all(m._d is not None for m in mats) and \
+            all(isinstance(m, (int, Fraction)) for m in w.mu):
+        return _exact_report(mats, w.mu)
     if w.p.mode != x[0].mode:
         x = [_float_mat(m) for m in x]
         w = T4Witness(w.ordering, _float_mat(w.p),
@@ -82,44 +109,80 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     dets = tuple(ci.det() for ci in w.c)
     csum = w.c[0] + w.c[1] + w.c[2] + w.c[3]
     margin = min(w.mu) - 1
-    if w.p.mode == EXACT:
-        tol, ok = 0, not any(res_sq) and not any(dets) and csum.is_zero()
-    else:
-        tol = float(tol)
-        bound = tol ** 2 * max(1, max(xi.frob_sq() for xi in x))
-        ok = (all(r <= bound for r in res_sq) and csum.frob_sq() <= bound
-              and all(abs(d) <= max(tol, bound) for d in dets))
-    ok = ok and margin > tol and all(not ci.is_zero() for ci in w.c)
+    tol = float(tol)
+    bound = tol ** 2 * max(1, max(xi.frob_sq() for xi in x))
+    ok = (all(r <= bound for r in res_sq) and csum.frob_sq() <= bound
+          and all(abs(d) <= max(tol, bound) for d in dets)
+          and margin > tol and all(not ci.is_zero() for ci in w.c))
     return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
+
+
+def _exact_report(mats, mu) -> T4Report:
+    """check_t4_witness of exact (X_0..X_3, P, C_0..C_3) and rational mu."""
+    d, rows = _rows(mats)
+    q11, q12, q21, q22 = p = rows[4]
+    res = []
+    for (x11, x12, x21, x22), (c11, c12, c21, c22), mk in zip(
+            rows, rows[5:], mu):
+        m, n = mk.numerator, mk.denominator
+        r11, r12 = n * (x11 - q11) - m * c11, n * (x12 - q12) - m * c12
+        r21, r22 = n * (x21 - q21) - m * c21, n * (x22 - q22) - m * c22
+        res.append(r11 * r11 + r12 * r12 + r21 * r21 + r22 * r22)
+        q11, q12, q21, q22 = q11 + c11, q12 + c12, q21 + c21, q22 + c22
+    # Q_4 - P = sum C
+    csum = ((q11 - p[0]) ** 2 + (q12 - p[1]) ** 2 + (q21 - p[2]) ** 2
+            + (q22 - p[3]) ** 2)
+    dets = [c11 * c22 - c12 * c21 for c11, c12, c21, c22 in rows[5:]]
+    margin = min(mu) - 1
+    ok = (not any(res) and not any(dets) and not csum and margin > 0
+          and all(map(any, rows[5:])))
+    dd = d * d
+    return T4Report(
+        tuple(_fraction(r, dd * mk.denominator ** 2)
+              for r, mk in zip(res, mu)),
+        tuple(_fraction(v, dd) for v in dets), _fraction(csum, dd),
+        margin, ok)
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))  # the order of A below
 
 
 def _pairwise_dets(x) -> dict | None:
-    """det(X_j - X_k) at (j, k) and (k, j), exact values scaled to ints by
-    one factor, which keeps the roots of the homogeneous class equations;
-    None when a float det is not finite."""
-    dets = {(j, k): (x[j] - x[k]).det() for j, k in _PAIRS}
-    if not all(math.isfinite(v) for v in dets.values() if type(v) is float):
-        return None
-    dets = {pair: Fraction(v) for pair, v in dets.items()}
-    scale = math.lcm(*(v.denominator for v in dets.values()))
-    a = {(j, k): int(v * scale) for (j, k), v in dets.items()}
+    """det(X_j - X_k) at (j, k) and (k, j), scaled to ints by one positive
+    factor, which keeps the roots of the homogeneous class equations: an
+    exact det is its numerator over d^2, a float one its exact value; None
+    when a float det is not finite."""
+    ratios = {}
+    for j, k in _PAIRS:
+        m = x[j] - x[k]
+        v = m._det_num()
+        if m._d is not None:
+            ratios[j, k] = v, m._d * m._d
+        elif math.isfinite(v):
+            ratios[j, k] = v.as_integer_ratio()
+        else:
+            return None
+    scale = math.lcm(*(d for _, d in ratios.values()))
+    a = {pair: v * (scale // d) for pair, (v, d) in ratios.items()}
     return a | {(k, j): v for (j, k), v in a.items()}
 
 
 def _equations(a, mu) -> tuple:
-    """The class equations at a = (A01, A02, A03, A12, A13, A23).  With s
-    and u the polarized dets of (C_0, C_1) and (C_1, C_2) and n = mu - 1,
-    A01 = -n0 b s, A23 = -n2 d s, A12 = -n1 c u, A03 = -n3 a u,
-    A02 = n0 n2 s + a c u and A13 = n1 n3 u + b d s; eliminate s and u."""
+    """The class equations at a = (A01, A02, A03, A12, A13, A23) and mu_k =
+    m_k / n_k, mu given as the pairs (m_k, n_k), each equation times the
+    n_k that clear its denominators.  With s and u the polarized dets of
+    (C_0, C_1) and (C_1, C_2) and n = mu - 1, A01 = -n0 b s, A23 = -n2 d s,
+    A12 = -n1 c u, A03 = -n3 a u, A02 = n0 n2 s + a c u and
+    A13 = n1 n3 u + b d s; eliminate s and u."""
     a01, a02, a03, a12, a13, a23 = a
-    m0, m1, m2, m3 = mu
-    return (a23 * (m0 - 1) * m1 - a01 * (m2 - 1) * m3,
-            a03 * (m1 - 1) * m2 - a12 * (m3 - 1) * m0,
-            a02 * m1 * (m1 - 1) + a01 * (m2 - 1) * (m1 - 1) + a12 * m0 * m1,
-            a13 * m2 * (m0 - 1) + a12 * (m3 - 1) * (m0 - 1) + a01 * m2 * m3)
+    (m0, n0), (m1, n1), (m2, n2), (m3, n3) = mu
+    # e_k = (mu_k - 1) n_k
+    e0, e1, e2, e3 = m0 - n0, m1 - n1, m2 - n2, m3 - n3
+    return (a23 * e0 * m1 * n2 * n3 - a01 * e2 * m3 * n0 * n1,
+            a03 * e1 * m2 * n0 * n3 - a12 * e3 * m0 * n1 * n2,
+            a02 * m1 * e1 * n0 * n2 + (a01 * e2 * e1 * n0
+                                       + a12 * m0 * m1 * n2) * n1,
+            a13 * m2 * e0 * n3 + a12 * e3 * e0 * n2 + a01 * m2 * m3 * n0)
 
 
 def _b_quadratics(a01, a02, a03, a12, a13, a23) -> tuple:
@@ -135,23 +198,29 @@ def _b_quadratics(a01, a02, a03, a12, a13, a23) -> tuple:
             (a02 * k, -s1 * k, -a01 * l))
 
 
-def _c_quadratics(a01, a02, a03, a12, a13, a23, b) -> tuple:
-    """Coefficients (c^2, c, 1) of equations 2 and 4 at mu_1 = b, with a
-    from equation 3 and d from equation 1, once b - 1 and a - 1 are divided
-    out."""
-    m0, k0 = a02 * b - a01, a23 * b - a01
-    return ((a01 * (a01 * (a23 * (b - 1) + a12) - a03 * a12 * b),
-             a01 * (2 * a23 * (b - 1) * m0 + a12 * (m0 + k0) + a03 * a12 * b),
-             m0 * (a23 * (b - 1) * m0 + a12 * k0)),
+def _c_quadratics(a01, a02, a03, a12, a13, a23, p, q) -> tuple:
+    """Coefficients (c^2, c, 1) of equations 2 and 4 at mu_1 = b = p / q,
+    with a from equation 3 and d from equation 1, once b - 1 and a - 1 are
+    divided out.  They are cleared of q: the first times (q, q^2, q^3), the
+    second times (1, 1, q^2)."""
+    e, m0, k0 = p - q, a02 * p - a01 * q, a23 * p - a01 * q
+    return ((a01 * (a01 * (a23 * e + a12 * q) - a03 * a12 * p),
+             a01 * (2 * a23 * e * m0 + q * (a12 * (m0 + k0) + a03 * a12 * p)),
+             m0 * (a23 * e * m0 + q * a12 * k0)),
             (-a01 * a13, a01 * (a12 + a13 - a23),
-             a02 * a23 * b * b - a23 * (a01 + a02 - a12) * b
-             - a01 * (a12 - a23)))
+             a02 * a23 * p * p - a23 * (a01 + a02 - a12) * p * q
+             - a01 * (a12 - a23) * q * q))
 
 
 def _class_solutions(a) -> tuple:
     """(solutions, complete): the mu > 1 solving the class equations at a,
     six nonzero ints, and whether that is all of them.  It may not be when
-    q1 vanishes, or when the quadratics in c agree at an irrational b."""
+    q1 vanishes, or when the quadratics in c agree at an irrational b.
+    Each mu_k is a pair (m_k, n_k), mu_k = m_k / n_k, until it is returned:
+    ints, or Surds with int parts once a root is irrational.  Surd has no
+    reflected subtraction, so in every difference here, in _equations and
+    in _c_quadratics, the left operand is a Surd whenever the right one
+    is."""
     a01, a02, a03, a12, a13, a23 = a
     # mu > 1 fixes the sign of each term of equations 1 and 2, and of the
     # A01 and A12 terms of equations 3 and 4
@@ -162,27 +231,35 @@ def _class_solutions(a) -> tuple:
     q2, q1 = _b_quadratics(*a)
     complete, solutions = any(q1), []
     # q1 has degree 2 unless K = 0; then it is a constant
-    for b in quadratic_roots(*q2) + (quadratic_roots(*q1) if q1[0] else []):
-        if not b > 1:
+    for p, q in quadratic_roots(*q2) + (quadratic_roots(*q1) if q1[0]
+                                        else []):
+        if not (p - q) * q > 0:  # b = p / q > 1
             continue
-        f, g = _c_quadratics(*a, b)
-        # g[0] f - f[0] g is linear in c; g[0] = -A01 A13 is not 0
-        lin1, lin0 = g[0] * f[1] - f[0] * g[1], g[0] * f[2] - f[0] * g[2]
-        if lin1 == 0 and isinstance(b, Surd):
+        (f0, f1, f2), (g0, g1, g2) = _c_quadratics(*a, p, q)
+        # g0 f - f0 g is linear in c: q^2 (g0 f - f0 g) = lin1 c + lin0 / q,
+        # and g0 = -A01 A13 is not 0
+        lin1, lin0 = g0 * f1 - q * f0 * g1, g0 * f2 - f0 * g2
+        if lin1 == 0 and isinstance(p, Surd):
             # the quadratics share both roots or none, and c would need a
             # second square root
             complete = complete and lin0 != 0
             continue
-        for c in ([-lin0 / lin1] if lin1 != 0 else
-                  [] if lin0 != 0 else quadratic_roots(*g)):
-            if not c > 1:
+        for r, s in ([(-lin0, q * lin1)] if lin1 != 0 else
+                     [] if lin0 != 0 else
+                     quadratic_roots(g0 * q * q, g1 * q * q, g2)):
+            if not (r - s) * s > 0:  # c = r / s > 1
                 continue
-            mu0 = -(b - 1) * (a02 * b + a01 * (c - 1)) / (a12 * b)
-            mu = (mu0, b, c, a23 * (mu0 - 1) * b / (a01 * (c - 1)))
-            # mu > 1 makes D = prod mu - prod (mu - 1) positive
-            if all(m > 1 for m in mu) and \
+            m0 = -(p - q) * (a02 * p * s + a01 * (r - s) * q)
+            n0 = a12 * p * q * s
+            m3, n3 = a23 * (m0 - n0) * p * s, n0 * q * a01 * (r - s)
+            mu = ((m0, n0), (p, q), (r, s), (m3, n3))
+            # b, c > 1 already; mu > 1 makes D = prod mu - prod (mu - 1)
+            # positive
+            if (m0 - n0) * n0 > 0 and (m3 - n3) * n3 > 0 and \
                     all(e == 0 for e in _equations(a, mu)):
-                solutions.append(mu)
+                solutions.append(tuple(
+                    m / n if isinstance(m, Surd) else Fraction(m, n)
+                    for m, n in mu))
     return solutions, complete
 
 
@@ -190,20 +267,41 @@ def _scaffold(x, mu):
     """(P, C) with X_k = Q_k + mu_k C_k, Q_0 = P, Q_{k+1} = Q_k + C_k and
     sum C = 0, or None when D = prod mu - prod (mu - 1) is 0.  Closing the
     cycle gives P = sum w_k X_k with w_k = prod_{j<k} mu_j prod_{j>k}
-    (mu_j - 1) / D; walking the corners gives C_k = (X_k - Q_k) / mu_k."""
-    n = [m - 1 for m in mu]
-    d = mu[0] * mu[1] * mu[2] * mu[3] - n[0] * n[1] * n[2] * n[3]
-    if d == 0:
+    (mu_j - 1) / D; walking the corners gives C_k = (X_k - Q_k) / mu_k.
+
+    Exact x and mu_k = m_k / n_k run on ints: the X_k are rows over their
+    lcm denominator d, and every corner Q_k, the P of the rotated cycle,
+    is a row over |D| n_0 n_1 n_2 n_3 d.  So the walk Q_{k+1} = ((mu_k - 1)
+    Q_k + X_k) / mu_k divides the int rows exactly by m_k, and
+    C_k = Q_{k+1} - Q_k."""
+    exact = x[0].mode == EXACT
+    m = [v.numerator for v in mu] if exact else mu
+    n = [v.denominator for v in mu] if exact else [1.0] * 4
+    e = [mk - nk for mk, nk in zip(m, n)]
+    # D n_0 n_1 n_2 n_3, with e_k = (mu_k - 1) n_k
+    dn = m[0] * m[1] * m[2] * m[3] - e[0] * e[1] * e[2] * e[3]
+    if dn == 0:
         return None
-    w = (n[1] * n[2] * n[3], mu[0] * n[2] * n[3], mu[0] * mu[1] * n[3],
-         mu[0] * mu[1] * mu[2])
-    q = p = sum((xk.scale(wk / d) for xk, wk in zip(x[1:], w[1:])),
-                x[0].scale(w[0] / d))
+    w = (n[0] * e[1] * e[2] * e[3], m[0] * n[1] * e[2] * e[3],
+         m[0] * m[1] * n[2] * e[3], m[0] * m[1] * m[2] * n[3])
+    if not exact:
+        q = p = sum((xk.scale(wk / dn) for xk, wk in zip(x[1:], w[1:])),
+                    x[0].scale(w[0] / dn))
+        c = []
+        for xk, mk in zip(x, mu):
+            c.append((xk - q).scale(1 / mk))
+            q = q + c[-1]
+        return p, tuple(c)
+    if dn < 0:
+        dn, w = -dn, [-wk for wk in w]
+    d, rows = _rows(x)
+    q = p = [sum(wk * r[i] for wk, r in zip(w, rows)) for i in range(4)]
     c = []
-    for xk, mk in zip(x, mu):
-        c.append((xk - q).scale(1 / mk))
-        q = q + c[-1]
-    return p, tuple(c)
+    for r, mk, nk, ek in zip(rows, m, n, e):
+        step = [(ek * qi + nk * dn * ri) // mk for qi, ri in zip(q, r)]
+        c.append(_make(dn * d, *(si - qi for si, qi in zip(step, q))))
+        q = step
+    return _make(dn * d, *p), tuple(c)
 
 
 def _decide_class(x, a, perm, tol):

@@ -7,12 +7,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rohull import constructions, t4
 from rohull.core import Mat2
-from rohull.scalar import FLOAT, Surd
+from rohull.scalar import FLOAT, Surd, sign
 from rohull.t4 import (
     T4Witness,
     _class_solutions,
@@ -105,6 +105,11 @@ def _dets(x):
     return tuple(F((x[j] - x[k]).det()) for j, k in PAIRS)
 
 
+def _pairs(mu):
+    """mu as the (numerator, denominator) pairs that _equations takes."""
+    return [(F(m).numerator, F(m).denominator) for m in mu]
+
+
 def _solve_exact(m, b):
     """y with m y = b, m a list of rows, by Gauss-Jordan on Fractions."""
     rows = [[F(v) for v in row] + [F(bi)] for row, bi in zip(m, b)]
@@ -139,15 +144,16 @@ class TestClosedFormSolve:
                             for _ in range(4))) for _ in range(4)]
                 _, c = _scaffold(x, mu)
                 dets.append([ck.det() for ck in c])
-                eqs.append(_equations(_dets(x), mu))
+                eqs.append(_equations(_dets(x), _pairs(mu)))
             basis = [list(col) for col in zip(*dets[:4])]
             for d, e in zip(dets[4:], eqs[4:]):
                 lam = _solve_exact(basis, d)
                 assert e == tuple(sum(l * ek[i] for l, ek in zip(lam, eqs))
                                   for i in range(4))
         # a T4's mu zeroes the dets and the equations both
-        assert _equations(_dets(CLASSIC), (F(2),) * 4) == (0, 0, 0, 0)
-        assert _equations(_dets(FIVE_POINT.x), FIVE_POINT.mu) == (0, 0, 0, 0)
+        assert _equations(_dets(CLASSIC), _pairs((F(2),) * 4)) == (0, 0, 0, 0)
+        assert _equations(_dets(FIVE_POINT.x), _pairs(FIVE_POINT.mu)) == \
+            (0, 0, 0, 0)
 
     def test_residual_from_the_mat2_pairwise_dets(self):
         # _pairwise_dets scales every det(X_j - X_k) to an int by one
@@ -165,7 +171,7 @@ class TestClosedFormSolve:
             assert scale > 0
             assert scaled == tuple(scale * v for v in raw)
             for mu in self.mu[:8]:
-                mu = tuple(map(F, mu))
+                mu = _pairs(map(F, mu))
                 assert _equations(scaled, mu) == tuple(
                     scale * e for e in _equations(raw, mu))
 
@@ -640,3 +646,209 @@ class TestImages:
             and w.mu == tuple(mu[(src_order[0] + k) % 4] for k in range(4))
             for w in witnesses
             for src_order in [tuple(sigma[i] for i in w.ordering)])
+
+
+# --- the Fraction formulas of the class decision, the scaffold and the ----
+# --- exact witness check, kept as the oracle of their integer forms; -------
+# --- _b_quadratics was on ints already and is shared -----------------------
+
+
+def _oracle_roots(p2, p1, p0):
+    """The real roots of p2 z^2 + p1 z + p0, rational coefficients, p2 != 0:
+    Fractions, or Surds when the discriminant is not a rational square."""
+    disc = F(p1 * p1 - 4 * p2 * p0)
+    if disc < 0:
+        return []
+    mid, half = -F(p1) / (2 * p2), 1 / F(2 * p2)
+    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if num * num == disc.numerator and den * den == disc.denominator:
+        return [mid + half * F(num, den), mid - half * F(num, den)]
+    # sqrt(n / m) = sqrt(n m) / m
+    n, half = disc.numerator * disc.denominator, half / disc.denominator
+    return [Surd(mid, half, n), Surd(mid, -half, n)]
+
+
+def _oracle_equations(a, mu):
+    a01, a02, a03, a12, a13, a23 = a
+    m0, m1, m2, m3 = mu
+    return (a23 * (m0 - 1) * m1 - a01 * (m2 - 1) * m3,
+            a03 * (m1 - 1) * m2 - a12 * (m3 - 1) * m0,
+            a02 * m1 * (m1 - 1) + a01 * (m2 - 1) * (m1 - 1) + a12 * m0 * m1,
+            a13 * m2 * (m0 - 1) + a12 * (m3 - 1) * (m0 - 1) + a01 * m2 * m3)
+
+
+def _oracle_c_quadratics(a01, a02, a03, a12, a13, a23, b):
+    m0, k0 = a02 * b - a01, a23 * b - a01
+    return ((a01 * (a01 * (a23 * (b - 1) + a12) - a03 * a12 * b),
+             a01 * (2 * a23 * (b - 1) * m0 + a12 * (m0 + k0) + a03 * a12 * b),
+             m0 * (a23 * (b - 1) * m0 + a12 * k0)),
+            (-a01 * a13, a01 * (a12 + a13 - a23),
+             a02 * a23 * b * b - a23 * (a01 + a02 - a12) * b
+             - a01 * (a12 - a23)))
+
+
+def _oracle_class_solutions(a):
+    a01, a02, a03, a12, a13, a23 = a
+    s01, s12 = sign(a01), sign(a12)
+    if s01 != sign(a23) or s12 != sign(a03) or (
+            s01 == s12 and not sign(a02) == sign(a13) == -s01):
+        return [], True
+    q2, q1 = t4._b_quadratics(*a)
+    complete, solutions = any(q1), []
+    for b in _oracle_roots(*q2) + (_oracle_roots(*q1) if q1[0] else []):
+        if not b > 1:
+            continue
+        f, g = _oracle_c_quadratics(*a, b)
+        lin1, lin0 = g[0] * f[1] - f[0] * g[1], g[0] * f[2] - f[0] * g[2]
+        if lin1 == 0 and isinstance(b, Surd):
+            complete = complete and lin0 != 0
+            continue
+        for c in ([-lin0 / lin1] if lin1 != 0 else
+                  [] if lin0 != 0 else _oracle_roots(*g)):
+            if not c > 1:
+                continue
+            mu0 = -(b - 1) * (a02 * b + a01 * (c - 1)) / (a12 * b)
+            mu = (mu0, b, c, a23 * (mu0 - 1) * b / (a01 * (c - 1)))
+            if all(m > 1 for m in mu) and \
+                    all(e == 0 for e in _oracle_equations(a, mu)):
+                solutions.append(mu)
+    return solutions, complete
+
+
+def _oracle_scaffold(x, mu):
+    n = [m - 1 for m in mu]
+    d = mu[0] * mu[1] * mu[2] * mu[3] - n[0] * n[1] * n[2] * n[3]
+    if d == 0:
+        return None
+    w = (n[1] * n[2] * n[3], mu[0] * n[2] * n[3], mu[0] * mu[1] * n[3],
+         mu[0] * mu[1] * mu[2])
+    q = p = sum((xk.scale(wk / d) for xk, wk in zip(x[1:], w[1:])),
+                x[0].scale(w[0] / d))
+    c = []
+    for xk, mk in zip(x, mu):
+        c.append((xk - q).scale(1 / mk))
+        q = q + c[-1]
+    return p, tuple(c)
+
+
+def _oracle_report(x, w):
+    """check_t4_witness of an exact witness, on Mat2 arithmetic."""
+    recon = w.reconstructed()
+    res_sq = tuple((x[i] - recon[i]).frob_sq() for i in range(4))
+    dets = tuple(ci.det() for ci in w.c)
+    csum = w.c[0] + w.c[1] + w.c[2] + w.c[3]
+    margin = min(w.mu) - 1
+    ok = not any(res_sq) and not any(dets) and csum.is_zero()
+    ok = ok and margin > 0 and all(not ci.is_zero() for ci in w.c)
+    return t4.T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
+
+
+def _value(z):
+    """z as a key that equal values share: a Surd r + t sqrt(d) by r, t^2 d
+    and the sign of t, whatever square factor its d carries."""
+    if isinstance(z, Surd):
+        return "surd", z.r, z.t * z.t * z.d, (z.t > 0) - (z.t < 0)
+    return type(z), z
+
+
+def _values(result):
+    solutions, complete = result
+    return [tuple(map(_value, mu)) for mu in solutions], complete
+
+
+nonzero = st.integers(1, 12) | st.integers(-12, -1)
+
+# each reaches one branch of the class decision
+CONSTANT_Q1 = (-9, 4, 1, 9, 9, -1)
+RATIONAL_B_COMMON_C = (12, 5, -11, -2, -6, 4)  # c rational
+RATIONAL_B_COMMON_SURD_C = (10, 4, -3, -6, -7, 7)  # c = 10/7 + sqrt(526)/14
+SURD_B_COMMON_C = (-1, -12, 9, 6, -9, -3)
+
+
+class TestIntegerForms:
+    @given(st.tuples(*[nonzero] * 6))
+    @example(CONSTANT_Q1)
+    @example(RATIONAL_B_COMMON_C)
+    @example(RATIONAL_B_COMMON_SURD_C)
+    @example(SURD_B_COMMON_C)
+    @example((-6, -3, 3, 3, -3, -6))
+    @settings(max_examples=400, deadline=None)
+    def test_class_solutions_equal_the_fraction_oracle(self, a):
+        assert _values(_class_solutions(a)) == \
+            _values(_oracle_class_solutions(a))
+
+    def test_the_examples_reach_their_branches(self):
+        def common(a):
+            """lin1 and lin0 at each root b > 1, as (b is a Surd, lin1,
+            lin0)."""
+            q2, q1 = t4._b_quadratics(*a)
+            out = []
+            for b in _oracle_roots(*q2) + (_oracle_roots(*q1) if q1[0]
+                                           else []):
+                if b > 1:
+                    f, g = _oracle_c_quadratics(*a, b)
+                    out.append((isinstance(b, Surd),
+                                g[0] * f[1] - f[0] * g[1],
+                                g[0] * f[2] - f[0] * g[2]))
+            return out
+
+        q1 = t4._b_quadratics(*CONSTANT_Q1)[1]
+        assert q1[:2] == (0, 0) and q1[2] != 0
+        assert _class_solutions(CONSTANT_Q1)[1]
+        assert (False, 0, 0) in common(RATIONAL_B_COMMON_C)
+        mu = _class_solutions(RATIONAL_B_COMMON_C)[0]
+        assert mu and all(isinstance(m, F) for m in mu[0])
+        assert (False, 0, 0) in common(RATIONAL_B_COMMON_SURD_C)
+        mu = _class_solutions(RATIONAL_B_COMMON_SURD_C)[0]
+        assert mu and [type(m) for m in mu[0]] == [Surd, F, Surd, Surd]
+        assert any(surd and lin1 == 0 for surd, lin1, _ in
+                   common(SURD_B_COMMON_C))
+
+    @given(st.tuples(*[st.fractions(-4, 6, max_denominator=7)] * 4),
+           st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=4,
+                    max_size=4), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_scaffold_equals_the_fraction_oracle(self, mu, entries, den):
+        assume(0 not in mu)
+        x = [Mat2(*(F(v, den) for v in e)) for e in entries]
+        assert _scaffold(x, mu) == _oracle_scaffold(x, mu)
+
+    @given(st.sampled_from(["classic", "five-point"]), invertible, invertible,
+           st.tuples(*[st.integers(-5, 5).map(lambda v: F(v, 2))] * 4),
+           st.sampled_from(["none", "p", "mu", "zero c", "zero cycle",
+                            "int mu", "huge", "tiny"]),
+           st.integers(0, 3), st.fractions(-3, 3, max_denominator=5))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_report_equals_the_mat2_oracle(self, name, a, b, m, change,
+                                                 k, t):
+        # the image X -> A X B + M of a T4 and of its witness
+        src, w = ((CLASSIC, classic_witness()) if name == "classic"
+                  else (FIVE_POINT.x, FIVE_POINT.witness()))
+        x = [_mul(_mul(a, xk), b) + Mat2(*m) for xk in src]
+        p, c, mu = _mul(_mul(a, w.p), b) + Mat2(*m), \
+            [_mul(_mul(a, ck), b) for ck in w.c], list(w.mu)
+        if change == "p":
+            p = p + Mat2(t, 0, 0, 1 - t)
+        elif change == "mu":
+            mu[k] += t
+        elif change == "zero c":
+            c[k] = Mat2.zero()
+        elif change == "zero cycle":
+            # every residual, det and sum vanishes; only C_k = 0 fails
+            x, c = [p] * 4, [Mat2.zero()] * 4
+        elif change == "int mu":
+            mu = [int(v) for v in mu]
+        elif change in ("huge", "tiny"):
+            s = F(10) ** (400 if change == "huge" else -400)
+            x, p, c = [xk.scale(s) for xk in x], p.scale(s), \
+                [ck.scale(s) for ck in c]
+        witness = T4Witness(w.ordering, p, tuple(c), tuple(mu))
+        got, want = check_t4_witness(x, witness, 0), _oracle_report(x, witness)
+        assert got == want
+        assert [type(v) for v in (*got.eq_residual_sq, *got.c_dets,
+                                  got.c_sum_norm_sq, got.mu_margin)] == \
+            [type(v) for v in (*want.eq_residual_sq, *want.c_dets,
+                               want.c_sum_norm_sq, want.mu_margin)]
+        if change in ("none", "huge", "tiny") or (
+                change == "int mu" and name == "classic"):
+            assert got.accepted

@@ -7,6 +7,9 @@ root of this repository, for each checkout:
 
 - the median of each end-to-end metric of BENCHMARK.json per workload, with
   every run's values, whether every run was correct and the run length;
+- per workload, the median over the runs of each operation kind's
+  ``p50_ms``, read from ``timed.kinds`` of the record file that each run
+  writes, so that the file shows which kind moved;
 - ``wc -l src/rohull/*.py`` of the checkout, per file and in total;
 - ``nproc`` and the Python and numpy versions;
 - with ``--criteria-log``, the time of each ``CRITERION n: PASS`` line of a
@@ -57,14 +60,18 @@ def criteria_times(log: Path) -> dict:
 
 def run_workload(tree: Path, workload: str) -> dict:
     """The result line of one benchmark run, with the run's length in
-    seconds from the record file that the run writes."""
+    seconds and each operation kind's p50_ms from the record file that the
+    run writes."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    record = tree / ".perfbench-out" / f"{workload}-seed1-trace0.json"
-    result["seconds"] = json.loads(record.read_text())["seconds"]
+    path = tree / ".perfbench-out" / f"{workload}-seed1-trace0.json"
+    record = json.loads(path.read_text())
+    result["seconds"] = record["seconds"]
+    result["kinds_p50_ms"] = {kind: k["p50_ms"]
+                              for kind, k in record["timed"]["kinds"].items()}
     return result
 
 
@@ -84,12 +91,16 @@ def measure(trees: dict, runs: int) -> dict:
         for name, res in results.items():
             values = {m: [r["metrics"][m]["value"] for r in res]
                       for m in metrics}
+            kinds = {k: [r["kinds_p50_ms"][k] for r in res]
+                     for k in res[0]["kinds_p50_ms"]}
             out[name][w["name"]] = {
                 "correct": all(r["correct"] for r in res),
                 "seconds": res[0]["seconds"],
                 "median": {m: statistics.median(v)
                            for m, v in values.items()},
                 "runs": values,
+                "kinds_p50_ms": {k: statistics.median(v)
+                                 for k, v in kinds.items()},
             }
     return out
 

@@ -17,8 +17,12 @@ A_jk = det(X_j - X_k).  The script derives, in order:
 
 t4.py may write a formula differently; the check compares polynomials, up to
 a factor that is a nonzero number or a monomial in the A_jk, which no root
-depends on since every A_jk is nonzero.  Needs sympy (1.14 was used); the
-library does not import it.
+depends on since every A_jk is nonzero.  t4.py evaluates its formulas on
+ints, in homogeneous form: each mu_k is a pair (m_k, n_k), mu_k = m_k / n_k,
+and b = p / q in the quadratics in c.  The check substitutes these, requires
+each coefficient to be a polynomial in the A_jk and the pairs, and compares
+it with the derived one once the powers of n_k and q that clear it are
+divided out.  Needs sympy (1.14 was used); the library does not import it.
 """
 from __future__ import annotations
 
@@ -114,6 +118,14 @@ def poly(coefficients, var):
                for i, co in enumerate(coefficients))
 
 
+def polynomial(name: str, code, gens) -> bool:
+    """Report whether t4.py's formula is a polynomial in gens: no division,
+    so ints stay ints."""
+    ok = sp.expand(code).is_polynomial(*gens)
+    print(f"{'ok' if ok else 'NOT A POLYNOMIAL'}: {name}, a polynomial")
+    return ok
+
+
 def agree(name: str, derived, code, gens) -> bool:
     """Report whether the derived polynomial and t4.py's agree up to a
     monomial factor."""
@@ -157,13 +169,27 @@ def main(argv=None) -> int:
         return 0
 
     gens = A + MU
-    code_eqs = t4._equations(A, MU)
-    ok = all([agree(f"equation {i}", eq, code, gens)
+    # mu_k = m_k / n_k
+    pairs = [sp.symbols(f"m{k} n{k}") for k in range(4)]
+    at_pairs = {v: m / n for v, (m, n) in zip(MU, pairs)}
+    pair_gens = A + tuple(v for pair in pairs for v in pair)
+    code_eqs = t4._equations(A, pairs)
+    ok = all([polynomial(f"equation {i}", code, pair_gens)
+              & agree(f"equation {i}", eq.subs(at_pairs), code, pair_gens)
               for i, (eq, code) in enumerate(zip(eqs, code_eqs), 1)])
-    code_f, code_g = (poly(q, c) for q in t4._c_quadratics(*A, b))
-    ok &= agree("quadratic in c from equation 2", f, code_f, gens)
-    ok &= agree("quadratic in c from equation 4", g, code_g, gens)
-    code_q2, code_q1 = (poly(q, b) for q in t4._b_quadratics(*A))
+    # b = p / q; the coefficients of each quadratic in c are cleared of q
+    # by these powers
+    p, q = sp.symbols("p q")
+    for name, derived, code, powers in zip(
+            ("equation 2", "equation 4"), (f, g), t4._c_quadratics(*A, p, q),
+            ((1, 2, 3), (0, 0, 2))):
+        name = f"quadratic in c from {name}"
+        ok &= polynomial(name, poly(code, c), A + (p, q))
+        ok &= agree(name, derived.subs(b, p / q),
+                    poly([co / q ** k for co, k in zip(code, powers)], c),
+                    A + (p, q))
+    code_f, code_g = (poly(co, c) for co in t4._c_quadratics(*A, b, 1))
+    code_q2, code_q1 = (poly(co, b) for co in t4._b_quadratics(*A))
     ok &= agree("q2", q2, code_q2, gens)
     ok &= agree("q1", q1, code_q1, gens)
     ok &= agree("resultant = b^2 q1 q2",
