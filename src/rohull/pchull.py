@@ -4,8 +4,8 @@ Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
 polygons plus singletons.  Exact 2D orientation tests are the signs of
-integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); float
-points keep the float cross product.  A Caratheodory split needs an exact
+integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); a float
+coordinate enters at its exact value.  A Caratheodory split needs an exact
 plane: it searches the plane's int rows, and its weights are ratios of
 integer determinants.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, hypot, lcm
+from math import gcd, hypot, inf, lcm
 
 from .core import GeometryError, Mat2, _same_mode, combine, rank2x2
 from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
@@ -53,6 +53,9 @@ def _unit(v) -> tuple[float, ...]:
     """A nonzero float vector over its length, first entry above 1e-12 in
     magnitude positive."""
     n = hypot(*v)
+    if n == inf:  # over the largest |entry| first, so the length is finite
+        s = max(map(abs, v))
+        return _unit([x / s for x in v])
     u = tuple(float(x) / n for x in v)
     if next(x for x in u if abs(x) > 1e-12) < 0:
         u = tuple(-x for x in u)
@@ -246,6 +249,9 @@ def pairwise_det_check(k) -> DetCheckReport:
         diff = pts[i] - pts[j]
         d = diff.det()
         dets.append((i, j, d))
+        if diff.mode == FLOAT:  # decide the sign where no underflow hides it
+            (a, b, _), (c, e, _) = _plane_rows(diff.rows())
+            d = a * e - b * c  # the exact det times positive W's
         rank = rank2x2(diff)
         if rank == 1:
             rank_one.append((i, j))
@@ -256,15 +262,6 @@ def pairwise_det_check(k) -> DetCheckReport:
 
 
 # --- 2D exact convex hull -------------------------------------------------
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _between(a, b, q) -> bool:
-    return (min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
 
 
 def _orient(o, a, b):
@@ -281,25 +278,23 @@ def _between_int(a, b, q) -> bool:
             and (a[1] * wq - q[1] * wa) * (b[1] * wq - q[1] * wb) <= 0)
 
 
-_FLOAT_2D, _EXACT_2D = (_cross, _between), (_orient, _between_int)
-
-
 def _plane_rows(points):
-    """Plane points as rows for the 2D predicates, with the predicates:
-    exact (x, y) as ints (X, Y, W), x = X/W, y = Y/W, W > 0 the lcm of the
-    denominators; points with a float coordinate as they are."""
-    if any(isinstance(c, float) for p in points for c in p):
-        return list(points), _FLOAT_2D
+    """Plane points (x, y) as int rows (X, Y, W) for the 2D predicates:
+    x = X/W, y = Y/W, W > 0 the lcm of the denominators.  Each coordinate
+    enters at its exact value, a float too; a non-finite one raises."""
     rows = []
-    for x, y in points:
-        dx, dy = x.denominator, y.denominator
+    for p in points:
+        try:
+            (nx, dx), (ny, dy) = (c.as_integer_ratio() for c in p)
+        except (OverflowError, ValueError):
+            raise GeometryError(f"not a finite number in {p}") from None
         w = lcm(dx, dy)
-        rows.append((x.numerator * (w // dx), y.numerator * (w // dy), w))
-    return rows, _EXACT_2D
+        rows.append((nx * (w // dx), ny * (w // dy), w))
+    return rows
 
 
-def _on_segment_2d(a, b, q, kernel) -> bool:
-    return kernel[0](a, b, q) == 0 and kernel[1](a, b, q)
+def _on_segment_2d(a, b, q) -> bool:
+    return _orient(a, b, q) == 0 and _between_int(a, b, q)
 
 
 def convex_hull_2d(points):
@@ -308,13 +303,13 @@ def convex_hull_2d(points):
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    rows, (orient, _) = _plane_rows(pts)
+    rows = _plane_rows(pts)
 
     def chain(order):
         out = []
         for i in order:
             while (len(out) > 1
-                   and orient(rows[out[-2]], rows[out[-1]], rows[i]) <= 0):
+                   and _orient(rows[out[-2]], rows[out[-1]], rows[i]) <= 0):
                 out.pop()
             out.append(i)
         return out[:-1]
@@ -322,19 +317,18 @@ def convex_hull_2d(points):
     return [pts[i] for i in chain(range(n)) + chain(range(n - 1, -1, -1))]
 
 
-def _polygon_holds(rows, q, kernel) -> bool:
+def _polygon_holds(rows, q) -> bool:
     """polygon_contains on rows from ``_plane_rows``."""
     if len(rows) <= 2:  # a point is the segment from it to itself
-        return bool(rows) and _on_segment_2d(rows[0], rows[-1], q, kernel)
-    orient = kernel[0]
-    return all(orient(rows[i - 1], rows[i], q) >= 0
+        return bool(rows) and _on_segment_2d(rows[0], rows[-1], q)
+    return all(_orient(rows[i - 1], rows[i], q) >= 0
                for i in range(len(rows)))
 
 
 def polygon_contains(vertices, q) -> bool:
     """Point-in-convex-polygon with exact arithmetic; boundary counts."""
-    rows, kernel = _plane_rows(list(vertices) + [tuple(q)])
-    return _polygon_holds(rows[:-1], rows[-1], kernel)
+    rows = _plane_rows(list(vertices) + [tuple(q)])
+    return _polygon_holds(rows[:-1], rows[-1])
 
 
 # --- hull computation -----------------------------------------------------
@@ -347,18 +341,15 @@ class PlaneHull:
     vertices: tuple  # 2D hull vertices in plane coordinates, ccw
 
     def __post_init__(self):
-        # exact vertices as int rows for the 2D predicates, computed once
-        rows, kernel = _plane_rows(self.vertices)
-        object.__setattr__(self, "_rows",
-                           rows if kernel is _EXACT_2D else None)
+        # the vertices as int rows for the 2D predicates, computed once
+        object.__setattr__(self, "_rows", _plane_rows(self.vertices))
 
     def _holds(self, vectors, den) -> bool:
-        # polygon_contains of the plane coordinates, on ints when exact
+        # polygon_contains of the plane coordinates, float ones exactly
         plane = self.plane
-        if den is None or self._rows is None:
-            return polygon_contains(self.vertices, plane._coords(vectors, den))
-        return _polygon_holds(self._rows, plane._coord_row(vectors, den),
-                              _EXACT_2D)
+        q = (plane._coord_row(vectors, den) if den is not None else
+             _plane_rows([plane._coords(vectors, den)])[0])
+        return _polygon_holds(self._rows, q)
 
 
 @dataclass(frozen=True)
@@ -448,7 +439,7 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
             return _finish([p], [Fraction(1)])
     # edge hit; a != b, as q on an edge of length 0 is a vertex hit
     for (i, a), (j, b) in combinations(enumerate(rows), 2):
-        if _orient(a, b, q) == 0 and _between_int(a, b, q):
+        if _on_segment_2d(a, b, q):
             k = 0 if b[0] * a[2] != a[0] * b[2] else 1
             t = Fraction((q[k] * a[2] - a[k] * wq) * b[2],
                          (b[k] * a[2] - a[k] * b[2]) * wq)
@@ -469,16 +460,16 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
 
 
 def _separating_direction(hull, q):
-    rows, (orient, _) = _plane_rows(hull + [q])
+    rows = _plane_rows(hull + [q])
     n = len(hull)
     if n >= 3:
         for i in range(n):
             a, b = hull[i], hull[(i + 1) % n]
-            if orient(rows[i], rows[(i + 1) % n], rows[n]) < 0:
+            if _orient(rows[i], rows[(i + 1) % n], rows[n]) < 0:
                 return (a[1] - b[1], b[0] - a[0])
     if n == 2:
         a, b = hull
-        cr = orient(rows[0], rows[1], rows[2])
+        cr = _orient(rows[0], rows[1], rows[2])
         if cr != 0:
             s = 1 if cr < 0 else -1
             return (s * (a[1] - b[1]), s * (b[0] - a[0]))

@@ -136,10 +136,13 @@ class Surd:
 def quadratic_roots(p2: int, p1: int, p0: int) -> list:
     """The real roots of p2 z^2 + p1 z + p0, int coefficients, p2 != 0, as
     pairs (p, q) with root p / q and q = 2 p2: p is an int, or a Surd with
-    int parts when the discriminant is not a square."""
+    int parts when the discriminant is not a square.  A double root is
+    listed once."""
     disc = p1 * p1 - 4 * p2 * p0
     if disc < 0:
         return []
+    if disc == 0:
+        return [(-p1, 2 * p2)]
     root = math.isqrt(disc)
     if root * root == disc:
         return [(root - p1, 2 * p2), (-root - p1, 2 * p2)]

@@ -230,9 +230,12 @@ def _class_solutions(a) -> tuple:
         return [], True
     q2, q1 = _b_quadratics(*a)
     complete, solutions = any(q1), []
-    # q1 has degree 2 unless K = 0; then it is a constant
-    for p, q in quadratic_roots(*q2) + (quadratic_roots(*q1) if q1[0]
-                                        else []):
+    # q1 has degree 2 unless K = 0; then it is a constant.  A root of both
+    # is taken once: q2 at a root of q1, in homogeneous form on that root
+    roots = quadratic_roots(*q2) + [
+        (p, q) for p, q in (quadratic_roots(*q1) if q1[0] else [])
+        if p * (q2[0] * p + q2[1] * q) + q2[2] * q * q != 0]
+    for p, q in roots:
         if not (p - q) * q > 0:  # b = p / q > 1
             continue
         (f0, f1, f2), (g0, g1, g2) = _c_quadratics(*a, p, q)

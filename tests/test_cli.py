@@ -99,6 +99,30 @@ class TestSubcommands:
         assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
         assert report["results"]["singletons"] == []
 
+    @pytest.mark.parametrize("s", ["1e-170", "1.5e308"])
+    def test_float_pc_hull_triangle_at_the_ends_of_the_float_range(
+            self, tmp_path, s):
+        src = tmp_path / "triangle.json"
+        src.write_text(json.dumps([[["0", "0"], ["0", "0"]],
+                                   [[s, "0"], ["0", "0"]],
+                                   [["0", "0"], [s, "0"]]]))
+        code, report, _ = run(tmp_path, "--mode", "float", "pc-hull",
+                              "--input", str(src))
+        assert code == 0
+        assert [len(p["polygon_vertices"])
+                for p in report["results"]["planes"]] == [3]
+
+    def test_float_pc_hull_sign_violation_below_the_float_range(
+            self, tmp_path):
+        # the float det of the difference underflows to -0.0
+        src = tmp_path / "pair.json"
+        src.write_text(json.dumps(
+            [[["0", "0"], ["0", "0"]], [["1e-170", "0"], ["0", "-1e-170"]]]))
+        code, report, _ = run(tmp_path, "--mode", "float", "pc-hull",
+                              "--input", str(src))
+        assert code == 2
+        assert report["results"] == {"error": "det sign condition violated"}
+
     def test_hausdorff(self, tmp_path):
         pa = tmp_path / "a.json"
         pb = tmp_path / "b.json"

@@ -2,7 +2,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
 
 import numpy as np
 import pytest
@@ -180,6 +180,13 @@ class TestConvexHull2D:
         assert polygon_contains(square, (F(0), F(1)))  # boundary counts
         assert not polygon_contains(square, (F(3), F(1)))
 
+    @pytest.mark.parametrize("bad", [inf, -inf, nan])
+    def test_non_finite_coordinate_raises(self, bad):
+        with pytest.raises(GeometryError, match="not a finite number"):
+            convex_hull_2d([(0.0, 0.0), (1.0, 0.0), (bad, 1.0)])
+        with pytest.raises(GeometryError, match="not a finite number"):
+            polygon_contains([(0.0, 0.0), (1.0, 0.0)], (bad, 0.0))
+
 
 class TestDetCheck:
     def test_passes_on_nonneg(self):
@@ -200,6 +207,20 @@ class TestDetCheck:
         assert rep.passed and rep.rank_one_pairs == ((0, 1),)
         hull = pc_hull(k)
         assert [ph.indices for ph in hull.planes] == [(0, 1)]
+
+    def test_float_det_sign_below_the_float_range(self):
+        # the float det of the difference, -1e-340, underflows to -0.0
+        k = [Mat2.zero(FLOAT), Mat2(1e-170, 0.0, 0.0, -1e-170)]
+        rep = pairwise_det_check(k)
+        assert rep.dets == ((0, 1, -0.0),)
+        assert rep.violating_pair == (0, 1)
+        with pytest.raises(GeometryError, match="det sign"):
+            pc_hull(k)
+
+    def test_non_finite_float_difference_raises(self):
+        k = [Mat2(1.5e308, 0.0, 0.0, 1.0), Mat2(-1.5e308, 0.0, 0.0, 0.0)]
+        with pytest.raises(GeometryError, match="not a finite number"):
+            pairwise_det_check(k)
 
     def test_plane_of_a_rank_one_pair_at_a_smaller_tol(self):
         # relative det 7.5e-10: rank one at DEFAULT_TOL, where pc_hull
@@ -278,6 +299,16 @@ class TestPcHull:
         h = pc_hull(k)
         assert not h.membership(Mat2(F(1, 3), F(1, 3), F(1, 10**400), 0))
         assert h.membership(Mat2(F(1, 3), F(1, 3), 0, 0))
+
+    @pytest.mark.parametrize("s", [1e-170, 1.5e308])
+    def test_float_triangle_at_the_ends_of_the_float_range(self, s):
+        # at 1e-170 a float cross product of plane points underflows; at
+        # 1.5e308 the length of a generator overflows
+        k = [Mat2.zero(FLOAT), Mat2(s, 0.0, 0.0, 0.0), Mat2(0.0, 0.0, s, 0.0)]
+        h = pc_hull(k)
+        assert [len(ph.vertices) for ph in h.planes] == [3]
+        assert h.membership(Mat2(s / 4, 0.0, s / 4, 0.0))
+        assert not h.membership(Mat2(s, 0.0, s, 0.0))
 
     def test_members_are_always_in(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0),
@@ -694,18 +725,29 @@ class TestPlanePredicates:
         assert convex_hull_2d(pts) == verts
         assert polygon_contains(verts, q) == _ref_polygon_contains(verts, q)
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            rows, kernel = _plane_rows([a, b, q])
-            assert _on_segment_2d(*rows, kernel) == _ref_on_segment(a, b, q)
+            rows = _plane_rows([a, b, q])
+            assert _on_segment_2d(*rows) == _ref_on_segment(a, b, q)
 
-    @given(polygons_and_queries(float_coords))
+    @given(polygons_and_queries(float_coords),
+           st.sampled_from([1.0, 1e170, 1e-170]))
     @settings(max_examples=300, deadline=None)
-    def test_float_matches_the_float_cross(self, case):
-        pts, verts, q = case
-        assert repr(convex_hull_2d(pts)) == repr(verts)
-        assert polygon_contains(verts, q) == _ref_polygon_contains(verts, q)
+    def test_float_matches_the_fraction_cross(self, case, scale):
+        # on the exact value of each float; at 1e-170 a float cross
+        # product underflows
+        pts, _, q = case
+        pts = [tuple(c * scale for c in p) for p in pts]
+        q = tuple(c * scale for c in q)
+
+        def exact(p):
+            return tuple(map(F, p))
+        verts = convex_hull_2d(pts)
+        assert list(map(exact, verts)) == _ref_hull(list(map(exact, pts)))
+        assert polygon_contains(verts, q) == _ref_polygon_contains(
+            list(map(exact, verts)), exact(q))
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            rows, kernel = _plane_rows([a, b, q])
-            assert _on_segment_2d(*rows, kernel) == _ref_on_segment(a, b, q)
+            rows = _plane_rows([a, b, q])
+            assert _on_segment_2d(*rows) == _ref_on_segment(
+                exact(a), exact(b), exact(q))
 
     def test_small_polygons(self):
         a, b = (F(1, 3), F(1, 2)), (F(5, 3), F(3, 2))

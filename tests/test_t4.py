@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rohull import constructions, t4
 from rohull.core import Mat2
-from rohull.scalar import FLOAT, Surd, sign
+from rohull.scalar import FLOAT, Surd, quadratic_roots, sign
 from rohull.t4 import (
     T4Witness,
     _class_solutions,
@@ -752,8 +752,10 @@ def _value(z):
 
 
 def _values(result):
+    """The solutions as keys, each once, in first-occurrence order."""
     solutions, complete = result
-    return [tuple(map(_value, mu)) for mu in solutions], complete
+    keys = [tuple(map(_value, mu)) for mu in solutions]
+    return [k for i, k in enumerate(keys) if k not in keys[:i]], complete
 
 
 nonzero = st.integers(1, 12) | st.integers(-12, -1)
@@ -803,6 +805,16 @@ class TestIntegerForms:
         assert mu and [type(m) for m in mu[0]] == [Surd, F, Surd, Surd]
         assert any(surd and lin1 == 0 for surd, lin1, _ in
                    common(SURD_B_COMMON_C))
+
+    def test_a_repeated_root_gives_one_solution(self):
+        # b = 2 is a root of both q2 and q1 at RATIONAL_B_COMMON_C, and
+        # b = 5/2 a double root of q1 at RATIONAL_B_COMMON_SURD_C
+        assert quadratic_roots(1, -4, 4) == [(4, 2)]
+        for a in (RATIONAL_B_COMMON_C, RATIONAL_B_COMMON_SURD_C):
+            solutions, _ = _class_solutions(a)
+            assert len(solutions) == 1
+            assert solutions[0][1] == F(2 if a == RATIONAL_B_COMMON_C
+                                        else F(5, 2))
 
     @given(st.tuples(*[st.fractions(-4, 6, max_denominator=7)] * 4),
            st.lists(st.tuples(*[st.integers(-9, 9)] * 4), min_size=4,
