@@ -18,13 +18,12 @@ from fractions import Fraction
 from . import constructions, pchull, svgout, t4
 from .core import GeometryError, Mat2
 from .hulls import (
-    LaminateSet,
-    RankOneSegment,
     directed_dist_sq,
+    exact_set,
     point_to_set_dist_sq,
     separator_check,
 )
-from .scalar import EXACT, FLOAT, parse_scalar, scalar_sqrt
+from .scalar import EXACT, FLOAT, parse_scalar, scalar_sqrt, to_float
 from .serialize import (
     SCHEMA,
     dump_canonical,
@@ -241,16 +240,6 @@ def cmd_pc_hull(args):
     return inputs, results, _pc_hull_certified(mats, hull, args.tol), {}
 
 
-def _exact(s: LaminateSet) -> LaminateSet:
-    """The float set s at the exact values of its floats."""
-    def exact(m):
-        return Mat2(*map(Fraction, m.entries()))
-    return LaminateSet(
-        [exact(p) for p in s.points],
-        [RankOneSegment(exact(g.a), exact(g.b), g.generation)
-         for g in s.segments], s.order)
-
-
 def cmd_hausdorff(args):
     def load_set(path):
         try:
@@ -261,7 +250,7 @@ def cmd_hausdorff(args):
             raise UsageError(f"cannot load laminate set from {path}: {e}")
         if s.is_empty():
             raise UsageError(f"{path} holds an empty laminate set")
-        return s
+        return s if args.mode == EXACT else exact_set(s)
     s1 = load_set(args.input_a)
     s2 = load_set(args.input_b)
     a_to_b, b_to_a = directed_dist_sq(s1, s2), directed_dist_sq(s2, s1)
@@ -270,26 +259,21 @@ def cmd_hausdorff(args):
         root = scalar_sqrt(hsq)
     except OverflowError:
         root = math.inf
-    # a nonzero distance is never written as 0 or as a subnormal float, which
-    # has lost precision: an exact square's float root may not underflow,
-    # nor may a float square, recomputed exactly at 0.0
-    tiny = sys.float_info.min
-    if not all(math.isfinite(v) and not 0 < v < tiny
-               for v in (hsq, root, a_to_b, b_to_a) if type(v) is float) or (
-            hsq != 0 and root == 0) or any(
-            type(v) is float and v == 0
-            and 0 < directed_dist_sq(_exact(x), _exact(y)) < tiny
-            for v, x, y in ((a_to_b, s1, s2), (b_to_a, s2, s1))):
+    results = {"hausdorff_sq": hsq, "hausdorff": root,
+               "directed_a_to_b_sq": a_to_b, "directed_b_to_a_sq": b_to_a}
+    if args.mode == FLOAT:
+        results = {k: to_float(v) for k, v in results.items()}
+    # a number written as a float is finite, and 0 or normal, and 0 only
+    # when its exact value is (the root's is 0 exactly when hsq is): a
+    # subnormal float has lost precision
+    if any(type(v) is float and not (math.isfinite(v) and (
+            v >= sys.float_info.min or v == 0 == exact))
+           for v, exact in zip(results.values(), (hsq, hsq, a_to_b, b_to_a))):
         raise UsageError("the Hausdorff distance is not a finite float "
                          "or is below the float range")
-    results = {
-        "hausdorff_sq": scalar_to_json(hsq),
-        "hausdorff": scalar_to_json(root),
-        "directed_a_to_b_sq": scalar_to_json(a_to_b),
-        "directed_b_to_a_sq": scalar_to_json(b_to_a),
-    }
     return ({"input_a": os.path.basename(args.input_a),
-             "input_b": os.path.basename(args.input_b)}, results, True, {})
+             "input_b": os.path.basename(args.input_b)},
+            {k: scalar_to_json(v) for k, v in results.items()}, True, {})
 
 
 def cmd_usc_probe(args):

@@ -207,6 +207,17 @@ def _make(d, n11, n12, n21, n22) -> Mat2:
     return m
 
 
+def exact_value(v):
+    """v, a Mat2 or a scalar, at its exact value: a float becomes the
+    Fraction it equals.  A float that is not finite raises GeometryError."""
+    if isinstance(v, Mat2):
+        return v if v._d is not None else Mat2(*map(exact_value, v.entries()))
+    try:
+        return Fraction(v)
+    except (OverflowError, ValueError):
+        raise GeometryError(f"not a finite number: {v!r}") from None
+
+
 def det(m: Mat2) -> Scalar:
     return m.det()
 

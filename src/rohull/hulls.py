@@ -11,13 +11,15 @@ An exact set holds its matrices once more as int rows over one common
 denominator D, the lcm of all of theirs: a point as the int 4-vector of its
 entries times D, a segment [a, b] as (A, N = B - A, |N|^2).  Exact
 distances, the dedup of a step's segments and its point-segment crossings
-run on these ints; only the least distance becomes a Fraction.  Float sets
-work on their Mat2 values.
+run on these ints; only the least distance becomes a Fraction.  A float
+distance is that of exact copies, each float at its exact value, rounded
+once; a float lamination step works on the Mat2 values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -26,17 +28,12 @@ from .core import (
     Mat2,
     combine,
     det_cross,
+    exact_value,
     inner,
     rank2x2,
     rank_one_connected,
 )
-from .scalar import (
-    EXACT,
-    FLOAT,
-    MixedModeError,
-    Scalar,
-    scalar_sqrt,
-)
+from .scalar import MixedModeError, Scalar, scalar_sqrt, to_float
 
 # a segment's sup distance to a set with segments is sampled at
 # t = k / SUP_SAMPLES, 0 < k < SUP_SAMPLES
@@ -85,9 +82,11 @@ class LaminateSet:
             raise GeometryError("order must be nonnegative")
         if self.order == 0 and self.segments:
             raise GeometryError("order-0 sets have no segments")
+
+    @cached_property
+    def _rows(self):
         # not a field: equality, hash and repr stay those of the values
-        object.__setattr__(self, "_rows", _exact_rows(
-            self.points, [(g.a, g.b) for g in self.segments]))
+        return _exact_rows(self.points, [(g.a, g.b) for g in self.segments])
 
     def is_empty(self) -> bool:
         return not self.points and not self.segments
@@ -187,7 +186,7 @@ def lamination_step(s: LaminateSet) -> LaminateSet:
     gen = s.order + 1
     new = [RankOneSegment(a, b, gen) for a, b in combinations(s.points, 2)
            if a != b and rank_one_connected(a, b)]
-    if s.points:
+    if s.points and s.segments:
         new.extend(_point_segment_offspring(s, gen))
     segments = _dedup_segments(list(s.segments) + new)
     return LaminateSet(points=s.points, segments=tuple(segments), order=gen)
@@ -239,29 +238,31 @@ def _exact_dist_sq(p: Mat2, rows) -> Fraction:
     return Fraction(num, den * scale * scale)
 
 
+def exact_set(s: LaminateSet) -> LaminateSet:
+    """The float set s at the exact values of its floats."""
+    if s._rows is not None:
+        raise MixedModeError("cannot mix exact and float scalars")
+    return LaminateSet(
+        [exact_value(p) for p in s.points],
+        [RankOneSegment(exact_value(g.a), exact_value(g.b), g.generation)
+         for g in s.segments], s.order)
+
+
 def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
-    if p._d is not None:
-        return _exact_dist_sq(p, _exact_rows((), [(a, b)]))
-    m, n = p - a, b - a
-    dd = n.frob_sq()
-    if dd == 0:
-        return m.frob_sq()
-    t = min(max(inner(m, n) / dd, 0.0), 1.0)
-    return (p - combine(a, b, t)).frob_sq()
+    return point_to_set_dist_sq(
+        p, LaminateSet((), (RankOneSegment(a, b, 1),), 1))
 
 
 def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     if s.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    if p._d is not None:
-        return _exact_dist_sq(p, s._rows)
-    return min([(p - q).frob_sq() for q in s.points]
-               + [point_segment_dist_sq(p, seg.a, seg.b)
-                  for seg in s.segments])
+    if p._d is None:
+        return to_float(_exact_dist_sq(exact_value(p), exact_set(s)._rows))
+    return _exact_dist_sq(p, s._rows)
 
 
 def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
-    """sup over the segment of the distance to the target set.
+    """sup over the segment of the distance to the target set, both exact.
 
     Exact when the target is a pure point set: the squared distance to each
     point is quadratic in t with a common leading coefficient, so envelope
@@ -269,9 +270,7 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
     samples are added and the result is a lower approximation.
     """
     a, b = seg.a, seg.b
-    zero = Fraction(0) if a.mode == EXACT else 0.0
-    one = Fraction(1) if a.mode == EXACT else 1.0
-    candidates = [zero, one]
+    candidates = [Fraction(0), Fraction(1)]
     pts = target.points
     d = b - a
     for i in range(len(pts)):
@@ -282,20 +281,21 @@ def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
             c0 = 2 * inner(a, u) - (pts[j].frob_sq() - pts[i].frob_sq())
             if c1 != 0:
                 t = -c0 / c1
-                if zero < t < one:
+                if 0 < t < 1:
                     candidates.append(t)
-    if target.segments or a.mode == FLOAT:
-        for k in range(1, SUP_SAMPLES):
-            candidates.append(Fraction(k, SUP_SAMPLES) if a.mode == EXACT
-                              else k / SUP_SAMPLES)
+    if target.segments:
+        candidates += [Fraction(k, SUP_SAMPLES) for k in range(1, SUP_SAMPLES)]
     return max([point_to_set_dist_sq(combine(a, b, t), target)
                 for t in candidates])
 
 
 def directed_dist_sq(src: LaminateSet, target: LaminateSet) -> Scalar:
-    """Squared directed Hausdorff distance sup_{x in src} dist(x, target)."""
+    """Squared directed Hausdorff distance sup_{x in src} dist(x, target);
+    that of float sets is the exact value rounded once."""
     if src.is_empty() or target.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
+    if target._rows is None:
+        return to_float(directed_dist_sq(exact_set(src), exact_set(target)))
     return max([point_to_set_dist_sq(p, target) for p in src.points]
                + [_segment_sup_dist_sq(seg, target) for seg in src.segments])
 

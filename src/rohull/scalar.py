@@ -162,6 +162,12 @@ def scalar_sqrt(x: Scalar) -> Scalar:
         if abs(k) < 500:
             return math.sqrt(x)
         return math.ldexp(math.sqrt(x / Fraction(4) ** k), k)
-    if x < 0 and x > -1e-30:
-        x = 0.0
     return math.sqrt(x)
+
+
+def to_float(x: Scalar) -> float:
+    """x rounded once to the nearest float, +-inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

@@ -10,8 +10,9 @@ Q(sqrt disc); each root and each mu_k is held as a pair (numerator,
 denominator) of ints, or of Surds with int parts, and the formulas are
 written in that homogeneous form, so a Fraction is built only for a mu that
 is returned.  Each class is "found" (with a witness), "absent" or
-"undecided" (the elimination degenerates).  An exact scaffold and an exact
-witness check run on the matrices' int rows over one denominator.
+"undecided" (the elimination degenerates).  The scaffold and the witness
+check run on the matrices' int rows over one denominator, a float at its
+exact value; a float result is that exact value rounded once.
 tools/derive_t4.py derives these formulas and checks the ones here.
 """
 from __future__ import annotations
@@ -21,14 +22,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GeometryError, Mat2, _make, rank_one_connected
+from .core import GeometryError, Mat2, _make, exact_value, rank_one_connected
 from .scalar import (
     DEFAULT_TOL,
     EXACT,
+    FLOAT,
     Scalar,
     Surd,
     quadratic_roots,
     sign,
+    to_float,
 )
 
 # seeds of the former Newton search, kept for callers; detection reads none
@@ -64,10 +67,6 @@ class T4Report:
     accepted: bool
 
 
-def _float_mat(m: Mat2) -> Mat2:
-    return Mat2(*(float(e) for e in m.entries()))
-
-
 def _rows(mats) -> tuple:
     """(D, rows): exact matrices as int 4-vectors over D, the lcm of their
     denominators."""
@@ -87,38 +86,18 @@ _ZERO = Fraction(0)
 def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     """Residual report for a candidate witness against four given matrices.
 
-    An exact witness passes iff every residual, every det C_k and sum C_k
-    are zero, no C_k is zero and every mu_k > 1; tol applies to float
-    witnesses only.  Exact, X, P and the C_k are int rows over one
-    denominator D, and with mu_k = m_k / n_k the residual X_k - Q_k -
-    mu_k C_k is (n_k X_k - n_k Q_k - m_k C_k) / (n_k D).  When the witness
-    and the inputs are in different scalar modes the whole comparison is
-    performed in float.
+    X, P and the C_k are int rows over one denominator D, a float at its
+    exact value, and with mu_k = m_k / n_k the residual X_k - Q_k - mu_k C_k
+    is (n_k X_k - n_k Q_k - m_k C_k) / (n_k D).  An exact witness passes iff
+    every residual, every det C_k and sum C_k are zero, no C_k is zero and
+    every mu_k > 1.  A witness that holds a float passes within tol, on the
+    exact values, and reports them rounded to floats.
     """
-    mats = (*x, w.p, *w.c)
-    if all(m._d is not None for m in mats) and \
-            all(isinstance(m, (int, Fraction)) for m in w.mu):
-        return _exact_report(mats, w.mu)
-    if w.p.mode != x[0].mode:
-        x = [_float_mat(m) for m in x]
-        w = T4Witness(w.ordering, _float_mat(w.p),
-                      tuple(_float_mat(c) for c in w.c),
-                      tuple(float(m) for m in w.mu))
-    recon = w.reconstructed()
-    res_sq = tuple((x[i] - recon[i]).frob_sq() for i in range(4))
-    dets = tuple(ci.det() for ci in w.c)
-    csum = w.c[0] + w.c[1] + w.c[2] + w.c[3]
-    margin = min(w.mu) - 1
-    tol = float(tol)
-    bound = tol ** 2 * max(1, max(xi.frob_sq() for xi in x))
-    ok = (all(r <= bound for r in res_sq) and csum.frob_sq() <= bound
-          and all(abs(d) <= max(tol, bound) for d in dets)
-          and margin > tol and all(not ci.is_zero() for ci in w.c))
-    return T4Report(res_sq, dets, csum.frob_sq(), margin, ok)
-
-
-def _exact_report(mats, mu) -> T4Report:
-    """check_t4_witness of exact (X_0..X_3, P, C_0..C_3) and rational mu."""
+    mats, mu = (*x, w.p, *w.c), w.mu
+    exact = all(m._d is not None for m in mats) and \
+        all(isinstance(m, (int, Fraction)) for m in mu)
+    if not exact:
+        mats, mu = [exact_value(m) for m in mats], [exact_value(m) for m in mu]
     d, rows = _rows(mats)
     q11, q12, q21, q22 = p = rows[4]
     res = []
@@ -133,15 +112,21 @@ def _exact_report(mats, mu) -> T4Report:
     csum = ((q11 - p[0]) ** 2 + (q12 - p[1]) ** 2 + (q21 - p[2]) ** 2
             + (q22 - p[3]) ** 2)
     dets = [c11 * c22 - c12 * c21 for c11, c12, c21, c22 in rows[5:]]
-    margin = min(mu) - 1
-    ok = (not any(res) and not any(dets) and not csum and margin > 0
-          and all(map(any, rows[5:])))
-    dd = d * d
-    return T4Report(
-        tuple(_fraction(r, dd * mk.denominator ** 2)
-              for r, mk in zip(res, mu)),
-        tuple(_fraction(v, dd) for v in dets), _fraction(csum, dd),
-        margin, ok)
+    margin, nonzero, dd = min(mu) - 1, all(map(any, rows[5:])), d * d
+    ok = not (any(res) or any(dets) or csum) and margin > 0 and nonzero
+    res = tuple(_fraction(r, dd * mk.denominator ** 2)
+                for r, mk in zip(res, mu))
+    dets, csum = tuple(_fraction(v, dd) for v in dets), _fraction(csum, dd)
+    if exact:
+        return T4Report(res, dets, csum, margin, ok)
+    tol = exact_value(tol)
+    bound = tol ** 2 * max(1, max(Fraction(sum(e * e for e in r), dd)
+                                  for r in rows[:4]))
+    ok = (all(r <= bound for r in res) and csum <= bound
+          and all(abs(v) <= max(tol, bound) for v in dets)
+          and margin > tol and nonzero)
+    return T4Report(tuple(map(to_float, res)), tuple(map(to_float, dets)),
+                    to_float(csum), to_float(margin), ok)
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))  # the order of A below
@@ -272,14 +257,18 @@ def _scaffold(x, mu):
     cycle gives P = sum w_k X_k with w_k = prod_{j<k} mu_j prod_{j>k}
     (mu_j - 1) / D; walking the corners gives C_k = (X_k - Q_k) / mu_k.
 
-    Exact x and mu_k = m_k / n_k run on ints: the X_k are rows over their
-    lcm denominator d, and every corner Q_k, the P of the rotated cycle,
-    is a row over |D| n_0 n_1 n_2 n_3 d.  So the walk Q_{k+1} = ((mu_k - 1)
-    Q_k + X_k) / mu_k divides the int rows exactly by m_k, and
-    C_k = Q_{k+1} - Q_k."""
-    exact = x[0].mode == EXACT
-    m = [v.numerator for v in mu] if exact else mu
-    n = [v.denominator for v in mu] if exact else [1.0] * 4
+    It runs on ints, a float in x or mu at its exact value: the X_k are rows
+    over their lcm denominator d, mu_k = m_k / n_k, and every corner Q_k,
+    the P of the rotated cycle, is a row over |D| n_0 n_1 n_2 n_3 d.  So the
+    walk Q_{k+1} = ((mu_k - 1) Q_k + X_k) / mu_k divides the int rows
+    exactly by m_k, and C_k = Q_{k+1} - Q_k.  When x or mu holds a float,
+    P and the C_k are rounded once to floats."""
+    rounded = any(m._d is None for m in x) or \
+        any(isinstance(v, float) for v in mu)
+    if rounded:
+        x, mu = [exact_value(m) for m in x], [exact_value(v) for v in mu]
+    m = [v.numerator for v in mu]
+    n = [v.denominator for v in mu]
     e = [mk - nk for mk, nk in zip(m, n)]
     # D n_0 n_1 n_2 n_3, with e_k = (mu_k - 1) n_k
     dn = m[0] * m[1] * m[2] * m[3] - e[0] * e[1] * e[2] * e[3]
@@ -287,14 +276,6 @@ def _scaffold(x, mu):
         return None
     w = (n[0] * e[1] * e[2] * e[3], m[0] * n[1] * e[2] * e[3],
          m[0] * m[1] * n[2] * e[3], m[0] * m[1] * m[2] * n[3])
-    if not exact:
-        q = p = sum((xk.scale(wk / dn) for xk, wk in zip(x[1:], w[1:])),
-                    x[0].scale(w[0] / dn))
-        c = []
-        for xk, mk in zip(x, mu):
-            c.append((xk - q).scale(1 / mk))
-            q = q + c[-1]
-        return p, tuple(c)
     if dn < 0:
         dn, w = -dn, [-wk for wk in w]
     d, rows = _rows(x)
@@ -304,30 +285,33 @@ def _scaffold(x, mu):
         step = [(ek * qi + nk * dn * ri) // mk for qi, ri in zip(q, r)]
         c.append(_make(dn * d, *(si - qi for si, qi in zip(step, q))))
         q = step
-    return _make(dn * d, *p), tuple(c)
+    p = _make(dn * d, *p)
+    if rounded:  # OverflowError past the float range
+        p, *c = (Mat2(*map(float, m.entries())) for m in (p, *c))
+    return p, tuple(c)
 
 
 def _decide_class(x, a, perm, tol):
     """(outcome, status) of x in the order perm, a being _pairwise_dets(x):
     a witness or the failure reason, and "found", "absent" or "undecided".
-    The smallest mu is taken; a rational one on exact x gives an exact
-    witness, any other a float one on float copies."""
+    The smallest mu is taken.  The scaffold is built on it, a surd rounded
+    to a float; a rational mu on exact x gives an exact witness, any other
+    a float one."""
     if a is None:
         return "no converged seed", "undecided"
     solutions, complete = _class_solutions(
         tuple(a[perm[j], perm[k]] for j, k in _PAIRS))
     if not solutions:
         return "no converged seed", "absent" if complete else "undecided"
-    ordered = [x[i] for i in perm]
     try:
-        mu = min(solutions, key=lambda m: tuple(
-            float(v) if isinstance(v, Surd) else v for v in m))
-        if x[0].mode != EXACT or any(isinstance(m, Surd) for m in mu):
-            ordered = [_float_mat(xi) for xi in ordered]
-            mu = tuple(float(m) for m in mu)
+        mu, at = min(((m, tuple(float(v) if isinstance(v, Surd) else v
+                                for v in m)) for m in solutions),
+                     key=lambda pair: pair[1])
+        built = _scaffold([x[i] for i in perm], at)
+        if built and built[0].mode == FLOAT:
+            mu = tuple(map(float, at))
     except OverflowError:
         return "witness beyond the float range", "undecided"
-    built = _scaffold(ordered, mu)
     w = built and T4Witness(tuple(perm), *built, mu)
     if w and witness_certified(x, w, tol):
         return w, "found"

@@ -542,6 +542,22 @@ def test_hausdorff_of_a_float_set_to_itself_is_zero(tmp_path):
     assert set(report["results"].values()) == {0.0}
 
 
+def test_float_hausdorff_is_the_exact_distance_rounded_once(tmp_path):
+    # the middle point lies on the segment at the exact values of the
+    # floats; float arithmetic put it 1.232595164407831e-32 away
+    ends = [[[0.1, 0.2], [0, 0.3]], [[1.7, 0.2], [0, 0.3]]]
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"points": [ends[0], [[0.9, 0.2], [0, 0.3]],
+                                         ends[1]]}))
+    pb.write_text(json.dumps({"points": [], "order": 1, "segments": [
+        {"a": ends[0], "b": ends[1], "generation": 1}]}))
+    code, report, _ = run(tmp_path, "--mode", "float", "hausdorff",
+                          "--input-a", str(pa), "--input-b", str(pb))
+    assert code == 0
+    assert report["results"]["directed_a_to_b_sq"] == 0.0
+    assert report["results"]["hausdorff_sq"] == 0.16
+
+
 DATA = Path(__file__).parent / "data"
 # (subcommand, mode) -> arguments; every file the run writes is committed
 # as tests/data/<subcommand>.<mode>.<json|csv|svg>

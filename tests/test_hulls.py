@@ -1,4 +1,5 @@
 """Lamination step, two-step hulls, distances, separator certificates."""
+import math
 import pickle
 from dataclasses import fields
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, combine, det, inner
-from rohull.scalar import FLOAT, MixedModeError
+from rohull.scalar import FLOAT, MixedModeError, to_float
 from rohull.hulls import (
     LaminateSet,
     RankOneSegment,
@@ -372,14 +373,43 @@ class TestDistances:
         assert got == want and type(got) is F
 
     def test_point_segment_float(self):
-        a, b = Mat2(0.1, 0.2, 0.0, 0.3), Mat2(1.7, 0.2, 0.0, 0.3)
-        for p in (Mat2(0.5, 1 / 3, 0.0, 0.0), Mat2(-1.0, 0.0, 0.25, 0.3),
-                  Mat2(9.0, 0.1, 0.0, 0.3)):
-            t = min(max(inner(p - a, b - a) / (b - a).frob_sq(), 0.0), 1.0)
-            want = (p - combine(a, b, t)).frob_sq()
-            assert repr(point_segment_dist_sq(p, a, b)) == repr(want)
-        assert point_segment_dist_sq(Mat2(1.0, 0.0, 0.0, 0.0), a, a) == \
-            (Mat2(1.0, 0.0, 0.0, 0.0) - a).frob_sq()
+        # the distance at the exact values of the floats, rounded once, at
+        # scales where its square overflows or underflows
+        ends = ((0.1, 0.2, 0.0, 0.3), (1.7, 0.2, 0.0, 0.3))
+        for scale in (1.0, 1e170, 1e-170):
+            a, b = (Mat2(*(scale * e for e in m)) for m in ends)
+            for q in ((0.5, 1 / 3, 0.0, 0.0), (-1.0, 0.0, 0.25, 0.3),
+                      (9.0, 0.1, 0.0, 0.3), (0.9, 0.2, 0.0, 0.3)):
+                p = Mat2(*(scale * e for e in q))
+                ep, ea, eb = (Mat2(*map(F, m.entries())) for m in (p, a, b))
+                want = to_float(_ref_point_to_set(
+                    ep, [], [RankOneSegment(ea, eb, 1)]))
+                assert repr(point_segment_dist_sq(p, a, b)) == repr(want)
+            e11 = Mat2(scale, 0.0, 0.0, 0.0)
+            assert point_segment_dist_sq(e11, a, a) == to_float(
+                (Mat2(*map(F, e11.entries())) - ea).frob_sq())
+        # on the segment: float arithmetic gave 1.232595164407831e-32
+        a, b = (Mat2(*m) for m in ends)
+        assert point_segment_dist_sq(Mat2(0.9, 0.2, 0.0, 0.3), a, b) == 0.0
+
+    def test_float_distance_past_the_float_range_is_inf(self):
+        big = points_only([Mat2(1e200, 0.0, 0.0, 0.0)])
+        zero = points_only([Mat2.zero(FLOAT)])
+        assert point_to_set_dist_sq(Mat2.zero(FLOAT), big) == math.inf
+        assert directed_dist_sq(zero, big) == math.inf
+        assert hausdorff_sq(big, zero) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_float_distance_of_a_non_finite_entry_raises(self, bad):
+        good, worse = Mat2(1.0, 0.0, 0.0, 0.0), Mat2(bad, 0.0, 0.0, 0.0)
+        seg = RankOneSegment(Mat2.zero(FLOAT), good, 1)
+        for call in (lambda: point_segment_dist_sq(worse, good, good),
+                     lambda: point_segment_dist_sq(good, worse, good),
+                     lambda: point_to_set_dist_sq(worse, points_only([good])),
+                     lambda: directed_dist_sq(
+                         LaminateSet((), (seg,), 1), points_only([worse]))):
+            with pytest.raises(GeometryError, match="not a finite number"):
+                call()
 
     def test_point_to_set(self):
         s = LaminateSet(

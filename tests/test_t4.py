@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rohull import constructions, t4
-from rohull.core import Mat2
+from rohull.core import GeometryError, Mat2
 from rohull.scalar import FLOAT, Surd, quadratic_roots, sign
 from rohull.t4 import (
     T4Witness,
@@ -73,6 +73,50 @@ class TestWitnessCheck:
         det_res = detect_t4(x)
         assert [v.mu for v in det_res.witnesses] == [w.mu] * 4
         assert all(t4.witness_certified(x, v) for v in det_res.witnesses)
+
+    @pytest.mark.parametrize("where", ["x", "p", "c", "mu"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_float_raises(self, where, bad):
+        w = classic_witness()
+        x = [Mat2(*map(float, m.entries())) for m in CLASSIC]
+        p, *c = (Mat2(*map(float, m.entries())) for m in (w.p, *w.c))
+        mu = [2.0] * 4
+        worse = Mat2(bad, 0.0, 0.0, 0.0)
+        if where == "x":
+            x[1] = worse
+        elif where == "p":
+            p = worse
+        elif where == "c":
+            c[2] = worse
+        else:
+            mu[1] = bad
+        with pytest.raises(GeometryError, match="not a finite number"):
+            check_t4_witness(
+                x, T4Witness(w.ordering, p, tuple(c), tuple(mu)), 1e-6)
+
+    def test_float_witness_is_the_exact_scaffold_rounded(self):
+        # the five-point T4 at epsilon 1/3 over its common denominator: int
+        # entries, so float and exact detection decide the same mu, and a
+        # class representative's P and C_k are the exact ones rounded once
+        cfg = constructions.five_point_build(F(1, 3))
+        x = [m.scale(math.lcm(*(xk._d for xk in cfg.x))) for m in cfg.x]
+        floats = [Mat2(*map(float, m.entries())) for m in x]
+        exact, got = detect_t4(x).witnesses, detect_t4(floats).witnesses
+        assert [w.ordering for w in exact] == [w.ordering for w in got]
+        reps = [(we, wf) for we, wf in zip(exact, got) if wf.ordering[0] == 0]
+        assert len(reps) == 6
+        for we, wf in reps:
+            assert wf.mu == tuple(map(float, we.mu))
+            assert [m.entries() for m in (wf.p, *wf.c)] == [
+                tuple(map(float, m.entries())) for m in (we.p, *we.c)]
+        # non-dyadic float entries and mu, read at their exact values
+        thirds = [m.scale(1 / 3) for m in floats]
+        mu = tuple(float(m) for m in cfg.mu)
+        p, c = _scaffold(thirds, mu)
+        ep, ec = _scaffold([Mat2(*map(F, m.entries())) for m in thirds],
+                           tuple(map(F, mu)))
+        assert [m.entries() for m in (p, *c)] == [
+            tuple(map(float, m.entries())) for m in (ep, *ec)]
 
     def test_corners_close_cycle(self):
         w = classic_witness()
@@ -206,8 +250,10 @@ class TestClosedFormSolve:
         # prod mu = prod (mu - 1) = -8/7: the system has no unique solution
         mu = (F(2), F(2), F(2), F(-1, 7))
         assert _scaffold(CLASSIC, mu) is None
+        # a float mu is read at its exact value: float(-1/7) is not singular,
+        # while prod mu = prod (mu - 1) = 4 here
         floats = [Mat2(*map(float, xi.entries())) for xi in CLASSIC]
-        assert _scaffold(floats, tuple(map(float, mu))) is None
+        assert _scaffold(floats, (-1.0, 2.0, 2.0, -1.0)) is None
 
 
 class TestSolveOrdering:
