@@ -3,7 +3,9 @@
 Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
-polygons plus singletons.  Exact 2D orientation tests are the signs of
+polygons plus singletons.  An exact 2x2 plane reads a ``Mat2`` query once
+from its stored ints; tuple rows on the m x n planes and every float plane
+loop over the rows.  Exact 2D orientation tests are the signs of
 integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); a float
 coordinate enters at its exact value.  A Caratheodory split needs an exact
 plane: it searches the plane's int rows, and its weights are ratios of
@@ -89,8 +91,11 @@ class RankOnePlane:
         if not any(g):
             raise GeometryError("a rank-one plane needs a nonzero generator")
         _same_mode(bd, gs)
-        # the rows ("left") or columns ("right") of the basepoint
+        # the rows ("left") or columns ("right") of the basepoint, and on an
+        # exact 2x2 plane the same four ints flat
         object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_flat", base[0] + base[1] if bd is not None
+                           and self.shape() == (2, 2) else None)
         object.__setattr__(self, "_den", bd)
         object.__setattr__(self, "_g", g)
         object.__setattr__(self, "_gs", gs)
@@ -102,24 +107,31 @@ class RankOnePlane:
     def _difference(self, mat):
         """The rows ("left") or columns ("right") of mat - basepoint, as
         stored numbers over one denominator: ints over a positive int, or
-        floats over None."""
-        if mat.__class__ is Mat2:
-            e = mat._d
-            if self.kind == "left":
-                q = ((mat._n11, mat._n12), (mat._n21, mat._n22))
-            else:
-                q = ((mat._n11, mat._n21), (mat._n12, mat._n22))
-        else:
-            q, e = _over_one_denominator(mat)
+        floats over None.  On an exact 2x2 plane they come flat, (x1, y1,
+        x2, y2), read from the stored ints of a Mat2 (tuple rows become
+        one); other planes loop over the m x n rows."""
+        d, flat = self._den, self._flat
+        if flat is None:
+            q, e = _over_one_denominator(to_rows(mat))
             if self.kind == "right":
                 q = tuple(zip(*q))
-        d = self._den
-        if d == e:  # one denominator, or two floats
-            return tuple(tuple(x - y for x, y in zip(u, v))
-                         for u, v in zip(q, self._base)), d
+            if d == e:  # one denominator, or two floats
+                return tuple(tuple(x - y for x, y in zip(u, v))
+                             for u, v in zip(q, self._base)), d
+            _same_mode(d, e)
+            return tuple(tuple(x * d - y * e for x, y in zip(u, v))
+                         for u, v in zip(q, self._base)), d * e
+        if mat.__class__ is not Mat2:
+            mat = Mat2.from_rows(mat)
+        e, n11, n22 = mat._d, mat._n11, mat._n22
+        n12, n21 = ((mat._n12, mat._n21) if self.kind == "left"
+                    else (mat._n21, mat._n12))
+        b11, b12, b21, b22 = flat
+        if d == e:
+            return (n11 - b11, n12 - b12, n21 - b21, n22 - b22), d
         _same_mode(d, e)
-        return tuple(tuple(x * d - y * e for x, y in zip(u, v))
-                     for u, v in zip(q, self._base)), d * e
+        return (n11 * d - b11 * e, n12 * d - b12 * e,
+                n21 * d - b21 * e, n22 * d - b22 * e), d * e
 
     def contains(self, mat, tol: Scalar = 0) -> bool:
         """True iff mat lies on the plane.
@@ -134,6 +146,9 @@ class RankOnePlane:
 
     def _holds(self, vectors, den, tol) -> bool:
         g = self._g
+        if self._flat is not None:
+            x1, y1, x2, y2 = vectors
+            return not (x1 * g[1] - y1 * g[0] or x2 * g[1] - y2 * g[0])
         if den is None:
             rows = vectors if self.kind == "left" else zip(*vectors)
             bound = float(tol) * max([abs(float(e)) for row in rows
@@ -163,6 +178,10 @@ class RankOnePlane:
         """Exact coordinates as int numerators and their one denominator:
         <d/den, g/gs> / <g/gs, g/gs> is <vec, g> gs / (den <g, g>)."""
         g, gs = self._g, self._gs
+        if self._flat is not None:
+            x1, y1, x2, y2 = vectors
+            return ((x1 * g[0] + y1 * g[1]) * gs,
+                    (x2 * g[0] + y2 * g[1]) * gs, den * self._gg)
         return (*(sum(a * b for a, b in zip(vec, g)) * gs for vec in vectors),
                 den * self._gg)
 
@@ -205,7 +224,11 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     """
     b = to_rows(y0)
     # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
-    d, den = _over_one_denominator(_mat_sub(to_rows(x0), b))
+    if x0.__class__ is y0.__class__ is Mat2:  # the stored numbers of x0 - y0
+        m = x0 - y0
+        d, den = ((m._n11, m._n12), (m._n21, m._n22)), m._d
+    else:
+        d, den = _over_one_denominator(_mat_sub(to_rows(x0), b))
     r0 = max(d, key=lambda row: max(map(abs, row)))  # the pivot's row
     j0 = max(range(len(r0)), key=lambda j: abs(r0[j]))
     p, c0 = r0[j0], [row[j0] for row in d]
@@ -358,14 +381,27 @@ class HullDescription:
     planes: tuple[PlaneHull, ...]
     singleton_indices: tuple[int, ...]
 
+    def __post_init__(self):
+        # an exact set's points by their stored ints, which are equal
+        # exactly when the values are; other sets compare values
+        exact = all(p._d is not None for p in self.points)
+        object.__setattr__(self, "_keys", frozenset(map(_stored, self.points))
+                           if exact else None)
+
     def membership(self, m: Mat2, tol: Scalar = 0) -> bool:
-        if any(m == p for p in self.points):
+        keys = self._keys
+        if (_stored(m) in keys if keys is not None and m._d is not None
+                else any(m == p for p in self.points)):
             return True
         for ph in self.planes:
             diff = ph.plane._difference(m)
             if ph.plane._holds(*diff, tol) and ph._holds(*diff):
                 return True
         return False
+
+
+def _stored(m: Mat2):
+    return m._n11, m._n12, m._n21, m._n22, m._d
 
 
 def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:

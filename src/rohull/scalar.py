@@ -157,11 +157,13 @@ def scalar_sqrt(x: Scalar) -> Scalar:
         r = rational_sqrt(x)
         if r is not None:
             return r
-        # x / 4^k lies in (1/2, 4): beyond the float range, take its root
-        k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
-        if abs(k) < 500:
-            return math.sqrt(x)
-        return math.ldexp(math.sqrt(x / Fraction(4) ** k), k)
+        # x / 4^k lies in (1/2, 4), so the root of x 4^s, s = 60 - k, has
+        # 60 or 61 bits; it is irrational, so a sticky last bit stands for
+        # the rest, and one rounding gives the correctly rounded root
+        n, d = x.numerator, x.denominator
+        s = 60 - (n.bit_length() - d.bit_length()) // 2
+        root = math.isqrt(n * 4 ** s // d if s >= 0 else n // (d * 4 ** -s))
+        return (root | 1) / 2 ** s if s >= 0 else float((root | 1) * 2 ** -s)
     return math.sqrt(x)
 
 

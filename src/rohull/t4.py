@@ -252,17 +252,18 @@ def _class_solutions(a) -> tuple:
 
 
 def _scaffold(x, mu):
-    """(P, C) with X_k = Q_k + mu_k C_k, Q_0 = P, Q_{k+1} = Q_k + C_k and
-    sum C = 0, or None when D = prod mu - prod (mu - 1) is 0.  Closing the
-    cycle gives P = sum w_k X_k with w_k = prod_{j<k} mu_j prod_{j>k}
-    (mu_j - 1) / D; walking the corners gives C_k = (X_k - Q_k) / mu_k.
+    """(Q, C), the corners Q_0..Q_3 and the C_k, with X_k = Q_k + mu_k C_k,
+    Q_0 = P, Q_{k+1} = Q_k + C_k and sum C = 0; or None when D = prod mu -
+    prod (mu - 1) is 0.  Closing the cycle gives P = sum w_k X_k with w_k =
+    prod_{j<k} mu_j prod_{j>k} (mu_j - 1) / D; walking the corners gives
+    C_k = (X_k - Q_k) / mu_k.
 
     It runs on ints, a float in x or mu at its exact value: the X_k are rows
     over their lcm denominator d, mu_k = m_k / n_k, and every corner Q_k,
     the P of the rotated cycle, is a row over |D| n_0 n_1 n_2 n_3 d.  So the
     walk Q_{k+1} = ((mu_k - 1) Q_k + X_k) / mu_k divides the int rows
     exactly by m_k, and C_k = Q_{k+1} - Q_k.  When x or mu holds a float,
-    P and the C_k are rounded once to floats."""
+    the Q_k and C_k are rounded once to floats."""
     rounded = any(m._d is None for m in x) or \
         any(isinstance(v, float) for v in mu)
     if rounded:
@@ -279,24 +280,27 @@ def _scaffold(x, mu):
     if dn < 0:
         dn, w = -dn, [-wk for wk in w]
     d, rows = _rows(x)
-    q = p = [sum(wk * r[i] for wk, r in zip(w, rows)) for i in range(4)]
-    c = []
+    q = [sum(wk * r[i] for wk, r in zip(w, rows)) for i in range(4)]
+    corners, c = [], []
     for r, mk, nk, ek in zip(rows, m, n, e):
         step = [(ek * qi + nk * dn * ri) // mk for qi, ri in zip(q, r)]
+        corners.append(_make(dn * d, *q))
         c.append(_make(dn * d, *(si - qi for si, qi in zip(step, q))))
         q = step
-    p = _make(dn * d, *p)
     if rounded:  # OverflowError past the float range
-        p, *c = (Mat2(*map(float, m.entries())) for m in (p, *c))
-    return p, tuple(c)
+        return tuple(tuple(Mat2(*map(float, m.entries())) for m in ms)
+                     for ms in (corners, c))
+    return tuple(corners), tuple(c)
 
 
 def _decide_class(x, a, perm, tol):
     """(outcome, status) of x in the order perm, a being _pairwise_dets(x):
-    a witness or the failure reason, and "found", "absent" or "undecided".
-    The smallest mu is taken.  The scaffold is built on it, a surd rounded
-    to a float; a rational mu on exact x gives an exact witness, any other
-    a float one."""
+    the failure reason, or the witnesses of the four rotations of perm,
+    rotation r starting at the corner Q_r with C and mu rotated by r; and
+    "found", "absent" or "undecided".  Only rotation 0 is certified.  The
+    smallest mu is taken.  The scaffold is built on it, a surd rounded to a
+    float; a rational mu on exact x gives exact witnesses, any other float
+    ones, each corner the exact one rounded once."""
     if a is None:
         return "no converged seed", "undecided"
     solutions, complete = _class_solutions(
@@ -308,13 +312,16 @@ def _decide_class(x, a, perm, tol):
                                 for v in m)) for m in solutions),
                      key=lambda pair: pair[1])
         built = _scaffold([x[i] for i in perm], at)
-        if built and built[0].mode == FLOAT:
+        if built and built[0][0].mode == FLOAT:
             mu = tuple(map(float, at))
     except OverflowError:
         return "witness beyond the float range", "undecided"
-    w = built and T4Witness(tuple(perm), *built, mu)
-    if w and witness_certified(x, w, tol):
-        return w, "found"
+    if built:
+        q, c = built
+        turns = tuple(T4Witness(_rotate(perm, r), q[r], _rotate(c, r),
+                                _rotate(mu, r)) for r in range(4))
+        if witness_certified(x, turns[0], tol):
+            return turns, "found"
     return "converged seed failed validation", "undecided"
 
 
@@ -344,7 +351,7 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9):
     if reason:
         return None, reason
     found, _ = _decide_class(x, _pairwise_dets(x), (0, 1, 2, 3), tol)
-    return (None, found) if isinstance(found, str) else (found, "ok")
+    return (None, found) if isinstance(found, str) else (found[0], "ok")
 
 
 def witness_certified(x, w: T4Witness, tol: float = 1e-9) -> bool:
@@ -382,11 +389,12 @@ def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
 
     The four rotations of an ordering read one scaffold from different
     corners, so only the six class representatives, which start with 0, are
-    decided.  Rotation r of a witness starts at the corner Q_r with C and mu
-    rotated by r; it is re-checked with witness_certified, and decided on
-    its own if it fails.  The preconditions are checked once, on the pairs
-    of x, so a failure reason holds for a whole class.  Witnesses come in
-    itertools.permutations order.
+    decided.  Rotation r of a witness starts at the corner Q_r of the
+    scaffold with C and mu rotated by r; it is re-checked with
+    witness_certified, and decided on its own if it fails.  The
+    preconditions are checked once, on the pairs of x, so a failure reason
+    holds for a whole class.  Witnesses come in itertools.permutations
+    order.
     """
     faults = _pair_faults(x)
     a = None if faults else _pairwise_dets(x)
@@ -395,20 +403,17 @@ def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
         found[rep] = _precondition(faults, rep)
         if found[rep] is None:
             found[rep], status[rep] = _decide_class(x, a, rep, tol)
-    for rep, w in found.items():
-        if isinstance(w, str):
-            outcome.update((_rotate(rep, r), w) for r in range(4))
+    for rep, turns in found.items():
+        if isinstance(turns, str):
+            outcome.update((_rotate(rep, r), turns) for r in range(4))
             continue
-        outcome[rep] = w
-        corners = w.corners()
-        for r in range(1, 4):
-            turned = T4Witness(_rotate(rep, r), corners[r], _rotate(w.c, r),
-                               _rotate(w.mu, r))
-            if witness_certified(x, turned, tol):
-                outcome[turned.ordering] = turned
+        outcome[rep] = turns[0]
+        for w in turns[1:]:
+            if witness_certified(x, w, tol):
+                outcome[w.ordering] = w
             else:
-                outcome[turned.ordering], status[turned.ordering] = \
-                    _decide_class(x, a, turned.ordering, tol)
+                got, status[w.ordering] = _decide_class(x, a, w.ordering, tol)
+                outcome[w.ordering] = got if isinstance(got, str) else got[0]
     perms = list(itertools.permutations(range(4)))
     return Detection(
         tuple(outcome[p] for p in perms if not isinstance(outcome[p], str)),

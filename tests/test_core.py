@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rohull.core import (
@@ -18,7 +18,14 @@ from rohull.core import (
     rank2x2,
     rank_one_connected,
 )
-from rohull.scalar import EXACT, FLOAT, MixedModeError, common_mode
+from rohull.scalar import (
+    EXACT,
+    FLOAT,
+    MixedModeError,
+    common_mode,
+    rational_sqrt,
+    scalar_sqrt,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64)
@@ -107,6 +114,28 @@ def test_common_mode_by_class_and_by_value():
         common_mode(F(1), "1")
     with pytest.raises(KeyError):
         common_mode()
+
+
+def test_sqrt_of_a_rational_rounds_once():
+    # math.sqrt of the Fraction rounds it to a float first and then takes
+    # the root, which gives 0.8355818232746196
+    x = F(692494024908262464100677495352, 991831877515410672157179759337)
+    assert scalar_sqrt(x) == 0.8355818232746197
+    assert scalar_sqrt(F(241, 144)) == math.sqrt(241 / 144)
+    assert scalar_sqrt(F(9, 4)) == F(3, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**30), st.integers(1, 10**30),
+       st.integers(-600, 600))
+def test_sqrt_is_the_isqrt_root_rounded_once(n, d, e):
+    """The root of n / d 4^e, past the float range too, is its isqrt
+    root at 300 bits past a float's 53, rounded once."""
+    x = F(n, d) * F(4) ** e
+    assume(rational_sqrt(x) is None)
+    b = 353 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    want = F(math.isqrt(math.floor(x * F(4) ** b))) / F(2) ** b
+    assert scalar_sqrt(x) == float(want)
 
 
 class TestKernelAgainstFractions:

@@ -561,6 +561,68 @@ class TestRankOnePlaneKernel:
             plane.contains(Mat2(1.0, 0.0, 0.0, 0.0))
 
 
+# --- Mat2 queries against the m x n loop on tuple rows --------------------
+
+
+def _m_by_n(plane):
+    """The same plane with its 2x2 path off: every query takes the m x n
+    loop over tuple rows."""
+    twin = RankOnePlane(plane.basepoint, plane.kind, plane.generator)
+    object.__setattr__(twin, "_flat", None)
+    return twin
+
+
+@st.composite
+def mat2_planes_and_queries(draw):
+    """A plane of plane_pair through two 2x2 Mat2s, exact or float, and a
+    Mat2 query of the same mode on or off it."""
+    entries = st.lists(rationals, min_size=4, max_size=4)
+    y0 = Mat2(*draw(entries))
+    u1, u2, v1, v2 = draw(entries.filter(
+        lambda e: any(e[:2]) and any(e[2:])))
+    x0 = y0 + Mat2(u1 * v1, u1 * v2, u2 * v1, u2 * v2)
+    side = draw(st.sampled_from(["p1", "p2"]))
+    plane = getattr(plane_pair(x0, y0), side)
+    q = Mat2.from_rows(plane.matrix_at(tuple(draw(rationals)
+                                             for _ in range(2))))
+    q = q + Mat2(*draw(entries)).scale(draw(st.sampled_from([0, 1])))
+    if draw(st.booleans()):
+        x0, y0, q = (Mat2(*map(float, m.entries())) for m in (x0, y0, q))
+        plane = getattr(plane_pair(x0, y0), side)
+    return plane, q
+
+
+class TestMat2Queries:
+    @given(mat2_planes_and_queries(), st.sampled_from([0, 1e-9, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_mat2_query_matches_the_tuple_loop(self, case, tol):
+        plane, m = case
+        twin, rows = _m_by_n(plane), to_rows(m)
+        assert plane.contains(m, tol) == twin.contains(rows, tol)
+        assert plane.coords(m) == twin.coords(rows)
+        if plane._den is not None:
+            assert plane._coord_row(*plane._difference(m)) == \
+                twin._coord_row(*twin._difference(rows))
+
+    @given(st.lists(st.lists(rationals, min_size=4, max_size=4).map(
+               lambda e: Mat2(*e)), min_size=1, max_size=5),
+           st.lists(st.sampled_from(["exact", "float"]), min_size=5,
+                    max_size=5),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_finds_a_point_by_value(self, pts, modes, data):
+        # a float point, or a float query, meets the others at its value
+        def in_mode(m, mode):
+            return m if mode == "exact" else Mat2(*map(float, m.entries()))
+        pts = [in_mode(m, mode) for m, mode in zip(pts, modes)]
+        hull = HullDescription(tuple(pts), (), tuple(range(len(pts))))
+        other = Mat2(*(data.draw(rationals) for _ in range(4)))
+        for m in (*pts, other):
+            for mode in ("exact", "float"):
+                q = in_mode(Mat2(*map(F, m.entries())), mode)
+                assert hull.membership(q) == any(q == p for p in pts)
+
+
 # --- exact plane_pair against a plain-Fraction normal form ----------------
 
 
@@ -595,10 +657,12 @@ class TestPlanePairExact:
     @settings(max_examples=200, deadline=None)
     def test_generators_are_the_normal_form(self, case, as_mat2):
         x0, y0, u, v = case
+        pp = plane_pair(x0, y0)
         if as_mat2 and len(x0) == len(x0[0]) == 2:
-            pp = plane_pair(Mat2.from_rows(x0), Mat2.from_rows(y0))
-        else:
-            pp = plane_pair(x0, y0)
+            # read from the Mat2s' stored ints, the same planes
+            mp = plane_pair(Mat2.from_rows(x0), Mat2.from_rows(y0))
+            assert mp == pp
+            pp = mp
         # "left": the shared row direction v; "right": the column one u
         assert pp.p1.kind == "left" and pp.p2.kind == "right"
         assert pp.p1.generator == _ref_normal_form(v)

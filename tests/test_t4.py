@@ -112,11 +112,26 @@ class TestWitnessCheck:
         # non-dyadic float entries and mu, read at their exact values
         thirds = [m.scale(1 / 3) for m in floats]
         mu = tuple(float(m) for m in cfg.mu)
-        p, c = _scaffold(thirds, mu)
-        ep, ec = _scaffold([Mat2(*map(F, m.entries())) for m in thirds],
+        q, c = _scaffold(thirds, mu)
+        eq, ec = _scaffold([Mat2(*map(F, m.entries())) for m in thirds],
                            tuple(map(F, mu)))
-        assert [m.entries() for m in (p, *c)] == [
-            tuple(map(float, m.entries())) for m in (ep, *ec)]
+        assert [m.entries() for m in (*q, *c)] == [
+            tuple(map(float, m.entries())) for m in (*eq, *ec)]
+
+    def test_rotated_float_witness_is_the_exact_one_rounded(self):
+        # as above, for all 24 witnesses: a rotation's P is the exact corner
+        # Q_r rounded once, not a float sum of P and the C_k
+        cfg = constructions.five_point_build(F(1, 3))
+        x = [m.scale(math.lcm(*(xk._d for xk in cfg.x))) for m in cfg.x]
+        assert all(e.denominator == 1 for m in x for e in m.entries())
+        floats = [Mat2(*map(float, m.entries())) for m in x]
+        exact, got = detect_t4(x).witnesses, detect_t4(floats).witnesses
+        assert [w.ordering for w in exact] == [w.ordering for w in got]
+        assert len(got) == 24
+        for we, wf in zip(exact, got):
+            assert wf.p.mode == FLOAT and wf.mu == tuple(map(float, we.mu))
+            assert [m.entries() for m in (wf.p, *wf.c)] == [
+                tuple(map(float, m.entries())) for m in (we.p, *we.c)]
 
     def test_corners_close_cycle(self):
         w = classic_witness()
@@ -223,7 +238,7 @@ class TestClosedFormSolve:
         x = [Mat2(*map(float, row)) for row in self.x]
         rhs = np.vstack([self.x, np.zeros((1, 4))])
         for mu in self.mu:
-            p, c = _scaffold(x, tuple(float(m) for m in mu))
+            (p, *_), c = _scaffold(x, tuple(float(m) for m in mu))
             ref = np.linalg.solve(_reference_system(mu), rhs)
             np.testing.assert_allclose(p.entries(), ref[0], rtol=1e-12,
                                        atol=1e-12)
@@ -237,13 +252,12 @@ class TestClosedFormSolve:
                   for _ in range(4)]
             x = [Mat2(*(F(rng.randint(-9, 9), rng.randint(1, 5))
                         for _ in range(4))) for _ in range(4)]
-            p, c = _scaffold(x, mu)
+            q, c = _scaffold(x, mu)
             assert all(isinstance(e, F)
-                       for m in (p, *c) for e in m.entries())
-            q = p
+                       for m in (*q, *c) for e in m.entries())
             for k in range(4):
-                assert q + c[k].scale(mu[k]) == x[k]
-                q = q + c[k]
+                assert q[k] + c[k].scale(mu[k]) == x[k]
+                assert q[k] + c[k] == q[(k + 1) % 4]
             assert (c[0] + c[1] + c[2] + c[3]).is_zero()
 
     def test_singular_mu(self):
@@ -768,13 +782,14 @@ def _oracle_scaffold(x, mu):
         return None
     w = (n[1] * n[2] * n[3], mu[0] * n[2] * n[3], mu[0] * mu[1] * n[3],
          mu[0] * mu[1] * mu[2])
-    q = p = sum((xk.scale(wk / d) for xk, wk in zip(x[1:], w[1:])),
-                x[0].scale(w[0] / d))
-    c = []
+    q = sum((xk.scale(wk / d) for xk, wk in zip(x[1:], w[1:])),
+            x[0].scale(w[0] / d))
+    corners, c = [], []
     for xk, mk in zip(x, mu):
+        corners.append(q)
         c.append((xk - q).scale(1 / mk))
         q = q + c[-1]
-    return p, tuple(c)
+    return tuple(corners), tuple(c)
 
 
 def _oracle_report(x, w):
