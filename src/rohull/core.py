@@ -218,6 +218,14 @@ def exact_value(v):
         raise GeometryError(f"not a finite number: {v!r}") from None
 
 
+def int_rows(mats) -> tuple:
+    """(D, rows): exact matrices as int 4-vectors (n11, n12, n21, n22) over
+    D, the lcm of their denominators; the library's one int-row builder."""
+    d = lcm(*(m._d for m in mats))
+    return d, [(m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k)
+               for m in mats for k in [d // m._d]]
+
+
 def det(m: Mat2) -> Scalar:
     return m.det()
 

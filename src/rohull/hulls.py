@@ -7,13 +7,13 @@ or the whole segment), and a segment that is not rank-one raises
 GeometryError.  A lamination step joins point-point and point-segment
 pairs, exactly; segment pairs add nothing (ROADMAP item 4).
 
-An exact set holds its matrices once more as int rows over one common
-denominator D, the lcm of all of theirs: a point as the int 4-vector of its
-entries times D, a segment [a, b] as (A, N = B - A, |N|^2).  Exact
-distances, the dedup of a step's segments and its point-segment crossings
-run on these ints; only the least distance becomes a Fraction.  A float
-distance is that of exact copies, each float at its exact value, rounded
-once; a float lamination step works on the Mat2 values.
+An exact set holds its matrices once more as core.int_rows, int rows over
+one common denominator D: a point as the int 4-vector of its entries times
+D, a segment [a, b] as (A, N = B - A, |N|^2).  Exact distances, the dedup
+of a step's segments and its point-segment crossings run on these ints;
+only the least distance becomes a Fraction.  A float distance is that of
+exact copies, each float at its exact value, rounded once; a float
+lamination step works on the Mat2 values.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
 from .core import (
     GeometryError,
@@ -30,6 +29,7 @@ from .core import (
     det_cross,
     exact_value,
     inner,
+    int_rows,
     rank2x2,
     rank_one_connected,
 )
@@ -55,18 +55,12 @@ def _exact_rows(points, ends):
     mats = [*points, *(m for ab in ends for m in ab)]
     if any(m._d is None for m in mats):
         return None
-    big = lcm(*(m._d for m in mats))
-
-    def row(m):
-        k = big // m._d
-        return m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k
-
-    segs = []
-    for a, b in ends:
-        ra, rb = row(a), row(b)
+    big, rows = int_rows(mats)
+    segs, pairs = [], iter(rows[len(points):])
+    for ra, rb in zip(pairs, pairs):
         n = (rb[0] - ra[0], rb[1] - ra[1], rb[2] - ra[2], rb[3] - ra[3])
         segs.append((ra, n, n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2))
-    return big, tuple(row(q) for q in points), tuple(segs)
+    return big, tuple(rows[:len(points)]), tuple(segs)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot, inf, lcm
 
-from .core import GeometryError, Mat2, _same_mode, combine, rank2x2
+from .core import GeometryError, Mat2, _same_mode, combine, exact_value, rank2x2
 from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -273,8 +273,7 @@ def pairwise_det_check(k) -> DetCheckReport:
         d = diff.det()
         dets.append((i, j, d))
         if diff.mode == FLOAT:  # decide the sign where no underflow hides it
-            (a, b, _), (c, e, _) = _plane_rows(diff.rows())
-            d = a * e - b * c  # the exact det times positive W's
+            d = exact_value(diff)._det_num()
         rank = rank2x2(diff)
         if rank == 1:
             rank_one.append((i, j))
@@ -420,7 +419,7 @@ def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:
         pair = plane_pair(pts[i], pts[j])  # at the pairs' DEFAULT_TOL
         for plane in (pair.p1, pair.p2):
             members = frozenset(idx for idx, p in enumerate(pts)
-                                if plane.contains(p, tol))
+                                if idx in (i, j) or plane.contains(p, tol))
             if len(members) >= 2:
                 groups.setdefault(members, plane)
     # the maximal sets in member order: drop those a strict superset holds

@@ -3,26 +3,26 @@
 Take four matrices in a fixed order, A_jk = det(X_j - X_k) and
 mu = (a, b, c, d).  Every T4 in that order (base point P, rank-one C_k with
 sum 0, every mu_k > 1) solves four equations in mu whose coefficients are
-the six A_jk.  Detection decides each cyclic class exactly from them, on
-ints: a sign test rules most classes out, else b is a root of one of two
-integer quadratics and c, a and d follow.  Roots are rational or lie in
-Q(sqrt disc); each root and each mu_k is held as a pair (numerator,
+the six A_jk.  The A_jk, the scaffold and the witness check run on the
+matrices' int rows over one denominator (core.int_rows), a float at its
+exact value, so a decision holds for the exact values of a float input and
+a float result is an exact value rounded once.  Each cyclic class is
+decided on ints: a sign test rules most classes out, else b is a root of
+one of two integer quadratics and c, a and d follow.  Roots are rational or
+lie in Q(sqrt disc); each root and each mu_k is held as a pair (numerator,
 denominator) of ints, or of Surds with int parts, and the formulas are
 written in that homogeneous form, so a Fraction is built only for a mu that
 is returned.  Each class is "found" (with a witness), "absent" or
-"undecided" (the elimination degenerates).  The scaffold and the witness
-check run on the matrices' int rows over one denominator, a float at its
-exact value; a float result is that exact value rounded once.
-tools/derive_t4.py derives these formulas and checks the ones here.
+"undecided" (the elimination degenerates).  tools/derive_t4.py derives
+these formulas and checks the ones here.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GeometryError, Mat2, _make, exact_value, rank_one_connected
+from .core import GeometryError, Mat2, _make, exact_value, int_rows, rank2x2
 from .scalar import (
     DEFAULT_TOL,
     EXACT,
@@ -67,14 +67,6 @@ class T4Report:
     accepted: bool
 
 
-def _rows(mats) -> tuple:
-    """(D, rows): exact matrices as int 4-vectors over D, the lcm of their
-    denominators."""
-    d = math.lcm(*(m._d for m in mats))
-    return d, [(m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k)
-               for m in mats for k in [d // m._d]]
-
-
 def _fraction(n: int, d: int) -> Fraction:
     """n / d; the zeros of a report share one Fraction."""
     return Fraction(n, d) if n else _ZERO
@@ -98,7 +90,7 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
         all(isinstance(m, (int, Fraction)) for m in mu)
     if not exact:
         mats, mu = [exact_value(m) for m in mats], [exact_value(m) for m in mu]
-    d, rows = _rows(mats)
+    d, rows = int_rows(mats)
     q11, q12, q21, q22 = p = rows[4]
     res = []
     for (x11, x12, x21, x22), (c11, c12, c21, c22), mk in zip(
@@ -130,26 +122,26 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))  # the order of A below
+_FAULTS = ("points not pairwise distinct", "rank-one connection present")
 
 
-def _pairwise_dets(x) -> dict | None:
-    """det(X_j - X_k) at (j, k) and (k, j), scaled to ints by one positive
-    factor, which keeps the roots of the homogeneous class equations: an
-    exact det is its numerator over d^2, a float one its exact value; None
-    when a float det is not finite."""
-    ratios = {}
+def _read_pairs(x) -> tuple:
+    """(faults, a) of x, in one pass over its pairs: faults maps each pair
+    (i, j), in either order, to the precondition it fails, rank2x2(X_i -
+    X_j) being 0 or 1.  a maps (j, k) and (k, j) to det(X_j - X_k) D^2, on
+    the rows of x over their common denominator D, a float at its exact
+    value: one positive factor for all six, which keeps the roots of the
+    homogeneous class equations; a is None when a pair fails."""
+    _, rows = int_rows([exact_value(m) for m in x])
+    faults, a = {}, {}
     for j, k in _PAIRS:
-        m = x[j] - x[k]
-        v = m._det_num()
-        if m._d is not None:
-            ratios[j, k] = v, m._d * m._d
-        elif math.isfinite(v):
-            ratios[j, k] = v.as_integer_ratio()
-        else:
-            return None
-    scale = math.lcm(*(d for _, d in ratios.values()))
-    a = {pair: v * (scale // d) for pair, (v, d) in ratios.items()}
-    return a | {(k, j): v for (j, k), v in a.items()}
+        rank = rank2x2(x[j] - x[k], DEFAULT_TOL)
+        if rank < 2:
+            faults[j, k] = faults[k, j] = _FAULTS[rank]
+        (p11, p12, p21, p22), (q11, q12, q21, q22) = rows[j], rows[k]
+        a[j, k] = a[k, j] = ((p11 - q11) * (p22 - q22)
+                             - (p12 - q12) * (p21 - q21))
+    return faults, None if faults else a
 
 
 def _equations(a, mu) -> tuple:
@@ -279,7 +271,7 @@ def _scaffold(x, mu):
          m[0] * m[1] * n[2] * e[3], m[0] * m[1] * m[2] * n[3])
     if dn < 0:
         dn, w = -dn, [-wk for wk in w]
-    d, rows = _rows(x)
+    d, rows = int_rows(x)
     q = [sum(wk * r[i] for wk, r in zip(w, rows)) for i in range(4)]
     corners, c = [], []
     for r, mk, nk, ek in zip(rows, m, n, e):
@@ -294,15 +286,13 @@ def _scaffold(x, mu):
 
 
 def _decide_class(x, a, perm, tol):
-    """(outcome, status) of x in the order perm, a being _pairwise_dets(x):
+    """(outcome, status) of x in the order perm, a from _read_pairs(x):
     the failure reason, or the witnesses of the four rotations of perm,
     rotation r starting at the corner Q_r with C and mu rotated by r; and
     "found", "absent" or "undecided".  Only rotation 0 is certified.  The
     smallest mu is taken.  The scaffold is built on it, a surd rounded to a
     float; a rational mu on exact x gives exact witnesses, any other float
     ones, each corner the exact one rounded once."""
-    if a is None:
-        return "no converged seed", "undecided"
     solutions, complete = _class_solutions(
         tuple(a[perm[j], perm[k]] for j, k in _PAIRS))
     if not solutions:
@@ -325,17 +315,6 @@ def _decide_class(x, a, perm, tol):
     return "converged seed failed validation", "undecided"
 
 
-def _pair_faults(x) -> dict:
-    """The precondition each pair (i, j), in either order, of x fails."""
-    faults = {}
-    for i, j in _PAIRS:
-        if x[i] == x[j]:
-            faults[i, j] = faults[j, i] = "points not pairwise distinct"
-        elif rank_one_connected(x[i], x[j], DEFAULT_TOL):
-            faults[i, j] = faults[j, i] = "rank-one connection present"
-    return faults
-
-
 def _precondition(faults: dict, perm) -> str | None:
     """The failure reason of x taken in the order perm: that of its first
     faulty pair, pairs taken in the order of their positions in perm."""
@@ -347,10 +326,11 @@ def solve_t4_ordering(x, seeds=None, tol: float = 1e-9):
     """(witness, reason) for one fixed ordering of four matrices, the
     one-class case of detect_t4; witness is None when a precondition fails
     or no certified witness exists.  ``seeds`` is accepted and ignored."""
-    reason = _precondition(_pair_faults(x), range(4))
+    faults, a = _read_pairs(x)
+    reason = _precondition(faults, range(4))
     if reason:
         return None, reason
-    found, _ = _decide_class(x, _pairwise_dets(x), (0, 1, 2, 3), tol)
+    found, _ = _decide_class(x, a, (0, 1, 2, 3), tol)
     return (None, found) if isinstance(found, str) else (found[0], "ok")
 
 
@@ -396,8 +376,7 @@ def detect_t4(x, tol: float = 1e-9, seeds=None) -> Detection:
     holds for a whole class.  Witnesses come in itertools.permutations
     order.
     """
-    faults = _pair_faults(x)
-    a = None if faults else _pairwise_dets(x)
+    faults, a = _read_pairs(x)
     found, status, outcome = {}, {}, {}
     for rep in [(0,) + tail for tail in itertools.permutations(range(1, 4))]:
         found[rep] = _precondition(faults, rep)

@@ -99,6 +99,22 @@ class TestSubcommands:
         assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
         assert report["results"]["singletons"] == []
 
+    def test_float_pc_hull_plane_of_a_pair_fails_its_own_tol(self, tmp_path):
+        # rank one at the pairs' rule, so the pair gets its plane, though
+        # the plane's containment check at --tol refuses the first point:
+        # one plane and a certificate failure, not two singletons
+        # (ROADMAP item 12)
+        src = tmp_path / "pair.json"
+        b = "596046.4477539062"
+        src.write_text(json.dumps([[["0", "0"], ["0", "20000000000000.0"]],
+                                   [[b, b], [b, "20000000596046.45"]]]))
+        code, report, _ = run(tmp_path, "--mode", "float", "pc-hull",
+                              "--input", str(src))
+        assert code == 2
+        assert report["certificates"]["passed"] is False
+        assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
+        assert report["results"]["singletons"] == []
+
     @pytest.mark.parametrize("s", ["1e-170", "1.5e308"])
     def test_float_pc_hull_triangle_at_the_ends_of_the_float_range(
             self, tmp_path, s):

@@ -6,7 +6,7 @@ from math import gcd, inf, lcm, nan
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, det, rank2x2
@@ -232,9 +232,13 @@ class TestDetCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=8, max_size=8),
            st.integers(-150, 150))
+    # pairs whose planes' own float rule refuses a point of the pair
+    @example([0, 0, 0, 2, 2 ** -24, 2 ** -24, 1, 1], 13)
+    @example([0, 0, 0, 2.375, 1, 1, 1.192092896e-07, -1.192092896e-07], 84)
     def test_float_pairs_agree_with_l2_hull(self, e, k):
         """For float A and A + u v^T, scaled by 10^k, pc_hull has a plane
-        exactly when l2_hull has a segment."""
+        exactly when l2_hull has a segment: a rank-one pair's plane holds
+        both of its points."""
         a11, a12, a21, a22, u1, u2, v1, v2 = e
         s = 10.0 ** k
         a = Mat2(a11 * s, a12 * s, a21 * s, a22 * s)

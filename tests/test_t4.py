@@ -17,7 +17,7 @@ from rohull.t4 import (
     T4Witness,
     _class_solutions,
     _equations,
-    _pairwise_dets,
+    _read_pairs,
     _scaffold,
     check_t4_witness,
     cyclic_class,
@@ -215,14 +215,17 @@ class TestClosedFormSolve:
             (0, 0, 0, 0)
 
     def test_residual_from_the_mat2_pairwise_dets(self):
-        # _pairwise_dets scales every det(X_j - X_k) to an int by one
-        # positive factor, for float and exact Mat2 alike (a float det at
-        # its exact value), so the class equations keep zeros and signs
+        # _read_pairs scales every det(X_j - X_k) to an int by one positive
+        # factor, for float and exact Mat2 alike (a float input at its
+        # exact value, so its dets are those of its Fraction copy), and the
+        # class equations keep zeros and signs
         floats = [Mat2(*map(float, row)) for row in self.x]
         exact = [Mat2(*map(F, row)) for row in self.x]
+        assert _read_pairs(floats) == _read_pairs(exact)
         for x in (floats, exact, CLASSIC):
-            raw = _dets(x)
-            a = _pairwise_dets(x)
+            raw = _dets([Mat2(*map(F, m.entries())) for m in x])
+            faults, a = _read_pairs(x)
+            assert faults == {}
             assert all(a[j, k] == a[k, j] and type(a[j, k]) is int
                        for j, k in PAIRS)
             scaled = tuple(a[pair] for pair in PAIRS)
@@ -431,15 +434,46 @@ class TestDetect:
         assert det_res.status == dict.fromkeys(REPRESENTATIVES, "absent")
 
 
-    def test_overflowing_float_dets_are_undecided(self):
+    def test_overflowing_float_dets_are_decided_exactly(self):
         # det(X_0 - X_1) is 2e400, beyond the float range, on a rank-two
-        # pair; nothing is decided on it
+        # pair; the dets are read at the floats' exact values, and every
+        # class is decided as on the Fraction copies
         x = [Mat2(1e200, -1e200, 1e200, 1e200), Mat2.zero(FLOAT),
              Mat2(1.0, 2.0, 3.0, 5.0), Mat2(-2.0, 1.0, 4.0, 1.0)]
         det_res = detect_t4(x)
         assert det_res.witnesses == ()
         assert set(det_res.failures.values()) == {"no converged seed"}
-        assert det_res.status == dict.fromkeys(REPRESENTATIVES, "undecided")
+        assert det_res.status == dict.fromkeys(REPRESENTATIVES, "absent")
+        copy = detect_t4([Mat2(*map(F, m.entries())) for m in x])
+        assert (copy.failures, copy.status) == \
+            (det_res.failures, det_res.status)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=16, max_size=16),
+           st.sampled_from([1, 3]))
+    def test_float_detection_is_that_of_the_exact_values(self, e, q):
+        # float ints and float thirds: past the preconditions, whose float
+        # rule is their own, float detection is detection of the Fraction
+        # copies, and each float witness is the copy's rounded entrywise
+        floats = [Mat2(*(v / q for v in e[i:i + 4])) for i in range(0, 16, 4)]
+        got = detect_t4(floats)
+        assume(not set(got.failures.values()) & set(t4._FAULTS))
+        want = detect_t4([Mat2(*map(F, m.entries())) for m in floats])
+        assert (got.failures, got.status) == (want.failures, want.status)
+        assert [w.ordering for w in got.witnesses] == \
+            [w.ordering for w in want.witnesses]
+        for wf, we in zip(got.witnesses, want.witnesses):
+            assert wf.mu == tuple(map(float, we.mu))
+            assert [m.entries() for m in (wf.p, *wf.c)] == [
+                tuple(map(float, m.entries())) for m in (we.p, *we.c)]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_float_input_raises(self, bad):
+        # a float is read at its exact value, which a non-finite one lacks
+        x = [Mat2(*map(float, m.entries())) for m in CLASSIC]
+        x[1] = Mat2(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(GeometryError, match="not a finite number"):
+            detect_t4(x)
 
     def test_rank_one_pair_beyond_the_float_range_fails_preconditions(self):
         # X_0 - X_1 has four equal entries: rank one, though its float
