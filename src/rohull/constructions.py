@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GeometryError, Mat2, combine, crossing_parameter
+from .core import GeometryError, Mat2, combine, crossing_parameter, rank2x2
 from .hulls import (
     LaminateSet,
     RankOneSegment,
@@ -140,8 +140,8 @@ class TriSpiralConfig:
 def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[Mat2]:
     """Iterates spiralling down to the first corner of the inner rectangle.
 
-    Each step certifies the enabling rank-one connection det(X_i - A_i) = 0
-    and is cross-checked against X_{i+1} = P_{(i+1) mod 4} + (0,0,z_{i+1}),
+    Each step certifies its rank-one connection, rank2x2(X_i - A_i) < 2, and
+    is cross-checked against X_{i+1} = P_{(i+1) mod 4} + (0,0,z_{i+1}),
     where the running product z_{i+1} = z_i lambda_{i mod 4} starts at z0.
     """
     corners = cfg.corners()
@@ -154,9 +154,7 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[Mat2]:
     out = [x]
     for i in range(n_steps):
         k = i % 4
-        d = (x - anchors[k]).det()
-        bad = (d != 0) if exact else abs(d) > 1e-10
-        if bad:
+        if rank2x2(x - anchors[k]) == 2:
             raise ConstructionError("iterate lost its rank-one connection")
         x = combine(anchors[k], x, lams[k])
         out.append(x)
@@ -258,10 +256,8 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
 
     xi1, xi2, xi3 = cfg.offsets()
     y = p0 + Mat2(xi1, xi3, xi3, xi2)
-    for which in (0, 3):
-        d = (y - anchors[which]).det()
-        if abs(d) > 1e-9 * max(1.0, (y - anchors[which]).frob_sq()):
-            raise ConstructionError("start point lost its determinant zeros")
+    if any(rank2x2(y - anchors[k], 1e-9) == 2 for k in (0, 3)):
+        raise ConstructionError("start point lost its determinant zeros")
     iterates = [y]
     cycles = []
     for cycle in range(1, n_iters + 1):
@@ -278,9 +274,8 @@ def sym_spiral(cfg: SymSpiralConfig, n_iters: int) -> SymSpiralResult:
             t = crossing_parameter(a_i, a_next, b)
             b = combine(a_i, b, t)
             diff = b - a_next
-            rel = abs(diff.det()) / max(1e-300, diff.frob_sq())
-            residuals.append(rel)
-            if rel > 1e-8:
+            residuals.append(abs(diff.det()) / max(1e-300, diff.frob_sq()))
+            if rank2x2(diff, 1e-8) == 2:
                 raise ConstructionError("quarter step lost its rank-one target")
             ts.append(t)
         eta = b - p0

@@ -284,6 +284,22 @@ def rank2x2(m: Mat2, tol: Scalar = DEFAULT_TOL) -> int:
     return 1 if abs(a * d - b * c) <= tol * frob_sq else 2
 
 
+def rank_rows(rows, tol: Scalar = DEFAULT_TOL) -> int:
+    """rank2x2's float rule in m x n form, on rows of floats (on a 2x2, the
+    same float values): 0 if all zero; else, with p the largest |entry|, in
+    row r and column c, 1 iff each residual |e/p - (c_i/p)(r_j/p)| is within
+    tol times the sum of the (e/p)^2, and 2 (two or more) if not."""
+    r0 = max(rows, key=lambda row: max(map(abs, row)))
+    j0 = max(range(len(r0)), key=lambda j: abs(r0[j]))
+    p = r0[j0]
+    if not p:
+        return 0
+    qc, qr = [row[j0] / p for row in rows], [r / p for r in r0]
+    bound = float(tol) * sum((e / p) * (e / p) for row in rows for e in row)
+    return 2 if any(abs(e / p - c * r) > bound
+                    for c, v in zip(qc, rows) for e, r in zip(v, qr)) else 1
+
+
 def crossing_parameter(a: Mat2, a_next: Mat2, b: Mat2) -> Scalar:
     """Parameter t in (0,1) at which det((1-t)a + t*b - a_next) crosses zero.
 

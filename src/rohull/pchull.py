@@ -4,12 +4,12 @@ Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
 polygons plus singletons.  An exact 2x2 plane reads a ``Mat2`` query once
-from its stored ints; tuple rows on the m x n planes and every float plane
-loop over the rows.  Exact 2D orientation tests are the signs of
-integer determinants of rows (X, Y, W) for plane points (X/W, Y/W); a float
-coordinate enters at its exact value.  A Caratheodory split needs an exact
-plane: it searches the plane's int rows, and its weights are ratios of
-integer determinants.
+from its stored ints; other planes loop over the rows, and a float plane
+decides membership by ``core.rank_rows``.  Exact 2D orientation tests are
+the signs of integer determinants of rows (X, Y, W) for plane points
+(X/W, Y/W); a float coordinate enters at its exact value.  A Caratheodory
+split needs an exact plane: it searches the plane's int rows, and its
+weights are ratios of integer determinants.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, hypot, inf, lcm
 
-from .core import GeometryError, Mat2, _same_mode, combine, exact_value, rank2x2
+from .core import (GeometryError, Mat2, _same_mode, combine, exact_value,
+                   rank2x2, rank_rows)
 from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -36,10 +37,6 @@ def _over_one_denominator(rows):
     d = lcm(*(e.denominator for row in rows for e in row))
     return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
                  for row in rows), d
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _primitive(v) -> tuple[Fraction, ...]:
@@ -139,8 +136,8 @@ class RankOnePlane:
         Each row ("left") or column ("right") of mat - basepoint must be
         parallel to the generator.  On an exact plane the 2x2 minors are
         decided by their sign, so any nonzero minor rejects.  ``tol`` applies
-        to float planes only: there a minor counts as zero up to ``tol``
-        times the largest entry of the difference (at least 1).
+        to float planes only: there they and the generator, scaled to their
+        largest |entry|, must have rank one by ``core.rank_rows`` at ``tol``.
         """
         return self._holds(*self._difference(mat), tol)
 
@@ -150,14 +147,12 @@ class RankOnePlane:
             x1, y1, x2, y2 = vectors
             return not (x1 * g[1] - y1 * g[0] or x2 * g[1] - y2 * g[0])
         if den is None:
-            rows = vectors if self.kind == "left" else zip(*vectors)
-            bound = float(tol) * max([abs(float(e)) for row in rows
-                                      for e in row] + [1.0])
+            s, t = max(abs(e) for v in vectors for e in v), max(map(abs, g))
+            return rank_rows((*vectors, tuple(x / t * s for x in g)), tol) < 2
         for vec in vectors:
             for i in range(len(g)):
                 for j in range(i + 1, len(g)):
-                    minor = vec[i] * g[j] - vec[j] * g[i]
-                    if minor and (den is not None or abs(minor) > bound):
+                    if vec[i] * g[j] - vec[j] * g[i]:
                         return False
         return True
 
@@ -218,9 +213,8 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     row and column are the generators, and every matrix within rank <= 1
     of both inputs lies in one of the two returned planes.  The difference
     is rank one when the fit ``c r / p`` of its pivot column ``c`` and row
-    ``r`` leaves no residual: exactly when exact; when float, each residual
-    over ``p`` within ``tol`` times the sum of the ``(e/p)^2``, the m x n
-    form of ``rank2x2``'s rule (on a 2x2, the same float values).
+    ``r`` leaves no residual: exactly when exact; when float, by
+    ``core.rank_rows`` at ``tol``, the m x n form of ``rank2x2``'s rule.
     """
     b = to_rows(y0)
     # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
@@ -228,20 +222,16 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
         m = x0 - y0
         d, den = ((m._n11, m._n12), (m._n21, m._n22)), m._d
     else:
-        d, den = _over_one_denominator(_mat_sub(to_rows(x0), b))
+        d, den = _over_one_denominator([[u - v for u, v in zip(r, s)]
+                                        for r, s in zip(to_rows(x0), b)])
     r0 = max(d, key=lambda row: max(map(abs, row)))  # the pivot's row
     j0 = max(range(len(r0)), key=lambda j: abs(r0[j]))
     p, c0 = r0[j0], [row[j0] for row in d]
-    if not p:
-        raise GeometryError("difference not rank-one")
-    if den is not None:  # p times the residuals: the minors through p
-        bad = any(e * p != c * r
-                  for c, row in zip(c0, d) for e, r in zip(row, r0))
-    else:  # the residuals over p, where no product overflows
-        qc, qr = [c / p for c in c0], [r / p for r in r0]
-        bound = float(tol) * sum((e / p) * (e / p) for row in d for e in row)
-        bad = any(abs(e / p - c * r) > bound
-                  for c, row in zip(qc, d) for e, r in zip(row, qr))
+    if den is None:
+        bad = rank_rows(d, tol) != 1
+    else:  # p times the residuals: the minors through p
+        bad = not p or any(e * p != c * r
+                           for c, row in zip(c0, d) for e, r in zip(row, r0))
     if bad:
         raise GeometryError("difference not rank-one")
     unit = _primitive if den is not None else _unit

@@ -82,8 +82,8 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     exact value, and with mu_k = m_k / n_k the residual X_k - Q_k - mu_k C_k
     is (n_k X_k - n_k Q_k - m_k C_k) / (n_k D).  An exact witness passes iff
     every residual, every det C_k and sum C_k are zero, no C_k is zero and
-    every mu_k > 1.  A witness that holds a float passes within tol, on the
-    exact values, and reports them rounded to floats.
+    every mu_k > 1.  A float witness passes within tol: each C_k by rank2x2,
+    the rest on the exact values, which it reports rounded to floats.
     """
     mats, mu = (*x, w.p, *w.c), w.mu
     exact = all(m._d is not None for m in mats) and \
@@ -114,9 +114,8 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     tol = exact_value(tol)
     bound = tol ** 2 * max(1, max(Fraction(sum(e * e for e in r), dd)
                                   for r in rows[:4]))
-    ok = (all(r <= bound for r in res) and csum <= bound
-          and all(abs(v) <= max(tol, bound) for v in dets)
-          and margin > tol and nonzero)
+    ok = (all(r <= bound for r in res) and csum <= bound and margin > tol
+          and all(rank2x2(c, tol) == 1 for c in w.c))
     return T4Report(tuple(map(to_float, res)), tuple(map(to_float, dets)),
                     to_float(csum), to_float(margin), ok)
 

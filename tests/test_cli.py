@@ -99,19 +99,18 @@ class TestSubcommands:
         assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
         assert report["results"]["singletons"] == []
 
-    def test_float_pc_hull_plane_of_a_pair_fails_its_own_tol(self, tmp_path):
-        # rank one at the pairs' rule, so the pair gets its plane, though
-        # the plane's containment check at --tol refuses the first point:
-        # one plane and a certificate failure, not two singletons
-        # (ROADMAP item 12)
+    def test_float_pc_hull_plane_of_a_pair_passes_its_own_tol(self, tmp_path):
+        # rank one at the pairs' rule, so the pair gets its plane, and the
+        # plane's containment check at --tol holds both points by the same
+        # rule: one plane and a passed certificate, not two singletons
         src = tmp_path / "pair.json"
         b = "596046.4477539062"
         src.write_text(json.dumps([[["0", "0"], ["0", "20000000000000.0"]],
                                    [[b, b], [b, "20000000596046.45"]]]))
         code, report, _ = run(tmp_path, "--mode", "float", "pc-hull",
                               "--input", str(src))
-        assert code == 2
-        assert report["certificates"]["passed"] is False
+        assert code == 0
+        assert report["certificates"]["passed"] is True
         assert [p["indices"] for p in report["results"]["planes"]] == [[0, 1]]
         assert report["results"]["singletons"] == []
 

@@ -113,6 +113,14 @@ class TestTriSpiral:
     def test_iterates_are_upper_triangular(self, cfg):
         assert all(m.a21 == 0 for m in tri_spiral(cfg, 40))
 
+    @pytest.mark.parametrize("s", [1e3, 1e5])
+    def test_float_spiral_at_scale(self, s):
+        # rank2x2's relative rule: an absolute bound on det(X_i - A_i)
+        # refused these iterates for their rounding alone
+        cfg = TriSpiralConfig(-s, 1.3 * s, 0.7 * s, -1.1 * s, 0.9 * s,
+                              (2.3 * s, 1.7 * s, 2.9 * s, 1.1 * s))
+        assert len(tri_spiral(cfg, 200)) == 201
+
     def test_non_spiral_config_rejected(self):
         with pytest.raises(ConstructionError):
             TriSpiralConfig(x1=-1, x2=1, y1=1, y2=-1, z0=1,

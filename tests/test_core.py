@@ -17,6 +17,7 @@ from rohull.core import (
     inner,
     rank2x2,
     rank_one_connected,
+    rank_rows,
 )
 from rohull.scalar import (
     EXACT,
@@ -276,6 +277,21 @@ class TestRankPredicates:
         zero = Mat2.zero(FLOAT)
         assert not rank_one_connected(Mat2(1e200, 0.0, 0.0, 1e200), zero)
         assert rank_one_connected(Mat2(*[1e-170] * 4), zero)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+           st.integers(-20, 0), st.integers(-150, 150),
+           st.sampled_from([0, 1e-12, 1e-9, 1e-3]))
+    def test_rank_rows_is_rank2x2_on_a_2x2(self, e, j, k, tol):
+        """The m x n form of the float rule gives rank2x2's rank on every
+        nonzero float 2x2: u v^T plus a perturbation of size 10^j, scaled
+        by 10^k, reaches both sides of the threshold."""
+        u1, u2, v1, v2, w11, w12, w21, w22 = e
+        eps, s = 10.0 ** j, 10.0 ** k
+        m = Mat2((u1 * v1 + w11 * eps) * s, (u1 * v2 + w12 * eps) * s,
+                 (u2 * v1 + w21 * eps) * s, (u2 * v2 + w22 * eps) * s)
+        assume(not m.is_zero())
+        assert rank_rows(m.rows(), tol) == rank2x2(m, tol)
 
     def test_staircase_neighbors_not_connected(self):
         # neighbors of the diagonal staircase never share a coordinate

@@ -314,6 +314,19 @@ class TestPcHull:
         assert h.membership(Mat2(s / 4, 0.0, s / 4, 0.0))
         assert not h.membership(Mat2(s, 0.0, s, 0.0))
 
+    @pytest.mark.parametrize("s", [1.0, 1e-12])
+    def test_float_plane_membership_at_any_scale(self, s):
+        # the rows of the third point, or of the query, are not parallel
+        # to the generator: only the "right" plane holds all three points,
+        # and it does not hold the query, at any scale
+        k = [Mat2.zero(FLOAT), Mat2(s, 0.0, 0.0, 0.0), Mat2(0.0, s, 0.0, 0.0)]
+        h = pc_hull(k)
+        assert [(ph.plane.kind, ph.indices) for ph in h.planes] == \
+            [("right", (0, 1, 2))]
+        q = Mat2(0.0, 0.0, s, s)
+        assert not h.planes[0].plane.contains(q, 1e-9)
+        assert not h.membership(q, 1e-9)
+
     def test_members_are_always_in(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0),
              Mat2.diag(5, 5)]
@@ -472,14 +485,22 @@ def _ref_matrix_at(plane, coeffs):
 
 
 def _float_contains(plane, rows, tol):
-    """The float test written over tuple rows: minors against tol times
-    the largest entry of the difference."""
-    d = [[x - y for x, y in zip(r, b)] for r, b in zip(rows, plane.basepoint)]
-    g = plane.generator
-    scale = max([abs(float(e)) for row in d for e in row] + [1.0])
-    return all(not (abs(float(v[i] * g[j] - v[j] * g[i])) > float(tol) * scale)
-               for v in _vectors(plane, rows)
-               for i in range(len(g)) for j in range(i + 1, len(g)))
+    """The float test written over tuple rows: the difference vectors and
+    the generator, scaled to their largest |entry|, stacked as a matrix m;
+    with p the first entry of largest |entry| of m, at (i0, j0), every
+    residual e/p - (m[i][j0]/p)(m[i0][j]/p) within tol times the sum of the
+    (e/p)^2."""
+    vecs, g = _vectors(plane, rows), plane.generator
+    s, t = max(abs(e) for v in vecs for e in v), max(abs(x) for x in g)
+    m = vecs + [[x / t * s for x in g]]
+    at = [(i, j) for i, row in enumerate(m) for j in range(len(row))]
+    i0, j0 = max(at, key=lambda ij: abs(m[ij[0]][ij[1]]))
+    p = m[i0][j0]
+    if p == 0:
+        return True
+    bound = float(tol) * sum((e / p) * (e / p) for row in m for e in row)
+    return all(abs(m[i][j] / p - (m[i][j0] / p) * (m[i0][j] / p)) <= bound
+               for i, j in at)
 
 
 @st.composite
@@ -531,6 +552,28 @@ class TestRankOnePlaneKernel:
             got = plane.coords(q)
             assert list(map(repr, got)) == list(
                 map(repr, _ref_coords(plane, rows)))
+
+    @given(st.lists(small_floats, min_size=8, max_size=8),
+           st.lists(small_floats, min_size=2, max_size=2),
+           st.lists(small_floats, min_size=4, max_size=4),
+           st.integers(-20, 0), st.integers(-40, 40),
+           st.sampled_from([0, 1e-12, 1e-9, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_float_contains_is_scale_free(self, e, coeffs, bump, j, k, tol):
+        """Scaling a float pair and a query by 2^k changes no answer of
+        contains: a point of a plane through the pair, pushed off it by
+        10^j, reaches both sides of the threshold."""
+        a11, a12, a21, a22, u1, u2, v1, v2 = e
+        y0 = Mat2(a11, a12, a21, a22)
+        x0 = y0 + Mat2(u1 * v1, u1 * v2, u2 * v1, u2 * v2)
+        if rank2x2(x0 - y0) != 1:
+            return
+        s, eps = 2.0 ** k, 10.0 ** j
+        pair, scaled = plane_pair(x0, y0), plane_pair(x0.scale(s), y0.scale(s))
+        for plane, twin in ((pair.p1, scaled.p1), (pair.p2, scaled.p2)):
+            q = Mat2.from_rows(plane.matrix_at(tuple(coeffs))) + \
+                Mat2(*bump).scale(eps)
+            assert plane.contains(q, tol) == twin.contains(q.scale(s), tol)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -1,9 +1,11 @@
 """T4 witness checks, scaffold solve, exact class decisions, laminate
 unrolling."""
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rohull import constructions, t4
-from rohull.core import GeometryError, Mat2
+from rohull.core import GeometryError, Mat2, rank2x2
 from rohull.scalar import FLOAT, Surd, quadratic_roots, sign
 from rohull.t4 import (
     T4Witness,
@@ -93,6 +95,31 @@ class TestWitnessCheck:
         with pytest.raises(GeometryError, match="not a finite number"):
             check_t4_witness(
                 x, T4Witness(w.ordering, p, tuple(c), tuple(mu)), 1e-6)
+
+    def test_float_witness_with_a_rank_two_c_rejected(self):
+        # the golden T4 times 1e-3, with d added to C_0 and taken from C_1:
+        # the residuals stay within tol^2 and sum C is unchanged, and the
+        # dets of C_0 and C_1 are far below tol, but both are rank two by
+        # rank2x2 at tol (relative det about 1e-4 against 3.2e-5)
+        data = Path(__file__).parent / "data" / "golden_t4.json"
+        x = [Mat2.from_rows([[F(e) for e in r] for r in m])
+             for m in json.loads(data.read_text())]
+        w = detect_t4(x).witnesses[0]
+
+        def small(m):
+            return Mat2(*(float(e) * 1e-3 for e in m.entries()))
+        ordered, p, c = ([small(x[i]) for i in w.ordering], small(w.p),
+                         [small(m) for m in w.c])
+        mu, tol = tuple(map(float, w.mu)), max(math.sqrt(1e-9), 1e-6)
+        assert check_t4_witness(ordered, T4Witness(w.ordering, p, tuple(c),
+                                                   mu), tol).accepted
+        d = Mat2(1e-7, -2e-7, 3e-7, 1e-7)
+        c[0], c[1] = c[0] + d, c[1] - d
+        assert [rank2x2(m, tol) for m in c] == [2, 2, 1, 1]
+        rep = check_t4_witness(ordered, T4Witness(w.ordering, p, tuple(c),
+                                                  mu), tol)
+        assert max(map(abs, rep.c_dets)) < tol ** 2
+        assert not rep.accepted
 
     def test_float_witness_is_the_exact_scaffold_rounded(self):
         # the five-point T4 at epsilon 1/3 over its common denominator: int
