@@ -163,7 +163,7 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[Mat2]:
         if exact:
             if x != expected:
                 raise ConstructionError("closed form disagrees with recursion")
-        elif (x - expected).frob_sq() > 1e-20 * max(1.0, x.frob_sq()):
+        elif (x - expected).frob_sq() > 1e-20 * x.frob_sq():
             raise ConstructionError("closed form disagrees with recursion")
     if any(m.a21 != 0 for m in out):
         raise ConstructionError("iterate left the upper-triangular subspace")

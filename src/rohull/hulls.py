@@ -7,13 +7,12 @@ or the whole segment), and a segment that is not rank-one raises
 GeometryError.  A lamination step joins point-point and point-segment
 pairs, exactly; segment pairs add nothing (ROADMAP item 4).
 
-An exact set holds its matrices once more as core.int_rows, int rows over
-one common denominator D: a point as the int 4-vector of its entries times
-D, a segment [a, b] as (A, N = B - A, |N|^2).  Exact distances, the dedup
-of a step's segments and its point-segment crossings run on these ints;
-only the least distance becomes a Fraction.  A float distance is that of
-exact copies, each float at its exact value, rounded once; a float
-lamination step works on the Mat2 values.
+A set holds its matrices once more as core.int_rows, int rows over one
+common denominator D, a float at its exact value: a point as the int
+4-vector of its entries times D, a segment [a, b] as (A, N = B - A, |N|^2).
+Distances, the dedup of a step's segments and its point-segment crossings
+run on these ints; only the least distance becomes a Fraction.  A float
+set's distances and crossings are those exact values rounded once.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from .core import (
     GeometryError,
     Mat2,
     combine,
-    det_cross,
     exact_value,
     inner,
     int_rows,
@@ -50,17 +48,17 @@ class RankOneSegment:
 
 
 def _exact_rows(points, ends):
-    """(D, point rows, segment rows (A, N, |N|^2)) of exact matrices and
-    (a, b) ends over their common denominator D; None if any is a float."""
+    """(D, point rows, segment rows (A, N, |N|^2), float) of matrices and
+    (a, b) ends at their exact values, over their common denominator D;
+    float tells whether any of them is a float."""
     mats = [*points, *(m for ab in ends for m in ab)]
-    if any(m._d is None for m in mats):
-        return None
-    big, rows = int_rows(mats)
+    big, rows = int_rows(list(map(exact_value, mats)))
     segs, pairs = [], iter(rows[len(points):])
     for ra, rb in zip(pairs, pairs):
         n = (rb[0] - ra[0], rb[1] - ra[1], rb[2] - ra[2], rb[3] - ra[3])
         segs.append((ra, n, n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2))
-    return big, tuple(rows[:len(points)]), tuple(segs)
+    return (big, tuple(rows[:len(points)]), tuple(segs),
+            any(m._d is None for m in mats))
 
 
 @dataclass(frozen=True)
@@ -92,42 +90,30 @@ def _point_segment_offspring(s: LaminateSet, generation: int):
 
     On a rank-one segment det(a - p + t n) = c0 + t c1, with n = b - a,
     c0 = det(a - p) and c1 = det_cross(a - p, n), is affine in t, so it
-    vanishes once, nowhere, or everywhere.  An exact set reads c0 and c1,
-    both times D^2, off its rows.
+    vanishes once, nowhere, or everywhere.  c0 and c1, both times D^2, come
+    off the set's rows; a float set's crossing is rounded once.
     """
-    rows = s._rows
-    if rows is None:
-        ns = [g.b - g.a for g in s.segments]
-        flat = all(rank2x2(n) < 2 for n in ns)
-    else:
-        ns = [n for _, n, _ in rows[2]]
-        flat = all(n[0] * n[3] == n[1] * n[2] for n in ns)
-    if not flat:
+    if any(rank2x2(g.b - g.a) == 2 for g in s.segments):
         raise GeometryError("segment is not rank-one")
+    _, points, segs, rounded = s._rows
     out = []
-    for i, p in enumerate(s.points):
-        for j, g in enumerate(s.segments):
-            n = ns[j]
-            if rows is None:
-                m = g.a - p
-                c0, c1 = m.det(), det_cross(m, n)
-                t = -c0 / c1 if c1 != 0 else None
-                inside = t is not None and 0 <= t <= 1
-            else:
-                (x1, x2, x3, x4), (a1, a2, a3, a4) = rows[1][i], rows[2][j][0]
-                m1, m2, m3, m4 = a1 - x1, a2 - x2, a3 - x3, a4 - x4
-                c0 = m1 * m4 - m2 * m3
-                c1 = m1 * n[3] + n[0] * m4 - m2 * n[2] - n[1] * m3
-                if c1 < 0:
-                    c0, c1 = -c0, -c1
-                inside = c1 != 0 and 0 <= -c0 <= c1
-                t = Fraction(-c0, c1) if inside else None
+    for p, (x1, x2, x3, x4) in zip(s.points, points):
+        for g, ((a1, a2, a3, a4), n, _) in zip(s.segments, segs):
+            m1, m2, m3, m4 = a1 - x1, a2 - x2, a3 - x3, a4 - x4
+            c0 = m1 * m4 - m2 * m3
+            c1 = m1 * n[3] + n[0] * m4 - m2 * n[2] - n[1] * m3
+            if c1 < 0:
+                c0, c1 = -c0, -c1
             if c1 == 0:
                 # det is constant along g: zero means the whole segment is
                 # rank-one visible from p, and the extreme rungs are kept
                 ends = (g.a, g.b) if c0 == 0 else ()
+            elif 0 <= -c0 <= c1:
+                q = combine(exact_value(g.a), exact_value(g.b),
+                            Fraction(-c0, c1))
+                ends = (Mat2(*map(float, q.entries())) if rounded else q,)
             else:
-                ends = (combine(g.a, g.b, t),) if inside else ()
+                ends = ()
             out.extend(RankOneSegment(p, q, generation)
                        for q in ends if q != p)
     return out
@@ -145,26 +131,21 @@ def _on_segment(x, seg) -> bool:
 
 
 def _dedup_segments(segments):
-    """Drop zero-length and repeated segments, and exact segments that lie
-    on another kept segment; the rest keep their order."""
-    rows = _exact_rows((), [(g.a, g.b) for g in segments])
-    if rows is None:
-        ends = [(g.a, g.b) for g in segments]
-    else:
-        # equal exact matrices have equal rows over one denominator
-        ends = [(a, (a[0] + n[0], a[1] + n[1], a[2] + n[2], a[3] + n[3]))
-                for a, n, _ in rows[2]]
+    """Drop zero-length and repeated segments, and segments that lie on
+    another kept segment, at their exact values; the rest keep their
+    order."""
+    segs = _exact_rows((), [(g.a, g.b) for g in segments])[2]
+    # equal matrices have equal rows over one denominator
+    ends = [(a, (a[0] + n[0], a[1] + n[1], a[2] + n[2], a[3] + n[3]))
+            for a, n, _ in segs]
     kept, seen = [], set()
     for i, (a, b) in enumerate(ends):
         key = frozenset([a, b])
         if a != b and key not in seen:
             seen.add(key)
             kept.append(i)
-    if rows is None:
-        return [segments[i] for i in kept]
     # kept segments have distinct endpoint sets, so none lies on another
     # both ways
-    segs = rows[2]
     return [segments[i] for i in kept
             if not any(j != i and _on_segment(ends[i][0], segs[j])
                        and _on_segment(ends[i][1], segs[j]) for j in kept)]
@@ -173,9 +154,9 @@ def _dedup_segments(segments):
 def lamination_step(s: LaminateSet) -> LaminateSet:
     """One application of the segment-adding step.
 
-    Point-point rank-one pairs and point-segment crossings contribute exact
-    segments; segment pairs add nothing.  A segment whose ends are not
-    rank-one connected raises GeometryError.
+    Point-point rank-one pairs and point-segment crossings, rounded once in
+    a float set, contribute segments; segment pairs add nothing.  A segment
+    whose ends are not rank-one connected raises GeometryError.
     """
     gen = s.order + 1
     new = [RankOneSegment(a, b, gen) for a, b in combinations(s.points, 2)
@@ -205,9 +186,7 @@ def _exact_dist_sq(p: Mat2, rows) -> Fraction:
     (dp D)^2 like every candidate.  The least numerator-denominator pair is
     kept by cross-multiplying.
     """
-    if rows is None:
-        raise MixedModeError("cannot mix exact and float scalars")
-    big, points, segments = rows
+    big, points, segments, _ = rows
     dp = p._d
     p1, p2, p3, p4 = p._n11 * big, p._n12 * big, p._n21 * big, p._n22 * big
     num, den = None, 1
@@ -234,7 +213,7 @@ def _exact_dist_sq(p: Mat2, rows) -> Fraction:
 
 def exact_set(s: LaminateSet) -> LaminateSet:
     """The float set s at the exact values of its floats."""
-    if s._rows is not None:
+    if not s._rows[3]:
         raise MixedModeError("cannot mix exact and float scalars")
     return LaminateSet(
         [exact_value(p) for p in s.points],
@@ -250,9 +229,11 @@ def point_segment_dist_sq(p: Mat2, a: Mat2, b: Mat2) -> Scalar:
 def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     if s.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    if p._d is None:
-        return to_float(_exact_dist_sq(exact_value(p), exact_set(s)._rows))
-    return _exact_dist_sq(p, s._rows)
+    rows = s._rows
+    if (p._d is None) != rows[3]:
+        raise MixedModeError("cannot mix exact and float scalars")
+    d = _exact_dist_sq(exact_value(p), rows)
+    return to_float(d) if rows[3] else d
 
 
 def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
@@ -288,7 +269,7 @@ def directed_dist_sq(src: LaminateSet, target: LaminateSet) -> Scalar:
     that of float sets is the exact value rounded once."""
     if src.is_empty() or target.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    if target._rows is None:
+    if target._rows[3]:
         return to_float(directed_dist_sq(exact_set(src), exact_set(target)))
     return max([point_to_set_dist_sq(p, target) for p in src.points]
                + [_segment_sup_dist_sq(seg, target) for seg in src.segments])

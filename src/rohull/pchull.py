@@ -3,24 +3,24 @@
 Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
-polygons plus singletons.  An exact 2x2 plane reads a ``Mat2`` query once
-from its stored ints; other planes loop over the rows, and a float plane
-decides membership by ``core.rank_rows``.  Exact 2D orientation tests are
-the signs of integer determinants of rows (X, Y, W) for plane points
-(X/W, Y/W); a float coordinate enters at its exact value.  A Caratheodory
-split needs an exact plane: it searches the plane's int rows, and its
-weights are ratios of integer determinants.
+polygons plus singletons.  Every plane and query is read as ints, a float
+at its exact value: a 2x2 plane reads a ``Mat2`` once from its stored ints,
+other planes loop over the rows.  Only a float plane's membership uses
+``tol`` (``core.rank_rows``); its coordinates, points and polygon vertices
+are exact values rounded once.  2D orientation tests are the signs of int
+determinants of rows (X, Y, W) for plane points (X/W, Y/W).  A Caratheodory
+split needs an exact plane; its weights are ratios of int determinants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, hypot, inf, lcm
+from math import gcd, lcm
 
-from .core import (GeometryError, Mat2, _same_mode, combine, exact_value,
-                   rank2x2, rank_rows)
-from .scalar import DEFAULT_TOL, FLOAT, Scalar, common_mode
+from .core import GeometryError, Mat2, combine, exact_value, rank2x2, rank_rows
+from .scalar import (DEFAULT_TOL, FLOAT, MixedModeError, Scalar, common_mode,
+                     to_float)
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -29,14 +29,23 @@ def to_rows(m) -> Matrix:
     return m.rows() if isinstance(m, Mat2) else tuple(map(tuple, m))
 
 
+def _same(is_float, other):
+    if is_float != other:
+        raise MixedModeError("cannot mix exact and float scalars")
+
+
 def _over_one_denominator(rows):
-    """Rows as stored numbers: int numerators over the least common
-    denominator when every entry is exact, else the floats over None."""
-    if common_mode(*(e for row in rows for e in row)) == FLOAT:
-        return tuple(tuple(row) for row in rows), None
-    d = lcm(*(e.denominator for row in rows for e in row))
-    return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
-                 for row in rows), d
+    """(rows, d, float): the entries as int numerators over their least
+    common denominator d, each at its exact value (a non-finite float
+    raises), and whether they are floats (a mix raises)."""
+    is_float = common_mode(*(e for row in rows for e in row)) == FLOAT
+    try:
+        rows = [[e.as_integer_ratio() for e in row] for row in rows]
+    except (OverflowError, ValueError):
+        raise GeometryError(f"not a finite number in {rows}") from None
+    d = lcm(*(q for row in rows for _, q in row))
+    return (tuple(tuple(n * (d // q) for n, q in row) for row in rows), d,
+            is_float)
 
 
 def _primitive(v) -> tuple[Fraction, ...]:
@@ -48,19 +57,6 @@ def _primitive(v) -> tuple[Fraction, ...]:
     return tuple(Fraction(x // g) for x in v)
 
 
-def _unit(v) -> tuple[float, ...]:
-    """A nonzero float vector over its length, first entry above 1e-12 in
-    magnitude positive."""
-    n = hypot(*v)
-    if n == inf:  # over the largest |entry| first, so the length is finite
-        s = max(map(abs, v))
-        return _unit([x / s for x in v])
-    u = tuple(float(x) / n for x in v)
-    if next(x for x in u if abs(x) > 1e-12) < 0:
-        u = tuple(-x for x in u)
-    return u
-
-
 @dataclass(frozen=True)
 class RankOnePlane:
     """Affine plane of matrices in which every difference has rank <= 1.
@@ -69,11 +65,12 @@ class RankOnePlane:
     generator is the shared row direction); kind "right": basepoint +
     generator . y^T (the generator is the shared column direction).
 
-    An exact plane keeps its basepoint as int numerators over one positive
-    denominator and its generator as ints ``g`` with ``generator = g / gs``;
-    ``contains`` and ``coords`` work on those and on a query's own stored
-    numbers, so the only Fractions they build are the returned coordinates.
-    A float plane keeps its floats, with no denominator, as ``Mat2`` does.
+    A plane keeps its basepoint as int numerators over one positive
+    denominator and its generator as ints ``g`` with ``generator = g / gs``,
+    a float entry at its exact value; ``contains`` and ``coords`` work on
+    those and on a query's own stored numbers, so the only Fractions they
+    build are the returned coordinates.  A float plane takes float queries
+    and returns floats, each the exact value rounded once.
     """
 
     basepoint: Matrix
@@ -81,18 +78,19 @@ class RankOnePlane:
     generator: tuple[Scalar, ...]
 
     def __post_init__(self):
-        base, bd = _over_one_denominator(self.basepoint)
+        base, bd, is_float = _over_one_denominator(self.basepoint)
         if self.kind == "right":
             base = tuple(zip(*base))
-        (g,), gs = _over_one_denominator((self.generator,))
+        (g,), gs, g_float = _over_one_denominator((self.generator,))
         if not any(g):
             raise GeometryError("a rank-one plane needs a nonzero generator")
-        _same_mode(bd, gs)
-        # the rows ("left") or columns ("right") of the basepoint, and on an
-        # exact 2x2 plane the same four ints flat
+        _same(is_float, g_float)
+        # the rows ("left") or columns ("right") of the basepoint, and on a
+        # 2x2 plane the same four ints flat
+        object.__setattr__(self, "_float", is_float)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_flat", base[0] + base[1] if bd is not None
-                           and self.shape() == (2, 2) else None)
+        object.__setattr__(self, "_flat", base[0] + base[1]
+                           if self.shape() == (2, 2) else None)
         object.__setattr__(self, "_den", bd)
         object.__setattr__(self, "_g", g)
         object.__setattr__(self, "_gs", gs)
@@ -103,70 +101,63 @@ class RankOnePlane:
 
     def _difference(self, mat):
         """The rows ("left") or columns ("right") of mat - basepoint, as
-        stored numbers over one denominator: ints over a positive int, or
-        floats over None.  On an exact 2x2 plane they come flat, (x1, y1,
-        x2, y2), read from the stored ints of a Mat2 (tuple rows become
-        one); other planes loop over the m x n rows."""
+        int numerators over one positive int denominator.  On a 2x2 plane
+        they come flat, (x1, y1, x2, y2), read from the stored ints of a
+        Mat2, a float one at its exact value (tuple rows become one);
+        other planes loop over the m x n rows."""
         d, flat = self._den, self._flat
         if flat is None:
-            q, e = _over_one_denominator(to_rows(mat))
+            q, e, is_float = _over_one_denominator(to_rows(mat))
+            _same(self._float, is_float)
             if self.kind == "right":
                 q = tuple(zip(*q))
-            if d == e:  # one denominator, or two floats
+            if d == e:
                 return tuple(tuple(x - y for x, y in zip(u, v))
                              for u, v in zip(q, self._base)), d
-            _same_mode(d, e)
             return tuple(tuple(x * d - y * e for x, y in zip(u, v))
                          for u, v in zip(q, self._base)), d * e
         if mat.__class__ is not Mat2:
             mat = Mat2.from_rows(mat)
+        _same(self._float, mat._d is None)
+        mat = exact_value(mat)
         e, n11, n22 = mat._d, mat._n11, mat._n22
         n12, n21 = ((mat._n12, mat._n21) if self.kind == "left"
                     else (mat._n21, mat._n12))
         b11, b12, b21, b22 = flat
         if d == e:
             return (n11 - b11, n12 - b12, n21 - b21, n22 - b22), d
-        _same_mode(d, e)
         return (n11 * d - b11 * e, n12 * d - b12 * e,
                 n21 * d - b21 * e, n22 * d - b22 * e), d * e
 
     def contains(self, mat, tol: Scalar = 0) -> bool:
-        """True iff mat lies on the plane.
-
-        Each row ("left") or column ("right") of mat - basepoint must be
-        parallel to the generator.  On an exact plane the 2x2 minors are
-        decided by their sign, so any nonzero minor rejects.  ``tol`` applies
-        to float planes only: there they and the generator, scaled to their
-        largest |entry|, must have rank one by ``core.rank_rows`` at ``tol``.
-        """
+        """True iff mat lies on the plane: each row ("left") or column
+        ("right") of mat - basepoint is parallel to the generator.  An exact
+        plane decides the 2x2 minors by their sign; a float plane by
+        ``core.rank_rows`` at ``tol`` on the exact difference and generator,
+        each over its largest |entry| and rounded once."""
         return self._holds(*self._difference(mat), tol)
 
     def _holds(self, vectors, den, tol) -> bool:
-        g = self._g
-        if self._flat is not None:
+        g, flat = self._g, self._flat is not None
+        if self._float:  # each over its largest |entry|, rounded once
+            rows = (vectors[:2], vectors[2:]) if flat else vectors
+            s, t = max(max(map(abs, v)) for v in rows) or 1, max(map(abs, g))
+            return rank_rows([[x / s for x in v] for v in rows]
+                             + [[x / t for x in g]], tol) < 2
+        if flat:
             x1, y1, x2, y2 = vectors
             return not (x1 * g[1] - y1 * g[0] or x2 * g[1] - y2 * g[0])
-        if den is None:
-            s, t = max(abs(e) for v in vectors for e in v), max(map(abs, g))
-            return rank_rows((*vectors, tuple(x / t * s for x in g)), tol) < 2
-        for vec in vectors:
-            for i in range(len(g)):
-                for j in range(i + 1, len(g)):
-                    if vec[i] * g[j] - vec[j] * g[i]:
-                        return False
-        return True
+        return not any(vec[i] * g[j] - vec[j] * g[i] for vec in vectors
+                       for i, j in combinations(range(len(g)), 2))
 
     def coords(self, mat):
-        """Coefficient vector of a member matrix (length m or n); on an
-        exact plane, one Fraction per coefficient."""
-        return self._coords(*self._difference(mat))
+        """Coefficient vector of a member matrix (length m or n): one
+        Fraction per coefficient, rounded once on a float plane."""
+        c = self._coords(mat)
+        return tuple(map(to_float, c)) if self._float else c
 
-    def _coords(self, vectors, den):
-        g, gg = self._g, self._gg
-        if den is None:
-            return tuple(sum(a * b for a, b in zip(vec, g)) / gg
-                         for vec in vectors)
-        *nums, q = self._coord_row(vectors, den)
+    def _coords(self, mat):
+        *nums, q = self._coord_row(*self._difference(mat))
         return tuple(Fraction(x, q) for x in nums)
 
     def _coord_row(self, vectors, den):
@@ -181,22 +172,18 @@ class RankOnePlane:
                 den * self._gg)
 
     def matrix_at(self, coeffs) -> Matrix:
-        """Exact entries: b/den + p/q g/gs = (b q gs + p g den)/(den q gs)."""
+        """Exact entries, c = n/m: b/den + c g/gs = (b m gs + n g den) /
+        (den m gs); rounded once on a float plane."""
+        _same(self._float, common_mode(*coeffs) == FLOAT)
         den, gs = self._den, self._gs
-        if den is not None and all(isinstance(c, (int, Fraction))
-                                   for c in coeffs):
-            vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
-                               for b, gk in zip(vec, self._g))
-                         for vec, c in zip(self._base, coeffs)
-                         for q, p in [(c.denominator * gs, c.numerator * den)])
-            return vecs if self.kind == "left" else tuple(zip(*vecs))
-        g = self.generator
-        if self.kind == "left":
-            delta = tuple(tuple(c * gj for gj in g) for c in coeffs)
-        else:
-            delta = tuple(tuple(c * gi for c in coeffs) for gi in g)
-        return tuple(tuple(b + d for b, d in zip(rb, rd))
-                     for rb, rd in zip(self.basepoint, delta))
+        vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
+                           for b, gk in zip(vec, self._g))
+                     for vec, c in zip(self._base, coeffs)
+                     for n, m in [c.as_integer_ratio()]
+                     for q, p in [(m * gs, n * den)])
+        if self._float:
+            vecs = tuple(tuple(map(to_float, v)) for v in vecs)
+        return vecs if self.kind == "left" else tuple(zip(*vecs))
 
 
 @dataclass(frozen=True)
@@ -210,32 +197,35 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
     """The two rank-one planes through a rank-one connected pair.
 
     Factorizes the difference through its largest entry ``p``: the pivot
-    row and column are the generators, and every matrix within rank <= 1
-    of both inputs lies in one of the two returned planes.  The difference
-    is rank one when the fit ``c r / p`` of its pivot column ``c`` and row
-    ``r`` leaves no residual: exactly when exact; when float, by
-    ``core.rank_rows`` at ``tol``, the m x n form of ``rank2x2``'s rule.
+    row and column are the generators, primitive ints when exact and over
+    ``p`` when float, and every matrix within rank <= 1 of both inputs lies
+    in one of the two returned planes.  The difference is rank one when the
+    fit ``c r / p`` of its pivot column ``c`` and row ``r`` leaves no
+    residual: exactly when exact; when float, by ``core.rank_rows`` at
+    ``tol`` on the float difference, the m x n form of ``rank2x2``'s rule.
     """
     b = to_rows(y0)
     # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
     if x0.__class__ is y0.__class__ is Mat2:  # the stored numbers of x0 - y0
         m = x0 - y0
-        d, den = ((m._n11, m._n12), (m._n21, m._n22)), m._d
+        d, is_float = ((m._n11, m._n12), (m._n21, m._n22)), m._d is None
     else:
-        d, den = _over_one_denominator([[u - v for u, v in zip(r, s)]
-                                        for r, s in zip(to_rows(x0), b)])
+        d = [[u - v for u, v in zip(r, s)] for r, s in zip(to_rows(x0), b)]
+        ints, _, is_float = _over_one_denominator(d)
+        d = d if is_float else ints
     r0 = max(d, key=lambda row: max(map(abs, row)))  # the pivot's row
     j0 = max(range(len(r0)), key=lambda j: abs(r0[j]))
     p, c0 = r0[j0], [row[j0] for row in d]
-    if den is None:
-        bad = rank_rows(d, tol) != 1
+    if is_float:
+        ok = rank_rows(d, tol) == 1
     else:  # p times the residuals: the minors through p
-        bad = not p or any(e * p != c * r
+        ok = p and not any(e * p != c * r
                            for c, row in zip(c0, d) for e, r in zip(row, r0))
-    if bad:
+    if not ok:
         raise GeometryError("difference not rank-one")
-    unit = _primitive if den is not None else _unit
-    w0, v0 = unit(r0), unit(c0)
+    w0, v0 = ((tuple(x / p or 0.0 for x in r0),  # 0.0, never -0.0
+               tuple(x / p or 0.0 for x in c0))
+              if is_float else (_primitive(r0), _primitive(c0)))
     inter = tuple(tuple(vi * wj for wj in w0) for vi in v0)
     return PlanePair(RankOnePlane(b, "left", w0),
                      RankOnePlane(b, "right", v0), inter)
@@ -353,15 +343,16 @@ class PlaneHull:
     vertices: tuple  # 2D hull vertices in plane coordinates, ccw
 
     def __post_init__(self):
-        # the vertices as int rows for the 2D predicates, computed once
+        # the vertices as int rows for the 2D predicates, computed once at
+        # the values given; then a float plane rounds its vertices once
         object.__setattr__(self, "_rows", _plane_rows(self.vertices))
+        if self.plane._float:
+            object.__setattr__(self, "vertices", tuple(
+                tuple(map(to_float, v)) for v in self.vertices))
 
     def _holds(self, vectors, den) -> bool:
-        # polygon_contains of the plane coordinates, float ones exactly
-        plane = self.plane
-        q = (plane._coord_row(vectors, den) if den is not None else
-             _plane_rows([plane._coords(vectors, den)])[0])
-        return _polygon_holds(self._rows, q)
+        # polygon_contains of the exact plane coordinates
+        return _polygon_holds(self._rows, self.plane._coord_row(vectors, den))
 
 
 @dataclass(frozen=True)
@@ -371,16 +362,13 @@ class HullDescription:
     singleton_indices: tuple[int, ...]
 
     def __post_init__(self):
-        # an exact set's points by their stored ints, which are equal
-        # exactly when the values are; other sets compare values
-        exact = all(p._d is not None for p in self.points)
-        object.__setattr__(self, "_keys", frozenset(map(_stored, self.points))
-                           if exact else None)
+        # the points by the stored ints of their exact values, which are
+        # equal exactly when the values are, a float point's too
+        object.__setattr__(self, "_keys", frozenset(
+            _stored(exact_value(p)) for p in self.points))
 
     def membership(self, m: Mat2, tol: Scalar = 0) -> bool:
-        keys = self._keys
-        if (_stored(m) in keys if keys is not None and m._d is not None
-                else any(m == p for p in self.points)):
+        if _stored(exact_value(m)) in self._keys:
             return True
         for ph in self.planes:
             diff = ph.plane._difference(m)
@@ -417,7 +405,7 @@ def pc_hull(k, tol: Scalar = DEFAULT_TOL) -> HullDescription:
     for key, plane in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
         if not any(key < other for other in groups):
             members = tuple(sorted(key))
-            verts = convex_hull_2d([plane.coords(pts[i]) for i in members])
+            verts = convex_hull_2d([plane._coords(pts[i]) for i in members])
             plane_hulls.append(PlaneHull(plane, members, tuple(verts)))
     covered = {i for ph in plane_hulls for i in ph.indices}
     singles = tuple(i for i in range(len(pts)) if i not in covered)
@@ -451,7 +439,7 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
     """Express a hull member as a convex combination of <= 3 set points,
     together with the two-step lamination realization inside the plane.
     The plane must be exact; the search runs on its int rows (X, Y, W)."""
-    if plane._den is None:
+    if plane._float:
         raise GeometryError("Caratheodory decomposition needs an exact plane")
     rows = [plane._coord_row(*plane._difference(p)) for p in points]
     q = plane._coord_row(*plane._difference(target))

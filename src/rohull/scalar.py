@@ -27,6 +27,10 @@ class MixedModeError(TypeError):
     """Exact and float scalars met in a single computation."""
 
 
+class MixedRadicandError(MixedModeError):
+    """Surds over radicands whose product is not a square met."""
+
+
 def mode_of(x: Scalar) -> str:
     if isinstance(x, float):
         return FLOAT
@@ -76,7 +80,9 @@ def rational_sqrt(x: Scalar) -> Fraction | None:
 class Surd:
     """r + t sqrt(d): r and t rationals (Fractions or ints), d a positive
     int that is not a square.  Exact arithmetic with rationals and with
-    surds of the same d."""
+    surds over d, or over d2 with d d2 = k^2 a square: sqrt(d2) is then
+    (k / d) sqrt(d).  Arithmetic with other surds raises
+    MixedRadicandError; == compares values."""
 
     __slots__ = ("r", "t", "d")
 
@@ -84,7 +90,16 @@ class Surd:
         self.r, self.t, self.d = r, t, d
 
     def _parts(self, o):
-        return (o.r, o.t) if isinstance(o, Surd) else (o, 0)
+        """(r, t) of o over sqrt(self.d)."""
+        if not isinstance(o, Surd):
+            return o, 0
+        if o.d == self.d or not o.t:
+            return o.r, o.t
+        k = math.isqrt(self.d * o.d)
+        if k * k != self.d * o.d:
+            raise MixedRadicandError(
+                f"cannot mix sqrt({self.d}) and sqrt({o.d})")
+        return o.r, o.t * Fraction(k, self.d)
 
     def __add__(self, o):
         r, t = self._parts(o)
@@ -112,7 +127,10 @@ class Surd:
                        else 1 / Fraction(o))
 
     def __eq__(self, o):
-        return (self.r, self.t) == self._parts(o)
+        try:
+            return (self.r, self.t) == self._parts(o)
+        except MixedRadicandError:  # 1, sqrt(d), sqrt(o.d) independent
+            return False
 
     def sign(self) -> int:
         # the larger of r^2 and t^2 d decides: they differ unless both are

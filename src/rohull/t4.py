@@ -83,7 +83,9 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     is (n_k X_k - n_k Q_k - m_k C_k) / (n_k D).  An exact witness passes iff
     every residual, every det C_k and sum C_k are zero, no C_k is zero and
     every mu_k > 1.  A float witness passes within tol: each C_k by rank2x2,
-    the rest on the exact values, which it reports rounded to floats.
+    each squared residual and |sum C_k|^2 within tol^2 max |X_k|^2, relative
+    at any scale, and every mu_k > 1 + tol, on the exact values, which it
+    reports rounded to floats.
     """
     mats, mu = (*x, w.p, *w.c), w.mu
     exact = all(m._d is not None for m in mats) and \
@@ -112,8 +114,8 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     if exact:
         return T4Report(res, dets, csum, margin, ok)
     tol = exact_value(tol)
-    bound = tol ** 2 * max(1, max(Fraction(sum(e * e for e in r), dd)
-                                  for r in rows[:4]))
+    bound = tol ** 2 * max(Fraction(sum(e * e for e in r), dd)
+                           for r in rows[:4])
     ok = (all(r <= bound for r in res) and csum <= bound and margin > tol
           and all(rank2x2(c, tol) == 1 for c in w.c))
     return T4Report(tuple(map(to_float, res)), tuple(map(to_float, dets)),

@@ -127,6 +127,30 @@ class TestSubcommands:
         assert [len(p["polygon_vertices"])
                 for p in report["results"]["planes"]] == [3]
 
+    @pytest.mark.parametrize("s", [1e-170, 0.1, 1.5e308])
+    def test_float_pc_hull_is_the_exact_report_rounded_once(self, tmp_path,
+                                                            s):
+        # the float report holds the numbers of the exact report on the
+        # floats' exact values, each rounded once
+        def rounded(v):
+            if isinstance(v, (list, dict)):
+                return ([rounded(e) for e in v] if isinstance(v, list) else
+                        {k: rounded(e) for k, e in v.items()})
+            return (float(Fraction(v)) if isinstance(v, str)
+                    and v[-1].isdigit() else v)
+        mats = [[[0.0, 0.0], [0.0, 0.0]], [[s, 0.0], [0.0, 0.0]],
+                [[0.0, 0.0], [s, 0.0]]]
+        reports = []
+        for mode, entry in (("float", repr), ("exact", Fraction)):
+            src = tmp_path / f"{mode}.json"
+            src.write_text(json.dumps([[[str(entry(e)) for e in row]
+                                        for row in m] for m in mats]))
+            code, report, _ = run(tmp_path / mode, "--mode", mode,
+                                  "pc-hull", "--input", str(src))
+            assert code == 0
+            reports.append(report["results"])
+        assert reports[0]["planes"] and reports[0] == rounded(reports[1])
+
     def test_float_pc_hull_sign_violation_below_the_float_range(
             self, tmp_path):
         # the float det of the difference underflows to -0.0
@@ -597,9 +621,8 @@ GOLDEN_ARGV = {
 }
 
 
-# float pc-hull is left out: its plane generators are unit vectors over
-# math.hypot, which is accurate to 1 ulp but not correctly rounded, so their
-# last bits may vary between Python versions
+# float pc-hull is compared with exact pc-hull of its floats' exact values
+# instead (test_float_pc_hull_is_the_exact_report_rounded_once)
 @pytest.mark.parametrize("name, mode", list(GOLDEN_ARGV))
 def test_reports_match_the_committed_ones(tmp_path, name, mode):
     """The JSON reports, and the CSV and SVG files where the subcommand

@@ -121,6 +121,18 @@ class TestTriSpiral:
                               (2.3 * s, 1.7 * s, 2.9 * s, 1.1 * s))
         assert len(tri_spiral(cfg, 200)) == 201
 
+    def test_float_closed_form_check_is_relative(self, monkeypatch):
+        # a recursion off by a relative 1e-6 is refused at scale 1e-12 as
+        # at scale 1 (the bound was absolute below |x| = 1)
+        combine = constructions.combine
+        monkeypatch.setattr(constructions, "combine",
+                            lambda a, b, t: combine(a, b, t).scale(1 + 1e-6))
+        for s in (1.0, 1e-12):
+            cfg = TriSpiralConfig(-s, 1.3 * s, 0.7 * s, -1.1 * s, 0.9 * s,
+                                  (2.3 * s, 1.7 * s, 2.9 * s, 1.1 * s))
+            with pytest.raises(ConstructionError, match="closed form"):
+                tri_spiral(cfg, 10)
+
     def test_non_spiral_config_rejected(self):
         with pytest.raises(ConstructionError):
             TriSpiralConfig(x1=-1, x2=1, y1=1, y2=-1, z0=1,

@@ -314,13 +314,14 @@ class TestDedup:
         out = lamination_step(s)
         assert out.segments == tuple(segs[k] for k in _interval_dedup(spans))
 
-    def test_float_drops_repeats_and_keeps_contained(self):
+    def test_float_drops_repeats_and_contained(self):
+        # 0.3 lies between 0.1 and 0.7 at the floats' exact values too
         a, b, c = (Mat2(x, 0.0, 0.0, 0.5) for x in (0.1, 0.7, 0.3))
         seg, inside = RankOneSegment(a, b, 1), RankOneSegment(a, c, 1)
         segs = (seg, RankOneSegment(a, a, 1), RankOneSegment(a, b, 1),
                 RankOneSegment(b, a, 1), inside)
         out = lamination_step(LaminateSet((), segs, 1))
-        assert out.segments == (seg, inside)
+        assert out.segments == (seg,)
 
 
 def _ref_point_to_set(p, pts, segs):

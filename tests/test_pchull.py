@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rohull.core import GeometryError, Mat2, det, rank2x2
 from rohull.hulls import l2_hull
-from rohull.scalar import FLOAT, MixedModeError
+from rohull.scalar import DEFAULT_TOL, FLOAT, MixedModeError
 from rohull.pchull import (
     HullDescription,
     OutsideHullError,
@@ -88,9 +88,10 @@ class TestPlanePair:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)])
     def test_float_generators_factor_the_difference(self, shape):
-        """A float rank-one difference is accepted; its generators are unit
-        vectors, first entry above 1e-12 positive, and their outer product
-        is the difference over its Frobenius norm, up to sign."""
+        """A float rank-one difference is accepted; its generators are its
+        pivot row and column over the pivot p, its first entry of largest
+        |entry|, so each holds 1.0 and no larger |entry|, and their outer
+        product is the difference over p."""
         rng = np.random.default_rng(13)
         m, n = shape
         for _ in range(200):
@@ -100,13 +101,12 @@ class TestPlanePair:
                             tuple(map(tuple, y0.tolist())))
             w, v = pp.p1.generator, pp.p2.generator
             for g in (w, v):
-                assert abs(sum(x * x for x in g) - 1) < 1e-12
-                assert next(x for x in g if abs(x) > 1e-12) > 0
-            d = (x0 - y0) / np.linalg.norm(x0 - y0)
+                assert 1.0 in g and max(map(abs, g)) == 1.0
+            d = x0 - y0
             outer = np.outer(v, w)
             assert np.array_equal(pp.intersection_direction, outer)
-            assert min(np.abs(outer - d).max(),
-                       np.abs(outer + d).max()) < 1e-12
+            assert np.abs(outer - d / d.flat[np.abs(d).argmax()]).max() < \
+                1e-12
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)])
     def test_float_rank_two_difference_rejected(self, shape):
@@ -388,6 +388,35 @@ class TestPcHull:
                         and polygon_contains(verts, plane.coords(q)))
 
 
+def _rounded(m):
+    return Mat2(*map(float, m.entries()))
+
+
+@given(det_nonneg_sets(), st.integers(-60, 60))
+@settings(max_examples=150, deadline=None)
+def test_dyadic_float_sets_match_the_exact_hulls(pts, k):
+    """Sets A + u v^T of small ints times 2^k are the same sets as floats:
+    float pc_hull and l2_hull give the planes, singletons, memberships and
+    segments of the exact hulls, each endpoint rounded once."""
+    exact = [m.scale(F(2) ** k) for m in pts]
+    floats = [_rounded(m) for m in exact]
+    ex, fl = pc_hull(exact), pc_hull(floats)
+    assert [(ph.indices, ph.plane.kind) for ph in fl.planes] == \
+        [(ph.indices, ph.plane.kind) for ph in ex.planes]
+    assert fl.singleton_indices == ex.singleton_indices
+    queries = exact + [(a + b).scale(F(1, 2))
+                       for a, b in itertools.combinations(exact, 2)]
+    for ph in ex.planes:  # in-plane points, inside the polygon and out
+        a, b, c = (exact[i] for i in (ph.indices * 2)[:3])
+        queries += [a + (b - a).scale(s) + (c - a).scale(t)
+                    for s in (F(-1, 2), F(1, 4), F(3, 4))
+                    for t in (F(-1, 4), F(1, 4), F(5, 4))]
+    assert [fl.membership(_rounded(q), DEFAULT_TOL) for q in queries] == \
+        [ex.membership(q) for q in queries]
+    assert [(g.a, g.b) for g in l2_hull(floats).segments] == \
+        [(_rounded(g.a), _rounded(g.b)) for g in l2_hull(exact).segments]
+
+
 class TestCaratheodory:
     def test_interior_point_three_weights(self):
         k = [Mat2.zero(), Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)]
@@ -447,8 +476,7 @@ class TestCaratheodory:
 # --- RankOnePlane against plain-Fraction and tuple-float formulas ---------
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-# plane_pair makes float generators unit vectors; keep |g|^2 clear of
-# underflow
+# far from the subnormal range, so that scaling by 2^k stays exact
 small_floats = st.floats(min_value=-9, max_value=9).filter(
     lambda x: x == 0 or abs(x) > 1e-6)
 SHAPES = ((2, 2), (3, 2), (2, 3))
@@ -484,20 +512,27 @@ def _ref_matrix_at(plane, coeffs):
                  for rb, rd in zip(plane.basepoint, delta))
 
 
+def _exact(plane, rows):
+    """The plane and the rows at the exact values of their entries."""
+    def frac(r):
+        return tuple(tuple(map(F, row)) for row in r)
+    return (RankOnePlane(frac(plane.basepoint), plane.kind,
+                         tuple(map(F, plane.generator))), frac(rows))
+
+
 def _float_contains(plane, rows, tol):
     """The float test written over tuple rows: the difference vectors and
-    the generator, scaled to their largest |entry|, stacked as a matrix m;
-    with p the first entry of largest |entry| of m, at (i0, j0), every
-    residual e/p - (m[i][j0]/p)(m[i0][j]/p) within tol times the sum of the
-    (e/p)^2."""
-    vecs, g = _vectors(plane, rows), plane.generator
-    s, t = max(abs(e) for v in vecs for e in v), max(abs(x) for x in g)
-    m = vecs + [[x / t * s for x in g]]
+    the generator at their exact values, each over its largest |entry| and
+    rounded once, stacked as a matrix m; with p the first entry of largest
+    |entry| of m, at (i0, j0), every residual e/p - (m[i][j0]/p)(m[i0][j]/p)
+    within tol times the sum of the (e/p)^2."""
+    twin, rows = _exact(plane, rows)
+    vecs, g = _vectors(twin, rows), twin.generator
+    s, t = max(abs(e) for v in vecs for e in v) or 1, max(map(abs, g))
+    m = [[float(e / s) for e in v] for v in vecs] + [[float(x / t) for x in g]]
     at = [(i, j) for i, row in enumerate(m) for j in range(len(row))]
     i0, j0 = max(at, key=lambda ij: abs(m[ij[0]][ij[1]]))
     p = m[i0][j0]
-    if p == 0:
-        return True
     bound = float(tol) * sum((e / p) * (e / p) for row in m for e in row)
     return all(abs(m[i][j] / p - (m[i][j0] / p) * (m[i0][j] / p)) <= bound
                for i, j in at)
@@ -547,11 +582,10 @@ class TestRankOnePlaneKernel:
         queries = [rows]
         if plane.shape() == (2, 2):
             queries.append(Mat2.from_rows(rows))
+        want = tuple(map(float, _ref_coords(*_exact(plane, rows))))
         for q in queries:
             assert plane.contains(q, tol) == _float_contains(plane, rows, tol)
-            got = plane.coords(q)
-            assert list(map(repr, got)) == list(
-                map(repr, _ref_coords(plane, rows)))
+            assert list(map(repr, plane.coords(q))) == list(map(repr, want))
 
     @given(st.lists(small_floats, min_size=8, max_size=8),
            st.lists(small_floats, min_size=2, max_size=2),

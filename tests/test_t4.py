@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from rohull import constructions, t4
 from rohull.core import GeometryError, Mat2, rank2x2
-from rohull.scalar import FLOAT, Surd, quadratic_roots, sign
+from rohull.scalar import (FLOAT, MixedModeError, MixedRadicandError, Surd,
+                           quadratic_roots, sign)
 from rohull.t4 import (
     T4Witness,
     _class_solutions,
@@ -120,6 +121,24 @@ class TestWitnessCheck:
                                                   mu), tol)
         assert max(map(abs, rep.c_dets)) < tol ** 2
         assert not rep.accepted
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
+    def test_float_witness_bound_is_relative(self, s):
+        # the golden T4 times s, as floats: detect_t4 finds and certifies
+        # all 24 witnesses at any scale, and moving P by a tenth of the
+        # scale is refused at any scale (the bound was absolute below 1)
+        data = Path(__file__).parent / "data" / "golden_t4.json"
+        x = [Mat2(*(float(F(e)) * s for row in m for e in row))
+             for m in json.loads(data.read_text())]
+        found = detect_t4(x).witnesses
+        assert len(found) == 24
+        assert all(t4.witness_certified(x, w) for w in found)
+        w, tol = found[0], max(math.sqrt(1e-9), 1e-6)
+        ordered = [x[i] for i in w.ordering]
+        assert check_t4_witness(ordered, w, tol).accepted
+        moved = T4Witness(w.ordering, w.p + Mat2(s / 10, 0.0, 0.0, 0.0),
+                          w.c, w.mu)
+        assert not check_t4_witness(ordered, moved, tol).accepted
 
     def test_float_witness_is_the_exact_scaffold_rounded(self):
         # the five-point T4 at epsilon 1/3 over its common denominator: int
@@ -735,6 +754,23 @@ class TestSurd:
         assert a + 1 == Surd(F(3, 2), F(3), 7)
 
 
+    def test_one_value_over_two_radicands(self):
+        # sqrt(112) = 4 sqrt(7)
+        a, b = Surd(F(1, 2), F(3), 7), Surd(F(1, 2), F(3, 4), 112)
+        assert a == b and b == a and a - b == 0 and b - a == 0
+        assert a * b == a * a and b * a == b * b
+        assert a != Surd(F(1, 2), F(3, 4), 7)
+
+    def test_mixed_radicands_raise(self):
+        root2, root3 = Surd(0, 1, 2), Surd(0, 1, 3)
+        for op in (lambda: root2 + root3, lambda: root2 * root3,
+                   lambda: root3 - root2, lambda: root2 / root3):
+            with pytest.raises(MixedRadicandError):
+                op()
+        assert issubclass(MixedRadicandError, MixedModeError)
+        assert root2 != root3 and Surd(1, 0, 2) == Surd(1, 0, 3) == 1
+
+
 # --- images of known T4s -----------------------------------------------------
 
 
@@ -900,6 +936,20 @@ class TestIntegerForms:
     def test_class_solutions_equal_the_fraction_oracle(self, a):
         assert _values(_class_solutions(a)) == \
             _values(_oracle_class_solutions(a))
+
+    @given(st.tuples(*[nonzero] * 6))
+    @example(RATIONAL_B_COMMON_C)
+    @example(RATIONAL_B_COMMON_SURD_C)
+    @example(SURD_B_COMMON_C)
+    @settings(max_examples=100, deadline=None)
+    def test_class_solutions_equal_the_oracle_by_value(self, a):
+        """The same mu as the Fraction oracle, compared by ==: the two
+        write an irrational root over radicands a square apart."""
+        want = []
+        for mu in _oracle_class_solutions(a)[0]:
+            if mu not in want:
+                want.append(mu)
+        assert _class_solutions(a)[0] == want
 
     def test_the_examples_reach_their_branches(self):
         def common(a):
