@@ -50,15 +50,21 @@ class RankOneSegment:
 def _exact_rows(points, ends):
     """(D, point rows, segment rows (A, N, |N|^2), float) of matrices and
     (a, b) ends at their exact values, over their common denominator D;
-    float tells whether any of them is a float."""
+    float tells whether they are floats.  Exact and float matrices mixed
+    raise MixedModeError."""
     mats = [*points, *(m for ab in ends for m in ab)]
-    big, rows = int_rows(list(map(exact_value, mats)))
+    modes, exact = set(), []
+    for m in mats:  # each matrix's mode and exact value, in one pass
+        modes.add(m._d is None)
+        exact.append(exact_value(m))
+    if len(modes) > 1:
+        raise MixedModeError("cannot mix exact and float scalars")
+    big, rows = int_rows(exact)
     segs, pairs = [], iter(rows[len(points):])
     for ra, rb in zip(pairs, pairs):
         n = (rb[0] - ra[0], rb[1] - ra[1], rb[2] - ra[2], rb[3] - ra[3])
         segs.append((ra, n, n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2))
-    return (big, tuple(rows[:len(points)]), tuple(segs),
-            any(m._d is None for m in mats))
+    return big, tuple(rows[:len(points)]), tuple(segs), True in modes
 
 
 @dataclass(frozen=True)

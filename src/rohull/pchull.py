@@ -3,13 +3,13 @@
 Under the pairwise det >= 0 hypothesis the hull is the order-2 lamination
 iterate: the support of any admissible measure sits inside a plane of
 rank-one directions, so the hull decomposes into within-plane convex
-polygons plus singletons.  Every plane and query is read as ints, a float
-at its exact value: a 2x2 plane reads a ``Mat2`` once from its stored ints,
-other planes loop over the rows.  Only a float plane's membership uses
-``tol`` (``core.rank_rows``); its coordinates, points and polygon vertices
-are exact values rounded once.  2D orientation tests are the signs of int
-determinants of rows (X, Y, W) for plane points (X/W, Y/W).  A Caratheodory
-split needs an exact plane; its weights are ratios of int determinants.
+polygons plus singletons.  Planes and queries are ints, a float at its
+exact value: ``plane_pair`` builds planes from its inputs' stored ints, a
+2x2 plane reads a ``Mat2`` query once from its stored ints.  Only a float
+plane's membership uses ``tol``; its other results are exact values rounded
+once.  2D orientation tests are the signs of int determinants of rows
+(X, Y, W) for plane points (X/W, Y/W).  A Caratheodory split needs an exact
+plane; its weights are ratios of int determinants.
 """
 from __future__ import annotations
 
@@ -34,30 +34,43 @@ def _same(is_float, other):
         raise MixedModeError("cannot mix exact and float scalars")
 
 
+def _ratios(values):
+    """Each value's exact (numerator, denominator); a non-finite raises."""
+    try:
+        return [e.as_integer_ratio() for e in values]
+    except (OverflowError, ValueError):
+        raise GeometryError(f"not a finite number in {values}") from None
+
+
 def _over_one_denominator(rows):
     """(rows, d, float): the entries as int numerators over their least
     common denominator d, each at its exact value (a non-finite float
     raises), and whether they are floats (a mix raises)."""
     is_float = common_mode(*(e for row in rows for e in row)) == FLOAT
-    try:
-        rows = [[e.as_integer_ratio() for e in row] for row in rows]
-    except (OverflowError, ValueError):
-        raise GeometryError(f"not a finite number in {rows}") from None
+    rows = [_ratios(row) for row in rows]
     d = lcm(*(q for row in rows for _, q in row))
     return (tuple(tuple(n * (d // q) for n, q in row) for row in rows), d,
             is_float)
 
 
-def _primitive(v) -> tuple[Fraction, ...]:
-    """A nonzero int vector over the gcd of its entries, first nonzero
-    entry positive."""
-    g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(Fraction(x // g) for x in v)
+def _primitive(v) -> tuple[int, ...]:
+    """A nonzero int vector over its gcd, first nonzero entry positive."""
+    g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
 
 
-@dataclass(frozen=True)
+def _plane(kind, base, den, g, gs, is_float) -> "RankOnePlane":
+    """The one builder of every RankOnePlane: ``base`` holds the rows
+    ("left") or columns ("right") of the basepoint as int numerators over
+    ``den`` > 0; the generator is ``g / gs``, ints not all 0 over ``gs`` >
+    0.  On a 2x2 plane ``_flat`` holds the four ints of ``base`` flat."""
+    p = object.__new__(RankOnePlane)
+    p.kind, p._float, p._base, p._den = kind, is_float, base, den
+    p._flat = base[0] + base[1] if len(base) == len(base[0]) == 2 else None
+    p._g, p._gs, p._gg = g, gs, sum(x * x for x in g)
+    return p
+
+
 class RankOnePlane:
     """Affine plane of matrices in which every difference has rank <= 1.
 
@@ -65,52 +78,65 @@ class RankOnePlane:
     generator is the shared row direction); kind "right": basepoint +
     generator . y^T (the generator is the shared column direction).
 
-    A plane keeps its basepoint as int numerators over one positive
-    denominator and its generator as ints ``g`` with ``generator = g / gs``,
-    a float entry at its exact value; ``contains`` and ``coords`` work on
-    those and on a query's own stored numbers, so the only Fractions they
-    build are the returned coordinates.  A float plane takes float queries
-    and returns floats, each the exact value rounded once.
+    A plane holds ints only (see ``_plane``), to which this constructor
+    reduces its rows.  ``basepoint`` and ``generator`` are read off them,
+    as ``Mat2``'s entries are; the only Fractions the queries build are the
+    values they return.  A float plane takes float queries and returns
+    floats, each the exact value rounded once.
     """
 
-    basepoint: Matrix
-    kind: str  # "left" or "right"
-    generator: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        base, bd, is_float = _over_one_denominator(self.basepoint)
-        if self.kind == "right":
-            base = tuple(zip(*base))
-        (g,), gs, g_float = _over_one_denominator((self.generator,))
+    def __new__(cls, basepoint: Matrix, kind: str, generator):
+        base, den, is_float = _over_one_denominator(basepoint)
+        (g,), gs, g_float = _over_one_denominator((generator,))
         if not any(g):
             raise GeometryError("a rank-one plane needs a nonzero generator")
         _same(is_float, g_float)
-        # the rows ("left") or columns ("right") of the basepoint, and on a
-        # 2x2 plane the same four ints flat
-        object.__setattr__(self, "_float", is_float)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_flat", base[0] + base[1]
-                           if self.shape() == (2, 2) else None)
-        object.__setattr__(self, "_den", bd)
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_gs", gs)
-        object.__setattr__(self, "_gg", sum(x * x for x in g))
+        return _plane(kind, base if kind == "left" else tuple(zip(*base)),
+                      den, g, gs, is_float)
+
+    def _value(self, n, d) -> Scalar:
+        return to_float(Fraction(n, d)) if self._float else Fraction(n, d)
+
+    @property
+    def basepoint(self) -> Matrix:
+        vecs = self._base if self.kind == "left" else zip(*self._base)
+        return tuple(tuple(self._value(b, self._den) for b in v) for v in vecs)
+
+    @property
+    def generator(self) -> tuple[Scalar, ...]:
+        return tuple(self._value(x, self._gs) for x in self._g)
+
+    def _key(self):
+        return self.basepoint, self.kind, self.generator
+
+    def __eq__(self, other) -> bool:
+        return (self._key() == other._key()
+                if other.__class__ is RankOnePlane else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RankOnePlane(basepoint={self.basepoint!r}, "
+                f"kind={self.kind!r}, generator={self.generator!r})")
+
+    def __reduce__(self):
+        return RankOnePlane, self._key()
 
     def shape(self) -> tuple[int, int]:
-        return len(self.basepoint), len(self.basepoint[0])
+        m, n = len(self._base), len(self._base[0])
+        return (m, n) if self.kind == "left" else (n, m)
 
     def _difference(self, mat):
-        """The rows ("left") or columns ("right") of mat - basepoint, as
-        int numerators over one positive int denominator.  On a 2x2 plane
-        they come flat, (x1, y1, x2, y2), read from the stored ints of a
-        Mat2, a float one at its exact value (tuple rows become one);
-        other planes loop over the m x n rows."""
+        """The rows ("left") or columns ("right") of mat - basepoint as int
+        numerators over one int denominator > 0: on a 2x2 plane flat, (x1,
+        y1, x2, y2), from the stored ints of a Mat2 (tuple rows become one),
+        else by a loop over the m x n rows."""
         d, flat = self._den, self._flat
         if flat is None:
             q, e, is_float = _over_one_denominator(to_rows(mat))
             _same(self._float, is_float)
-            if self.kind == "right":
-                q = tuple(zip(*q))
+            q = q if self.kind == "left" else tuple(zip(*q))
             if d == e:
                 return tuple(tuple(x - y for x, y in zip(u, v))
                              for u, v in zip(q, self._base)), d
@@ -130,11 +156,10 @@ class RankOnePlane:
                 n21 * d - b21 * e, n22 * d - b22 * e), d * e
 
     def contains(self, mat, tol: Scalar = 0) -> bool:
-        """True iff mat lies on the plane: each row ("left") or column
-        ("right") of mat - basepoint is parallel to the generator.  An exact
-        plane decides the 2x2 minors by their sign; a float plane by
-        ``core.rank_rows`` at ``tol`` on the exact difference and generator,
-        each over its largest |entry| and rounded once."""
+        """True iff each row ("left") or column ("right") of mat - basepoint
+        is parallel to the generator: exactly on an exact plane, on a float
+        one by ``core.rank_rows`` at ``tol`` on the exact difference and
+        generator, each over its largest |entry| and rounded once."""
         return self._holds(*self._difference(mat), tol)
 
     def _holds(self, vectors, den, tol) -> bool:
@@ -173,14 +198,23 @@ class RankOnePlane:
 
     def matrix_at(self, coeffs) -> Matrix:
         """Exact entries, c = n/m: b/den + c g/gs = (b m gs + n g den) /
-        (den m gs); rounded once on a float plane."""
+        (den m gs); a 2x2 plane writes its four from its flat ints.  Rounded
+        once on a float plane."""
         _same(self._float, common_mode(*coeffs) == FLOAT)
-        den, gs = self._den, self._gs
-        vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
-                           for b, gk in zip(vec, self._g))
-                     for vec, c in zip(self._base, coeffs)
-                     for n, m in [c.as_integer_ratio()]
-                     for q, p in [(m * gs, n * den)])
+        den, gs, g = self._den, self._gs, self._g
+        if self._flat is not None:
+            b11, b12, b21, b22 = self._flat
+            (g1, g2), ((n1, m1), (n2, m2)) = g, _ratios(coeffs)
+            q1, p1, q2, p2 = m1 * gs, n1 * den, m2 * gs, n2 * den
+            vecs = ((Fraction(b11 * q1 + p1 * g1, den * q1),
+                     Fraction(b12 * q1 + p1 * g2, den * q1)),
+                    (Fraction(b21 * q2 + p2 * g1, den * q2),
+                     Fraction(b22 * q2 + p2 * g2, den * q2)))
+        else:
+            vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
+                               for b, gk in zip(vec, g))
+                         for vec, (n, m) in zip(self._base, _ratios(coeffs))
+                         for q, p in [(m * gs, n * den)])
         if self._float:
             vecs = tuple(tuple(map(to_float, v)) for v in vecs)
         return vecs if self.kind == "left" else tuple(zip(*vecs))
@@ -190,7 +224,11 @@ class RankOnePlane:
 class PlanePair:
     p1: RankOnePlane  # left plane, m-dimensional
     p2: RankOnePlane  # right plane, n-dimensional
-    intersection_direction: Matrix  # rank-one product of the two generators
+
+    @property
+    def intersection_direction(self) -> Matrix:  # the generators' product
+        return tuple(tuple(v * w for w in self.p1.generator)
+                     for v in self.p2.generator)
 
 
 def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
@@ -198,19 +236,18 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
 
     Factorizes the difference through its largest entry ``p``: the pivot
     row and column are the generators, primitive ints when exact and over
-    ``p`` when float, and every matrix within rank <= 1 of both inputs lies
-    in one of the two returned planes.  The difference is rank one when the
-    fit ``c r / p`` of its pivot column ``c`` and row ``r`` leaves no
-    residual: exactly when exact; when float, by ``core.rank_rows`` at
-    ``tol`` on the float difference, the m x n form of ``rank2x2``'s rule.
+    ``p`` when float; every matrix within rank <= 1 of both inputs lies in
+    one of the planes.  The difference is rank one when the fit ``c r / p``
+    of its pivot column ``c`` and row ``r`` leaves no residual, exactly or,
+    when float, by ``core.rank_rows`` at ``tol`` (``rank2x2``'s rule).
     """
-    b = to_rows(y0)
     # d is den * (x0 - y0) on ints when exact, else x0 - y0 on floats
     if x0.__class__ is y0.__class__ is Mat2:  # the stored numbers of x0 - y0
         m = x0 - y0
         d, is_float = ((m._n11, m._n12), (m._n21, m._n22)), m._d is None
     else:
-        d = [[u - v for u, v in zip(r, s)] for r, s in zip(to_rows(x0), b)]
+        d = [[u - v for u, v in zip(r, s)]
+             for r, s in zip(to_rows(x0), to_rows(y0))]
         ints, _, is_float = _over_one_denominator(d)
         d = d if is_float else ints
     r0 = max(d, key=lambda row: max(map(abs, row)))  # the pivot's row
@@ -223,12 +260,17 @@ def plane_pair(x0, y0, tol: Scalar = DEFAULT_TOL) -> PlanePair:
                            for c, row in zip(c0, d) for e, r in zip(row, r0))
     if not ok:
         raise GeometryError("difference not rank-one")
-    w0, v0 = ((tuple(x / p or 0.0 for x in r0),  # 0.0, never -0.0
-               tuple(x / p or 0.0 for x in c0))
-              if is_float else (_primitive(r0), _primitive(c0)))
-    inter = tuple(tuple(vi * wj for wj in w0) for vi in v0)
-    return PlanePair(RankOnePlane(b, "left", w0),
-                     RankOnePlane(b, "right", v0), inter)
+    if is_float:  # the generators over p, 0.0 and never -0.0
+        w0, v0 = (tuple(x / p or 0.0 for x in v) for v in (r0, c0))
+    else:
+        w0, v0 = _primitive(r0), _primitive(c0)
+    if is_float or y0.__class__ is not Mat2:
+        b = to_rows(y0)
+        return PlanePair(RankOnePlane(b, "left", w0),
+                         RankOnePlane(b, "right", v0))
+    base = ((y0._n11, y0._n12), (y0._n21, y0._n22))  # y0's stored ints
+    return PlanePair(_plane("left", base, y0._d, w0, 1, False),
+                     _plane("right", tuple(zip(*base)), y0._d, v0, 1, False))
 
 
 # --- pairwise det report --------------------------------------------------
@@ -244,20 +286,16 @@ class DetCheckReport:
 
 def pairwise_det_check(k) -> DetCheckReport:
     """Pairwise dets; a pair violates only at rank 2 (rank2x2) and det < 0."""
-    pts = list(k)
-    dets = []
-    rank_one = []
-    violating = None
+    pts, dets, rank_one, violating = list(k), [], [], None
     for i, j in combinations(range(len(pts)), 2):
         diff = pts[i] - pts[j]
-        d = diff.det()
-        dets.append((i, j, d))
-        if diff.mode == FLOAT:  # decide the sign where no underflow hides it
-            d = exact_value(diff)._det_num()
+        dets.append((i, j, diff.det()))
         rank = rank2x2(diff)
         if rank == 1:
             rank_one.append((i, j))
-        elif rank == 2 and d < 0 and violating is None:
+        # the sign of det at the exact value, which no underflow hides
+        elif (rank == 2 and exact_value(diff)._det_num() < 0
+              and violating is None):
             violating = (i, j)
     return DetCheckReport(violating is None, violating,
                           tuple(rank_one), tuple(dets))
@@ -273,30 +311,25 @@ def _orient(o, a, b):
             + wo * (xa * yb - ya * xb))
 
 
-def _between_int(a, b, q) -> bool:
-    # on each axis, a - q and b - q (times W's > 0) differ in sign or vanish
-    wa, wb, wq = a[2], b[2], q[2]
-    return ((a[0] * wq - q[0] * wa) * (b[0] * wq - q[0] * wb) <= 0
-            and (a[1] * wq - q[1] * wa) * (b[1] * wq - q[1] * wb) <= 0)
-
-
 def _plane_rows(points):
-    """Plane points (x, y) as int rows (X, Y, W) for the 2D predicates:
-    x = X/W, y = Y/W, W > 0 the lcm of the denominators.  Each coordinate
-    enters at its exact value, a float too; a non-finite one raises."""
-    rows = []
-    for p in points:
-        try:
-            (nx, dx), (ny, dy) = (c.as_integer_ratio() for c in p)
-        except (OverflowError, ValueError):
-            raise GeometryError(f"not a finite number in {p}") from None
-        w = lcm(dx, dy)
-        rows.append((nx * (w // dx), ny * (w // dy), w))
+    """Plane points (x, y) at their exact values as int rows (X, Y, W):
+    x = X/W, y = Y/W, W > 0 the lcm of the denominators."""
+    rows, ratios = [], iter(_ratios([c for p in points for c in p]))
+    for (nx, dx), (ny, dy) in zip(ratios, ratios):
+        if dx == dy:
+            rows.append((nx, ny, dx))
+        else:
+            w = lcm(dx, dy)
+            rows.append((nx * (w // dx), ny * (w // dy), w))
     return rows
 
 
 def _on_segment_2d(a, b, q) -> bool:
-    return _orient(a, b, q) == 0 and _between_int(a, b, q)
+    # collinear, and on each axis a - q and b - q differ in sign or vanish
+    wa, wb, wq = a[2], b[2], q[2]
+    return (_orient(a, b, q) == 0
+            and (a[0] * wq - q[0] * wa) * (b[0] * wq - q[0] * wb) <= 0
+            and (a[1] * wq - q[1] * wa) * (b[1] * wq - q[1] * wb) <= 0)
 
 
 def convex_hull_2d(points):
@@ -343,16 +376,11 @@ class PlaneHull:
     vertices: tuple  # 2D hull vertices in plane coordinates, ccw
 
     def __post_init__(self):
-        # the vertices as int rows for the 2D predicates, computed once at
-        # the values given; then a float plane rounds its vertices once
+        # int rows of the exact vertices; a float plane then rounds them
         object.__setattr__(self, "_rows", _plane_rows(self.vertices))
         if self.plane._float:
             object.__setattr__(self, "vertices", tuple(
                 tuple(map(to_float, v)) for v in self.vertices))
-
-    def _holds(self, vectors, den) -> bool:
-        # polygon_contains of the exact plane coordinates
-        return _polygon_holds(self._rows, self.plane._coord_row(vectors, den))
 
 
 @dataclass(frozen=True)
@@ -362,17 +390,17 @@ class HullDescription:
     singleton_indices: tuple[int, ...]
 
     def __post_init__(self):
-        # the points by the stored ints of their exact values, which are
-        # equal exactly when the values are, a float point's too
+        # the stored ints of the exact values: equal exactly when they are
         object.__setattr__(self, "_keys", frozenset(
             _stored(exact_value(p)) for p in self.points))
 
     def membership(self, m: Mat2, tol: Scalar = 0) -> bool:
         if _stored(exact_value(m)) in self._keys:
             return True
-        for ph in self.planes:
+        for ph in self.planes:  # on the plane, and in its polygon
             diff = ph.plane._difference(m)
-            if ph.plane._holds(*diff, tol) and ph._holds(*diff):
+            if ph.plane._holds(*diff, tol) and _polygon_holds(
+                    ph._rows, ph.plane._coord_row(*diff)):
                 return True
         return False
 
@@ -429,10 +457,8 @@ class CaratheodoryResult:
     intermediate_weight: Scalar
 
     def reconstruct(self) -> Matrix:
-        total = None
-        for pt, w in zip(self.points, self.weights):
-            total = pt.scale(w) if total is None else total + pt.scale(w)
-        return total.rows()
+        scaled = [p.scale(w) for p, w in zip(self.points, self.weights)]
+        return sum(scaled[1:], scaled[0]).rows()
 
 
 def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryResult:
@@ -449,55 +475,41 @@ def caratheodory_decompose(plane: RankOnePlane, points, target) -> CaratheodoryR
     xq, yq, wq = q
     for p, (x, y, w) in zip(points, rows):  # vertex hit
         if x * wq == xq * w and y * wq == yq * w:
-            return _finish([p], [Fraction(1)])
+            return _finish([p], [1], 1)
     # edge hit; a != b, as q on an edge of length 0 is a vertex hit
     for (i, a), (j, b) in combinations(enumerate(rows), 2):
         if _on_segment_2d(a, b, q):
             k = 0 if b[0] * a[2] != a[0] * b[2] else 1
-            t = Fraction((q[k] * a[2] - a[k] * wq) * b[2],
-                         (b[k] * a[2] - a[k] * b[2]) * wq)
-            return _finish([points[i], points[j]], [1 - t, t])
+            t = (q[k] * a[2] - a[k] * wq) * b[2]  # over den
+            den = (b[k] * a[2] - a[k] * b[2]) * wq
+            return _finish([points[i], points[j]], [den - t, t], den)
     # triangle hit; the weight of v is (orient with q for v) W_v / (d W_q)
     for (i, a), (j, b), (l, c) in combinations(enumerate(rows), 3):
         d = _orient(a, b, c)
-        if d == 0:
-            continue
         o = (_orient(q, b, c), _orient(a, q, c), _orient(a, b, q))
-        if all(ok * d >= 0 for ok in o):
+        if d and all(ok * d >= 0 for ok in o):
             return _finish([points[i], points[j], points[l]],
-                           [Fraction(ok * v[2], d * wq)
-                            for ok, v in zip(o, (a, b, c))])
+                           [ok * v[2] for ok, v in zip(o, (a, b, c))], d * wq)
     coords = [(Fraction(x, w), Fraction(y, w)) for x, y, w in rows]
     raise OutsideHullError(_separating_direction(
         convex_hull_2d(coords), (Fraction(xq, wq), Fraction(yq, wq))))
 
 
 def _separating_direction(hull, q):
-    rows = _plane_rows(hull + [q])
-    n = len(hull)
-    if n >= 3:
-        for i in range(n):
-            a, b = hull[i], hull[(i + 1) % n]
-            if _orient(rows[i], rows[(i + 1) % n], rows[n]) < 0:
-                return (a[1] - b[1], b[0] - a[0])
-    if n == 2:
-        a, b = hull
-        cr = _orient(rows[0], rows[1], rows[2])
-        if cr != 0:
-            s = 1 if cr < 0 else -1
-            return (s * (a[1] - b[1]), s * (b[0] - a[0]))
+    # the normal of the first edge (i, i + 1) with q strictly outside it
+    rows, n = _plane_rows(hull + [q]), len(hull)
+    for i, j in zip(range(n), [*range(1, n), 0]):
+        if _orient(rows[i], rows[j], rows[n]) < 0:
+            return (hull[i][1] - hull[j][1], hull[j][0] - hull[i][0])
     a = hull[0] if hull else (0, 0)
     return (q[0] - a[0], q[1] - a[1])
 
 
-def _finish(pts, weights):
-    # reorder so the first weight is nonzero, then realize in two steps
-    order = sorted(range(len(pts)), key=lambda i: weights[i] == 0)
-    pts = [pts[i] for i in order]
-    weights = [weights[i] for i in order]
-    head = weights[0] if len(pts) == 1 else weights[0] + weights[1]
-    if len(pts) == 1 or head == 0:
-        inter = pts[0]
-    else:
-        inter = combine(pts[0], pts[1], weights[1] / head)
-    return CaratheodoryResult(tuple(pts), tuple(weights), inter.rows(), head)
+def _finish(pts, nums, den):
+    # weights nums / den of one sign; a nonzero one first, in two steps
+    pts, nums = zip(*sorted(zip(pts, nums), key=lambda pn: pn[1] == 0))
+    head = sum(nums[:2])
+    inter = (pts[0] if len(pts) == 1
+             else combine(pts[0], pts[1], Fraction(nums[1], head)))
+    return CaratheodoryResult(pts, tuple(Fraction(n, den) for n in nums),
+                              inter.rows(), Fraction(head, den))

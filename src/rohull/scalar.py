@@ -81,7 +81,8 @@ class Surd:
     """r + t sqrt(d): r and t rationals (Fractions or ints), d a positive
     int that is not a square.  Exact arithmetic with rationals and with
     surds over d, or over d2 with d d2 = k^2 a square: sqrt(d2) is then
-    (k / d) sqrt(d).  Arithmetic with other surds raises
+    (k / d) sqrt(d).  A rational surd (t == 0) takes the radicand of the
+    other operand.  Arithmetic with other surds raises
     MixedRadicandError; == compares values."""
 
     __slots__ = ("r", "t", "d")
@@ -90,25 +91,27 @@ class Surd:
         self.r, self.t, self.d = r, t, d
 
     def _parts(self, o):
-        """(r, t) of o over sqrt(self.d)."""
+        """(r, t, d): o as r + t sqrt(d), over the radicand d of the
+        result: self.d, or o.d when self is rational (self.t == 0)."""
         if not isinstance(o, Surd):
-            return o, 0
+            return o, 0, self.d
         if o.d == self.d or not o.t:
-            return o.r, o.t
+            return o.r, o.t, self.d
+        if not self.t:
+            return o.r, o.t, o.d
         k = math.isqrt(self.d * o.d)
         if k * k != self.d * o.d:
             raise MixedRadicandError(
                 f"cannot mix sqrt({self.d}) and sqrt({o.d})")
-        return o.r, o.t * Fraction(k, self.d)
+        return o.r, o.t * Fraction(k, self.d), self.d
 
     def __add__(self, o):
-        r, t = self._parts(o)
-        return Surd(self.r + r, self.t + t, self.d)
+        r, t, d = self._parts(o)
+        return Surd(self.r + r, self.t + t, d)
 
     def __mul__(self, o):
-        r, t = self._parts(o)
-        return Surd(self.r * r + self.t * t * self.d, self.r * t + self.t * r,
-                    self.d)
+        r, t, d = self._parts(o)
+        return Surd(self.r * r + self.t * t * d, self.r * t + self.t * r, d)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -128,7 +131,7 @@ class Surd:
 
     def __eq__(self, o):
         try:
-            return (self.r, self.t) == self._parts(o)
+            return (self.r, self.t) == self._parts(o)[:2]
         except MixedRadicandError:  # 1, sqrt(d), sqrt(o.d) independent
             return False
 

@@ -490,6 +490,21 @@ class TestDistances:
             with pytest.raises(MixedModeError):  # and the other way round
                 point_to_set_dist_sq(e11, points_only([p]))
 
+    def test_set_mixing_exact_and_float_raises(self):
+        # as lamination_step does on the same set
+        mixed = [Mat2(1, 0, 0, 0), Mat2(0.5, 0.0, 0.0, 0.0)]
+        seg = RankOneSegment(mixed[1], Mat2(1.0, 0.0, 0.0, 0.0), 1)
+        sets = (points_only(mixed), LaminateSet(mixed[:1], (seg,), 1))
+        for s in sets:
+            for p in (Mat2.zero(), Mat2.zero(FLOAT)):
+                with pytest.raises(MixedModeError):
+                    point_to_set_dist_sq(p, s)
+            for run in (lambda: directed_dist_sq(s, s),
+                        lambda: hausdorff_sq(s, points_only(mixed[1:])),
+                        lambda: lamination_step(s)):
+                with pytest.raises(MixedModeError):
+                    run()
+
     def test_hausdorff_singleton(self):
         s1 = points_only([Mat2.diag(0, 0)])
         s2 = points_only([Mat2.diag(3, 4)])

@@ -1,5 +1,6 @@
 """Plane-pair factorization, polyconvex hulls, Caratheodory splitting."""
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, inf, lcm, nan
@@ -641,6 +642,17 @@ class TestRankOnePlaneKernel:
         with pytest.raises(MixedModeError):
             plane.contains(Mat2(1.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [inf, -inf, nan])
+    def test_non_finite_coefficient_raises(self, bad):
+        # the 2x2 path and the m x n loop, as every float entry point does
+        planes = (plane_pair(Mat2(1.0, 2.0, 3.0, 6.0), Mat2.zero(FLOAT)).p1,
+                  RankOnePlane(((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)), "left",
+                               (1.0, 0.0, 2.0)))
+        for plane in planes:
+            for coeffs in ((bad, 0.0), (1.0, bad)):
+                with pytest.raises(GeometryError, match="not a finite number"):
+                    plane.matrix_at(coeffs)
+
 
 # --- Mat2 queries against the m x n loop on tuple rows --------------------
 
@@ -702,6 +714,39 @@ class TestMat2Queries:
             for mode in ("exact", "float"):
                 q = in_mode(Mat2(*map(F, m.entries())), mode)
                 assert hull.membership(q) == any(q == p for p in pts)
+
+
+# --- one builder: plane_pair's planes against the public constructor ----
+
+
+def _stored_plane(plane):
+    return (plane.kind, plane._float, plane._base, plane._den, plane._flat,
+            plane._g, plane._gs, plane._gg)
+
+
+class TestOneBuilder:
+    @given(mat2_planes_and_queries(),
+           st.lists(rationals, min_size=2, max_size=2),
+           st.sampled_from([0, 1e-9, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_plane_pair_and_the_constructor_build_one_plane(self, case,
+                                                            coeffs, tol):
+        plane, q = case
+        twin = RankOnePlane(plane.basepoint, plane.kind, plane.generator)
+        back = pickle.loads(pickle.dumps(plane))
+        for other in (twin, back):
+            assert _stored_plane(other) == _stored_plane(plane)
+            assert other == plane and hash(other) == hash(plane)
+            assert repr(other) == repr(plane)
+        if plane._float:
+            coeffs = [float(c) for c in coeffs]
+        assert twin.contains(q, tol) == plane.contains(q, tol)
+        assert twin.coords(q) == plane.coords(q)
+        assert twin.matrix_at(coeffs) == plane.matrix_at(coeffs)
+        want = float if plane._float else F
+        assert all(type(e) is want for row in plane.matrix_at(coeffs)
+                   for e in row)
+        assert all(type(g) is want for g in plane.generator)
 
 
 # --- exact plane_pair against a plain-Fraction normal form ----------------
@@ -860,6 +905,30 @@ def polygons_and_queries(draw, coords):
     if isinstance(a[0], float) or isinstance(b[0], float):
         t = float(t)
     return pts, verts, tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+def _lcm_rows(points):
+    """_plane_rows written with the lcm of every point's denominators."""
+    rows = []
+    for x, y in points:
+        (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+        w = lcm(dx, dy)
+        rows.append((nx * (w // dx), ny * (w // dy), w))
+    return rows
+
+
+class TestPlaneRows:
+    @given(st.lists(st.tuples(exact_coords, exact_coords), max_size=6)
+           | st.lists(st.tuples(float_coords, float_coords), max_size=6))
+    @example([(F(1, 3), F(-2, 3)), (F(1, 2), F(1, 3)), (2, F(5, 4))])
+    @example([(0.5, 0.25), (3.0, 0.75)])
+    def test_rows_are_the_lcm_form(self, points):
+        # equal denominators skip the lcm; both give the same rows
+        assert _plane_rows(points) == _lcm_rows(points)
+
+    def test_equal_and_unequal_denominators(self):
+        rows = _plane_rows([(F(1, 6), F(5, 6)), (F(1, 4), F(1, 6))])
+        assert rows == [(1, 5, 6), (3, 2, 12)]
 
 
 class TestPlanePredicates:

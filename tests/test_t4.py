@@ -770,6 +770,19 @@ class TestSurd:
         assert issubclass(MixedRadicandError, MixedModeError)
         assert root2 != root3 and Surd(1, 0, 2) == Surd(1, 0, 3) == 1
 
+    def test_rational_surd_takes_the_other_radicand(self):
+        # 1 over sqrt 2 is rational, so 1 + sqrt 3 lies in one field
+        one, root3 = Surd(1, 0, 2), Surd(0, 1, 3)
+        for a, b in ((one, root3), (root3, one)):
+            total, product = a + b, a * b
+            assert (total.r, total.t, total.d) == (1, 1, 3)
+            assert (product.r, product.t, product.d) == (0, 1, 3)
+            assert total == Surd(1, 1, 3) and product == root3
+            assert a != b and not a == b
+        assert Surd(F(1, 2), 0, 2) * Surd(2, 4, 3) == Surd(1, 2, 3)
+        assert one - root3 == Surd(1, -1, 3) and one / root3 == Surd(
+            0, F(1, 3), 3)
+
 
 # --- images of known T4s -----------------------------------------------------
 
