@@ -31,8 +31,8 @@ class Mat2:
     An exact matrix is stored as four int numerators over one positive int
     denominator in lowest terms, gcd(n11, n12, n21, n22, d) == 1, so equal
     values have equal storage.  A float matrix is stored as its four floats
-    and no denominator.  Arithmetic, ``det``, ``frob_sq``, ``inner``,
-    ``det_cross``, ``combine`` and the sign predicates work on the stored
+    and no denominator.  Arithmetic, ``det``, ``frob_sq``, ``det_cross``,
+    ``combine`` and the sign predicates work on the stored
     numbers; Fractions appear only where a value leaves the kernel: the
     entries ``a11``..``a22``, ``entries()``, ``rows()`` and scalar results.
     The mode is checked once, when a matrix is built from scalars.
@@ -219,8 +219,9 @@ def exact_value(v):
 
 
 def int_rows(mats) -> tuple:
-    """(D, rows): exact matrices as int 4-vectors (n11, n12, n21, n22) over
-    D, the lcm of their denominators; the library's one int-row builder."""
+    """(D, rows): matrices as int 4-vectors (n11, n12, n21, n22) over D, the
+    lcm of their denominators, a float at its exact value; the one builder."""
+    mats = [exact_value(m) for m in mats]
     d = lcm(*(m._d for m in mats))
     return d, [(m._n11 * k, m._n12 * k, m._n21 * k, m._n22 * k)
                for m in mats for k in [d // m._d]]
@@ -228,15 +229,6 @@ def int_rows(mats) -> tuple:
 
 def det(m: Mat2) -> Scalar:
     return m.det()
-
-
-def inner(x: Mat2, y: Mat2) -> Scalar:
-    """Frobenius inner product."""
-    d, e = x._d, y._d
-    _same_mode(d, e)
-    s = (x._n11 * y._n11 + x._n12 * y._n12
-         + x._n21 * y._n21 + x._n22 * y._n22)
-    return s if d is None else Fraction(s, d * e)
 
 
 def det_cross(m: Mat2, n: Mat2) -> Scalar:

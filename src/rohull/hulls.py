@@ -24,9 +24,8 @@ from itertools import combinations
 from .core import (
     GeometryError,
     Mat2,
-    combine,
+    _make,
     exact_value,
-    inner,
     int_rows,
     rank2x2,
     rank_one_connected,
@@ -53,13 +52,10 @@ def _exact_rows(points, ends):
     float tells whether they are floats.  Exact and float matrices mixed
     raise MixedModeError."""
     mats = [*points, *(m for ab in ends for m in ab)]
-    modes, exact = set(), []
-    for m in mats:  # each matrix's mode and exact value, in one pass
-        modes.add(m._d is None)
-        exact.append(exact_value(m))
+    modes = {m._d is None for m in mats}
     if len(modes) > 1:
         raise MixedModeError("cannot mix exact and float scalars")
-    big, rows = int_rows(exact)
+    big, rows = int_rows(mats)
     segs, pairs = [], iter(rows[len(points):])
     for ra, rb in zip(pairs, pairs):
         n = (rb[0] - ra[0], rb[1] - ra[1], rb[2] - ra[2], rb[3] - ra[3])
@@ -97,15 +93,16 @@ def _point_segment_offspring(s: LaminateSet, generation: int):
     On a rank-one segment det(a - p + t n) = c0 + t c1, with n = b - a,
     c0 = det(a - p) and c1 = det_cross(a - p, n), is affine in t, so it
     vanishes once, nowhere, or everywhere.  c0 and c1, both times D^2, come
-    off the set's rows; a float set's crossing is rounded once.
+    off the set's rows, and the crossing a - (c0 / c1) n is the row
+    c1 A - c0 N over c1 D; a float set's crossing is rounded once.
     """
     if any(rank2x2(g.b - g.a) == 2 for g in s.segments):
         raise GeometryError("segment is not rank-one")
-    _, points, segs, rounded = s._rows
+    big, points, segs, rounded = s._rows
     out = []
     for p, (x1, x2, x3, x4) in zip(s.points, points):
-        for g, ((a1, a2, a3, a4), n, _) in zip(s.segments, segs):
-            m1, m2, m3, m4 = a1 - x1, a2 - x2, a3 - x3, a4 - x4
+        for g, (a, n, _) in zip(s.segments, segs):
+            m1, m2, m3, m4 = a[0] - x1, a[1] - x2, a[2] - x3, a[3] - x4
             c0 = m1 * m4 - m2 * m3
             c1 = m1 * n[3] + n[0] * m4 - m2 * n[2] - n[1] * m3
             if c1 < 0:
@@ -115,8 +112,7 @@ def _point_segment_offspring(s: LaminateSet, generation: int):
                 # rank-one visible from p, and the extreme rungs are kept
                 ends = (g.a, g.b) if c0 == 0 else ()
             elif 0 <= -c0 <= c1:
-                q = combine(exact_value(g.a), exact_value(g.b),
-                            Fraction(-c0, c1))
+                q = _make(c1 * big, *(c1 * x - c0 * y for x, y in zip(a, n)))
                 ends = (Mat2(*map(float, q.entries())) if rounded else q,)
             else:
                 ends = ()
@@ -181,20 +177,18 @@ def l2_hull(k) -> LaminateSet:
 # --- distances -----------------------------------------------------------
 
 
-def _exact_dist_sq(p: Mat2, rows) -> Fraction:
-    """The squared distance from an exact p to the points and segments of
-    _exact_rows, as a Fraction.
+def _exact_dist_sq(p, dp, rows) -> Fraction:
+    """The squared distance from the int row p over dp to the points and
+    segments of _exact_rows, as a Fraction.
 
-    Over dp * D, with dp the denominator of p, p - X is m = P * D - X * dp.
-    The foot of p on a segment (A, N, |N|^2) is at t = m.N / (dp |N|^2),
-    so it is clamped to A when m.N <= 0 and to B when m.N >= dp |N|^2; in
-    between the squared distance is (|m|^2 |N|^2 - (m.N)^2) / |N|^2, over
-    (dp D)^2 like every candidate.  The least numerator-denominator pair is
-    kept by cross-multiplying.
+    Over dp * D, p - X is m = p * D - X * dp.  The foot of p on a segment
+    (A, N, |N|^2) is at t = m.N / (dp |N|^2), so it is clamped to A when
+    m.N <= 0 and to B when m.N >= dp |N|^2; in between the squared distance
+    is (|m|^2 |N|^2 - (m.N)^2) / |N|^2, over (dp D)^2 like every candidate.
+    The least numerator-denominator pair is kept by cross-multiplying.
     """
     big, points, segments, _ = rows
-    dp = p._d
-    p1, p2, p3, p4 = p._n11 * big, p._n12 * big, p._n21 * big, p._n22 * big
+    p1, p2, p3, p4 = p[0] * big, p[1] * big, p[2] * big, p[3] * big
     num, den = None, 1
     for x1, x2, x3, x4 in points:
         m1, m2, m3, m4 = p1 - x1 * dp, p2 - x2 * dp, p3 - x3 * dp, p4 - x4 * dp
@@ -238,47 +232,50 @@ def point_to_set_dist_sq(p: Mat2, s: LaminateSet) -> Scalar:
     rows = s._rows
     if (p._d is None) != rows[3]:
         raise MixedModeError("cannot mix exact and float scalars")
-    d = _exact_dist_sq(exact_value(p), rows)
+    q = exact_value(p)
+    d = _exact_dist_sq((q._n11, q._n12, q._n21, q._n22), q._d, rows)
     return to_float(d) if rows[3] else d
 
 
-def _segment_sup_dist_sq(seg: RankOneSegment, target: LaminateSet) -> Scalar:
-    """sup over the segment of the distance to the target set, both exact.
+def _segment_sup_dist_sq(a, n, ds, rows) -> Fraction:
+    """sup over the segment (A + t N) / ds, 0 <= t <= 1, of the squared
+    distance to the points and segments of _exact_rows.
 
-    Exact when the target is a pure point set: the squared distance to each
-    point is quadratic in t with a common leading coefficient, so envelope
-    breakpoints are rational crossings; with target segments present, uniform
-    samples are added and the result is a lower approximation.
+    Exact for points only: with U = X - Y for two of them, X and Y over D,
+    their squared distances differ by (c0 + c1 t) / (ds D^2), where c0 =
+    ds (|X|^2 - |Y|^2) - 2 D A.U and c1 = -2 D N.U, so their envelope breaks
+    at t = -c0 / c1.  With segments, t = k / SUP_SAMPLES are added and the
+    sup is a lower bound (ROADMAP item 6); t = r / s is s A + r N over s ds.
     """
-    a, b = seg.a, seg.b
-    candidates = [Fraction(0), Fraction(1)]
-    pts = target.points
-    d = b - a
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            # |P(t)-pi|^2 - |P(t)-pj|^2 is linear in t
-            u = pts[j] - pts[i]
-            c1 = 2 * inner(d, u)
-            c0 = 2 * inner(a, u) - (pts[j].frob_sq() - pts[i].frob_sq())
-            if c1 != 0:
-                t = -c0 / c1
-                if 0 < t < 1:
-                    candidates.append(t)
-    if target.segments:
-        candidates += [Fraction(k, SUP_SAMPLES) for k in range(1, SUP_SAMPLES)]
-    return max([point_to_set_dist_sq(combine(a, b, t), target)
-                for t in candidates])
+    big, points, segments, _ = rows
+    ts = [(0, 1), (1, 1)]
+    for x, y in combinations(points, 2):
+        u = [xi - yi for xi, yi in zip(x, y)]
+        c0 = (ds * sum(xi * xi - yi * yi for xi, yi in zip(x, y))
+              - 2 * big * sum(ai * ui for ai, ui in zip(a, u)))
+        c1 = -2 * big * sum(ni * ui for ni, ui in zip(n, u))
+        if c1 < 0:
+            c0, c1 = -c0, -c1
+        if 0 < -c0 < c1:
+            ts.append((-c0, c1))
+    if segments:
+        ts += [(k, SUP_SAMPLES) for k in range(1, SUP_SAMPLES)]
+    return max(_exact_dist_sq([s * ai + r * ni for ai, ni in zip(a, n)],
+                              s * ds, rows) for r, s in ts)
 
 
 def directed_dist_sq(src: LaminateSet, target: LaminateSet) -> Scalar:
-    """Squared directed Hausdorff distance sup_{x in src} dist(x, target);
-    that of float sets is the exact value rounded once."""
+    """Squared directed Hausdorff distance sup_{x in src} dist(x, target),
+    on both sets' rows; of float sets, the exact value rounded once."""
     if src.is_empty() or target.is_empty():
         raise GeometryError("Hausdorff undefined for empty set")
-    if target._rows[3]:
-        return to_float(directed_dist_sq(exact_set(src), exact_set(target)))
-    return max([point_to_set_dist_sq(p, target) for p in src.points]
-               + [_segment_sup_dist_sq(seg, target) for seg in src.segments])
+    ds, points, segments, rounded = src._rows
+    rows = target._rows
+    if rounded != rows[3]:
+        raise MixedModeError("cannot mix exact and float scalars")
+    d = max([_exact_dist_sq(p, ds, rows) for p in points]
+            + [_segment_sup_dist_sq(a, n, ds, rows) for a, n, _ in segments])
+    return to_float(d) if rounded else d
 
 
 def hausdorff_sq(s1: LaminateSet, s2: LaminateSet) -> Scalar:

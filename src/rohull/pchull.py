@@ -91,6 +91,10 @@ class RankOnePlane:
         if not any(g):
             raise GeometryError("a rank-one plane needs a nonzero generator")
         _same(is_float, g_float)
+        if len({len(row) for row in base}) != 1 or \
+                len(g) != len(base[0] if kind == "left" else base):
+            raise GeometryError("a rank-one plane needs rows of one length "
+                                "and a generator of its vectors' length")
         return _plane(kind, base if kind == "left" else tuple(zip(*base)),
                       den, g, gs, is_float)
 
@@ -134,7 +138,10 @@ class RankOnePlane:
         else by a loop over the m x n rows."""
         d, flat = self._den, self._flat
         if flat is None:
-            q, e, is_float = _over_one_denominator(to_rows(mat))
+            rows, (m, n) = to_rows(mat), self.shape()
+            if [len(row) for row in rows] != [n] * m:
+                raise GeometryError(f"a {m}x{n} plane takes {m}x{n} queries")
+            q, e, is_float = _over_one_denominator(rows)
             _same(self._float, is_float)
             q = q if self.kind == "left" else tuple(zip(*q))
             if d == e:
@@ -211,6 +218,8 @@ class RankOnePlane:
                     (Fraction(b21 * q2 + p2 * g1, den * q2),
                      Fraction(b22 * q2 + p2 * g2, den * q2)))
         else:
+            if len(coeffs) != len(self._base):  # one per row or column
+                raise GeometryError(f"needs {len(self._base)} coefficients")
             vecs = tuple(tuple(Fraction(b * q + p * gk, den * q)
                                for b, gk in zip(vec, g))
                          for vec, (n, m) in zip(self._base, _ratios(coeffs))

@@ -91,7 +91,7 @@ def check_t4_witness(x, w: T4Witness, tol: Scalar = 0) -> T4Report:
     exact = all(m._d is not None for m in mats) and \
         all(isinstance(m, (int, Fraction)) for m in mu)
     if not exact:
-        mats, mu = [exact_value(m) for m in mats], [exact_value(m) for m in mu]
+        mu = [exact_value(m) for m in mu]
     d, rows = int_rows(mats)
     q11, q12, q21, q22 = p = rows[4]
     res = []
@@ -133,7 +133,7 @@ def _read_pairs(x) -> tuple:
     the rows of x over their common denominator D, a float at its exact
     value: one positive factor for all six, which keeps the roots of the
     homogeneous class equations; a is None when a pair fails."""
-    _, rows = int_rows([exact_value(m) for m in x])
+    _, rows = int_rows(x)
     faults, a = {}, {}
     for j, k in _PAIRS:
         rank = rank2x2(x[j] - x[k], DEFAULT_TOL)
@@ -260,7 +260,7 @@ def _scaffold(x, mu):
     rounded = any(m._d is None for m in x) or \
         any(isinstance(v, float) for v in mu)
     if rounded:
-        x, mu = [exact_value(m) for m in x], [exact_value(v) for v in mu]
+        mu = [exact_value(v) for v in mu]
     m = [v.numerator for v in mu]
     n = [v.denominator for v in mu]
     e = [mk - nk for mk, nk in zip(m, n)]
@@ -297,7 +297,7 @@ def _decide_class(x, a, perm, tol):
     solutions, complete = _class_solutions(
         tuple(a[perm[j], perm[k]] for j, k in _PAIRS))
     if not solutions:
-        return "no converged seed", "absent" if complete else "undecided"
+        return "no T4 in this class", "absent" if complete else "undecided"
     try:
         mu, at = min(((m, tuple(float(v) if isinstance(v, Surd) else v
                                 for v in m)) for m in solutions),
@@ -313,7 +313,7 @@ def _decide_class(x, a, perm, tol):
                                 _rotate(mu, r)) for r in range(4))
         if witness_certified(x, turns[0], tol):
             return turns, "found"
-    return "converged seed failed validation", "undecided"
+    return "witness failed its check", "undecided"
 
 
 def _precondition(faults: dict, perm) -> str | None:

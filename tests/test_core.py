@@ -14,7 +14,8 @@ from rohull.core import (
     crossing_parameter,
     det,
     det_cross,
-    inner,
+    exact_value,
+    int_rows,
     rank2x2,
     rank_one_connected,
     rank_rows,
@@ -84,10 +85,6 @@ def ref_frob_sq(e):
     return e[0] * e[0] + e[1] * e[1] + e[2] * e[2] + e[3] * e[3]
 
 
-def ref_inner(e, f):
-    return e[0] * f[0] + e[1] * f[1] + e[2] * f[2] + e[3] * f[3]
-
-
 def ref_det_cross(e, f):
     return e[0] * f[3] + f[0] * e[3] - e[1] * f[2] - f[1] * e[2]
 
@@ -153,7 +150,6 @@ class TestKernelAgainstFractions:
         assert combine(a, b, s).entries() == ref_combine(e, f, s)
         for got, want in ((a.det(), ref_det(e)),
                           (a.frob_sq(), ref_frob_sq(e)),
-                          (inner(a, b), ref_inner(e, f)),
                           (det_cross(a, b), ref_det_cross(e, f))):
             assert type(got) is F and got == want
 
@@ -200,8 +196,19 @@ class TestKernelAgainstFractions:
             (1.0 - s) * x + s * y for x, y in zip(e, f))
         assert a.det() == ref_det(e)
         assert a.frob_sq() == ref_frob_sq(e)
-        assert inner(a, b) == ref_inner(e, f)
         assert det_cross(a, b) == ref_det_cross(e, f)
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False,
+                                         allow_infinity=False)] * 4),
+                    max_size=3), st.lists(entries4, max_size=3))
+    def test_int_rows_read_a_float_at_its_exact_value(self, fl, ex):
+        mats = [Mat2(*e) for e in fl] + [Mat2(*e) for e in ex]
+        assert int_rows(mats) == int_rows([exact_value(m) for m in mats])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_int_rows_of_a_non_finite_float_raise(self, bad):
+        with pytest.raises(GeometryError, match="not a finite number"):
+            int_rows([Mat2(1.0, 0.0, 0.0, 0.0), Mat2(0.0, bad, 0.0, 0.0)])
 
     def test_mixed_modes_raise(self):
         q = Mat2(1, F(1, 2), 0, 3)
@@ -209,7 +216,7 @@ class TestKernelAgainstFractions:
         mixed = [lambda: q + x, lambda: x - q, lambda: q.scale(0.5),
                  lambda: x.scale(F(1, 2)), lambda: combine(q, x, F(1, 2)),
                  lambda: combine(q, q, 0.5), lambda: combine(x, x, F(1, 2)),
-                 lambda: inner(q, x), lambda: det_cross(x, q),
+                 lambda: det_cross(x, q),
                  lambda: Mat2(1, 2, 3, 4.0)]
         for op in mixed:
             with pytest.raises(MixedModeError):

@@ -3,17 +3,20 @@ import math
 import pickle
 from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rohull.core import GeometryError, Mat2, combine, det, inner
+from rohull.core import GeometryError, Mat2, combine, det
 from rohull.scalar import FLOAT, MixedModeError, to_float
 from rohull.hulls import (
+    SUP_SAMPLES,
     LaminateSet,
     RankOneSegment,
     directed_dist_sq,
+    exact_set,
     hausdorff,
     hausdorff_sq,
     l2_hull,
@@ -32,6 +35,11 @@ def points_only(mats):
 
 def _outer(u, v):
     return Mat2(u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
+
+
+def inner(x, y):
+    """The Frobenius inner product of two exact matrices."""
+    return sum(a * b for a, b in zip(x.entries(), y.entries()))
 
 
 vectors = st.tuples(rationals, rationals).filter(any)
@@ -344,6 +352,48 @@ def _ref_point_to_set(p, pts, segs):
                + [to_segment(seg) for seg in segs])
 
 
+def _ref_segment_sup(seg, target):
+    """The sup's candidates enumerated on Mat2 and Fraction values: both
+    ends, each crossing of two target points' squared distances, and
+    t = k / SUP_SAMPLES when the target has segments."""
+    a, b = seg.a, seg.b
+    ts = [F(0), F(1)]
+    for x, y in combinations(target.points, 2):
+        u = y - x
+        c1 = 2 * inner(b - a, u)
+        c0 = 2 * inner(a, u) - (y.frob_sq() - x.frob_sq())
+        if c1 != 0 and 0 < -c0 / c1 < 1:
+            ts.append(-c0 / c1)
+    if target.segments:
+        ts += [F(k, SUP_SAMPLES) for k in range(1, SUP_SAMPLES)]
+    return max(_ref_point_to_set(combine(a, b, t), target.points,
+                                 target.segments) for t in ts)
+
+
+def _ref_directed(src, target):
+    return max([_ref_point_to_set(p, target.points, target.segments)
+                for p in src.points]
+               + [_ref_segment_sup(g, target) for g in src.segments])
+
+
+@st.composite
+def laminate_sets(draw, entries=rationals, segments=st.booleans()):
+    """A set of up to 3 points and, when ``segments`` draws True, 1 or 2
+    rank-one segments a + u v^T; never empty."""
+    mats = st.tuples(*[entries] * 4)
+    vecs = st.tuples(entries, entries).filter(any)
+    with_segments = draw(segments)
+    pts = draw(st.lists(mats, min_size=0 if with_segments else 1,
+                        max_size=3))
+    segs = draw(st.lists(st.tuples(mats, vecs, vecs),
+                         min_size=int(with_segments),
+                         max_size=2 * with_segments))
+    return LaminateSet(
+        tuple(Mat2(*e) for e in pts),
+        tuple(RankOneSegment(Mat2(*a), Mat2(*a) + _outer(u, v), 1)
+              for a, u, v in segs), int(with_segments))
+
+
 class TestDistances:
     def test_point_segment(self):
         a, b = Mat2.diag(0, 0), Mat2.diag(2, 0)
@@ -504,6 +554,36 @@ class TestDistances:
                         lambda: lamination_step(s)):
                 with pytest.raises(MixedModeError):
                     run()
+
+    @pytest.mark.parametrize("target_segments", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_directed_matches_the_mat2_enumeration(self, target_segments,
+                                                   data):
+        src = data.draw(laminate_sets())
+        target = data.draw(laminate_sets(segments=st.just(target_segments)))
+        if src.segments and data.draw(st.booleans()):
+            # with the ends of a source segment in the target, that
+            # segment's sup lies inside it, at a crossing or a sample
+            g = src.segments[0]
+            target = LaminateSet(target.points + (g.a, g.b), target.segments,
+                                 target.order)
+        got = directed_dist_sq(src, target)
+        assert got == _ref_directed(src, target) and type(got) is F
+        back = _ref_directed(target, src)
+        assert hausdorff_sq(src, target) == hausdorff_sq(target, src) == \
+            max(got, back)
+
+    @given(laminate_sets(st.floats(-1e3, 1e3).map(lambda v: v * 2.0 ** -40)
+                         | st.floats(-1e3, 1e3)),
+           laminate_sets(st.floats(-1e3, 1e3)))
+    @settings(max_examples=100, deadline=None)
+    def test_float_distance_is_the_exact_one_rounded_once(self, s1, s2):
+        e1, e2 = exact_set(s1), exact_set(s2)
+        for got, want in ((directed_dist_sq(s1, s2), directed_dist_sq(e1, e2)),
+                          (directed_dist_sq(s2, s1), directed_dist_sq(e2, e1)),
+                          (hausdorff_sq(s1, s2), hausdorff_sq(e1, e2))):
+            assert repr(got) == repr(to_float(want))
 
     def test_hausdorff_singleton(self):
         s1 = points_only([Mat2.diag(0, 0)])

@@ -637,6 +637,42 @@ class TestRankOnePlaneKernel:
                 RankOnePlane(((1, 2), (3, 4)) if len(gen) == 2 else
                              ((1, 2, 3), (4, 5, 6)), "left", gen)
 
+    @pytest.mark.parametrize("basepoint, kind, gen", [
+        (((0, 1), (2, 3, 4)), "left", (1, 2)),  # ragged
+        (((0, 1), (2, 3, 4)), "right", (1, 2)),
+        (((0, 1), (2, 3), (4, 5)), "right", (1, 2)),  # the other side's
+        (((0, 1), (2, 3), (4, 5)), "left", (1, 2, 3)),  # length
+    ])
+    def test_ragged_or_mis_sized_plane_raises(self, basepoint, kind, gen):
+        with pytest.raises(GeometryError, match="rows of one length"):
+            RankOnePlane(basepoint, kind, gen)
+
+    @pytest.mark.parametrize("kind, gen", [("left", (1, 2)),
+                                           ("right", (1, 2, 3))])
+    def test_m_by_n_query_of_another_shape_raises(self, kind, gen):
+        plane = RankOnePlane(((0, 1), (2, 3), (4, 5)), kind, gen)
+        for q in (((0, 1), (2, 3)), Mat2(0, 1, 2, 3),
+                  ((0, 1, 0), (2, 3, 0), (4, 5, 0)),
+                  ((0, 1), (2, 3), (4, 5), (6, 7)), ((0, 1), (2, 3), (4,))):
+            for query in (plane.contains, plane.coords):
+                with pytest.raises(GeometryError, match="3x2 plane takes"):
+                    query(q)
+        assert plane.contains(((0, 1), (2, 3), (4, 5)))
+
+    @pytest.mark.parametrize("kind, gen, count", [("left", (1, 2), 3),
+                                                  ("right", (1, 2, 3), 2)])
+    def test_m_by_n_matrix_at_takes_one_coefficient_per_vector(
+            self, kind, gen, count):
+        plane = RankOnePlane(((0, 1), (2, 3), (4, 5)), kind, gen)
+        for k in (1, 2, 3, 4):
+            coeffs = tuple(range(1, k + 1))
+            if k == count:
+                assert len(plane.matrix_at(coeffs)) == 3
+            else:
+                with pytest.raises(GeometryError,
+                                   match=f"needs {count} coefficients"):
+                    plane.matrix_at(coeffs)
+
     def test_modes_do_not_mix(self):
         plane = plane_pair(Mat2(1, 0, 0, 0), Mat2.zero()).p1
         with pytest.raises(MixedModeError):

@@ -347,7 +347,7 @@ class TestSolveOrdering:
         # itself comes up empty
         w, reason = solve_t4_ordering(pts)
         assert w is None
-        assert reason == "no converged seed"
+        assert reason == "no T4 in this class"
 
 
 class TestCyclicClass:
@@ -488,7 +488,7 @@ class TestDetect:
              Mat2(1.0, 2.0, 3.0, 5.0), Mat2(-2.0, 1.0, 4.0, 1.0)]
         det_res = detect_t4(x)
         assert det_res.witnesses == ()
-        assert set(det_res.failures.values()) == {"no converged seed"}
+        assert set(det_res.failures.values()) == {"no T4 in this class"}
         assert det_res.status == dict.fromkeys(REPRESENTATIVES, "absent")
         copy = detect_t4([Mat2(*map(F, m.entries())) for m in x])
         assert (copy.failures, copy.status) == \
