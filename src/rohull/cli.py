@@ -40,6 +40,11 @@ class UsageError(Exception):
     pass
 
 
+# the staircase's denominators are 2^(n+1): at --n-max 4096 a staircase
+# report is about 16 MB and a usc-probe takes seconds
+N_MAX_BOUND = 4096
+
+
 def _csv(rows) -> str:
     lines = ["subspace,x,y,z"]
     for subspace, x, y, z in rows:
@@ -97,8 +102,10 @@ def cmd_staircase(args):
               and rho_sq <= Fraction(1, 4 ** args.N))
     files = {}
     if args.svg:
+        # n / d of the stored ints is float(Fraction(n, d)): int true
+        # division rounds correctly
         files["staircase.svg"] = svgout.staircase_diagram(
-            [(m.a11, m.a22) for m in k0.points], xy)
+            [(m._n11 / m._d, m._n22 / m._d) for m in k0.points], xy)
     if args.csv:
         files["staircase.csv"] = _csv(("diag", x, y, 0) for x, y in xy)
     return {"n_max": args.n_max, "N": args.N}, results, passed, files
@@ -306,11 +313,13 @@ def cmd_usc_probe(args):
             all(s["jump_certified"] for s in sweep), {})
 
 
-def _int_at_least(lo: int):
+def _int_at_least(lo: int, hi: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}")
         return value
     parse.__name__ = "int"  # argparse names the type in its error message
     return parse
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("staircase")
     p.add_argument("--N", type=_int_at_least(1), default=10)
-    p.add_argument("--n-max", type=_int_at_least(1), default=30)
+    p.add_argument("--n-max", type=_int_at_least(1, N_MAX_BOUND), default=30)
     p.set_defaults(func=cmd_staircase)
 
     p = sub.add_parser("tri-spiral")
@@ -375,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("usc-probe")
     p.add_argument("--N", type=_int_at_least(1), default=10)
-    p.add_argument("--n-max", type=_int_at_least(1), default=30)
+    p.add_argument("--n-max", type=_int_at_least(1, N_MAX_BOUND), default=30)
     p.set_defaults(func=cmd_usc_probe)
 
     return parser

@@ -12,7 +12,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GeometryError, Mat2, combine, crossing_parameter, rank2x2
+from .core import (
+    GeometryError,
+    Mat2,
+    _make,
+    combine,
+    crossing_parameter,
+    rank2x2,
+)
 from .hulls import (
     LaminateSet,
     RankOneSegment,
@@ -45,25 +52,30 @@ class StaircaseConfig:
 
 
 def _staircase_pair(n: int) -> tuple[Mat2, Mat2]:
-    h = Fraction(1, 2 ** (n + 1))
-    return (Mat2.diag(1 - 3 * h, h), Mat2.diag(1 - 2 * h, 3 * h))
+    # with h = 1/d, d = 2^(n+1): diag(1 - 3h, h) and diag(1 - 2h, 3h)
+    d = 2 ** (n + 1)
+    return (_make(d, d - 3, 0, 0, 1), _make(d, d - 2, 0, 0, 3))
 
 
 def staircase_perturbation(n: int) -> Mat2:
-    h = Fraction(1, 2 ** (n + 1))
-    return Mat2.diag(1 - h, h)
+    d = 2 ** (n + 1)
+    return _make(d, d - 1, 0, 0, 1)  # diag(1 - h, h)
 
 
 def staircase_points(cfg: StaircaseConfig) -> LaminateSet:
-    """The truncated staircase set, with its no-rank-one-connections check."""
+    """The truncated staircase set, with its no-rank-one-connections check:
+    no two points share an a11 or an a22, compared as int numerators over
+    the points' common denominator."""
     pts = [Mat2.diag(1, 0)]
     for n in range(cfg.n_max + 1):
         pts.extend(_staircase_pair(n))
-    xs = [p.a11 for p in pts]
-    ys = [p.a22 for p in pts]
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+    k = LaminateSet(points=tuple(pts), order=0)
+    # the set's core.int_rows, which its distance queries then reuse
+    _, rows, _, _ = k._rows
+    if (len({r[0] for r in rows}) != len(rows)
+            or len({r[3] for r in rows}) != len(rows)):
         raise ConstructionError("staircase points share a coordinate")
-    return LaminateSet(points=tuple(pts), order=0)
+    return k
 
 
 def staircase_iterate(cfg: StaircaseConfig) -> list[Mat2]:
@@ -78,11 +90,12 @@ def staircase_iterate(cfg: StaircaseConfig) -> list[Mat2]:
     chain = [current]
     for m in range(n, -1, -1):
         low, high = _staircase_pair(m)
-        if low.a22 != current.a22:
+        # the shared coordinates, compared as stored ints cross-multiplied
+        if low._n22 * current._d != current._n22 * low._d:
             raise ConstructionError("horizontal step is not rank-one")
         mid = combine(current, low, Fraction(1, 2))
         chain.append(mid)
-        if high.a11 != mid.a11:
+        if high._n11 * mid._d != mid._n11 * high._d:
             raise ConstructionError("vertical step is not rank-one")
         current = combine(mid, high, Fraction(1, 2))  # P_{m-1}
         chain.append(current)
@@ -165,7 +178,7 @@ def tri_spiral(cfg: TriSpiralConfig, n_steps: int) -> list[Mat2]:
                 raise ConstructionError("closed form disagrees with recursion")
         elif (x - expected).frob_sq() > 1e-20 * x.frob_sq():
             raise ConstructionError("closed form disagrees with recursion")
-    if any(m.a21 != 0 for m in out):
+    if any(m._n21 != 0 for m in out):
         raise ConstructionError("iterate left the upper-triangular subspace")
     return out
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report structure, artifacts."""
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,8 @@ class TestSubcommands:
     ["tri-spiral", "--steps", "-3"],
     ["staircase", "--N", "0"],
     ["staircase", "--n-max", "0"],
+    ["staircase", "--n-max", "4097"],
+    ["usc-probe", "--n-max", "4097"],
     ["usc-probe", "--N", "0"],
     ["--mode", "float", "sym-spiral", "--iters", "-1"],
     ["five-point", "--epsilon", "1"],
@@ -639,6 +642,33 @@ def test_reports_match_the_committed_ones(tmp_path, name, mode):
         stem, ext = fname.rsplit(".", 1)
         assert (out / fname).read_bytes() == \
             (DATA / f"{stem}.{mode}.{ext}").read_bytes(), fname
+
+
+# sha256 of the files of staircase and usc-probe at the sizes that the
+# cli-reports benchmark runs (n-max near 400 and 34), recorded from the
+# Fraction-built staircase; the committed reports above stop at n-max 30
+WORKLOAD_SCALE_SHA256 = {
+    ("staircase", "--N", "55", "--n-max", "400"): {
+        "staircase.json":
+            "219ff5523700e3d8194d78dfad2767fc58651317214e4d9922e5fd676e7fd4b7",
+        "staircase.csv":
+            "a67552600d090d4af48bbb966e32fc6613b4c31d7ee6b42c2241b4bb30bde56b",
+        "staircase.svg":
+            "5b79ce087e5f60d10e851d37ea7623e8adcf85caf7d983f50ec877b0be53082b",
+    },
+    ("usc-probe", "--N", "10", "--n-max", "34"): {
+        "usc-probe.json":
+            "6365ff74cb45cc9fc5fa5cdd1636d3e532e8125384995886fc8a2b4b83003090",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(WORKLOAD_SCALE_SHA256))
+def test_reports_at_workload_scale_are_unchanged(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--csv", "--svg", *argv]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == WORKLOAD_SCALE_SHA256[argv]
 
 
 def test_one_parser_serves_every_call(tmp_path):

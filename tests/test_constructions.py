@@ -26,6 +26,15 @@ from rohull.t4 import check_t4_witness
 
 
 class TestStaircase:
+    @staticmethod
+    def _assert_same(m, f):
+        """m equals the Fraction-built f by value, by stored ints and by
+        repr."""
+        assert m == f
+        assert (m._n11, m._n12, m._n21, m._n22, m._d) == \
+            (f._n11, f._n12, f._n21, f._n22, f._d)
+        assert repr(m) == repr(f)
+
     def test_points_count_and_membership(self):
         cfg = StaircaseConfig(n_max=30, perturbation_index=10)
         s = staircase_points(cfg)
@@ -45,9 +54,9 @@ class TestStaircase:
                 assert det(pts[i] - pts[j]) != 0
 
     def test_perturbation_close_to_staircase(self):
-        for n in range(1, 21):
-            p = staircase_perturbation(n)
-            assert p == Mat2.diag(1 - F(1, 2 ** (n + 1)), F(1, 2 ** (n + 1)))
+        for n in range(65):
+            h = F(1, 2 ** (n + 1))
+            self._assert_same(staircase_perturbation(n), Mat2.diag(1 - h, h))
 
     def test_iterate_reaches_limit_point(self):
         cfg = StaircaseConfig(n_max=30, perturbation_index=10)
@@ -68,6 +77,45 @@ class TestStaircase:
             for n in range(1, big + 1):
                 assert (staircase_iterate(StaircaseConfig(12, n))
                         == full[2 * (big - n):])
+
+    def test_staircase_points_equal_the_fraction_formulas(self):
+        s = staircase_points(StaircaseConfig(n_max=400, perturbation_index=1))
+        expected = [Mat2.diag(1, 0)]
+        for n in range(401):
+            h = F(1, 2 ** (n + 1))
+            expected += [Mat2.diag(1 - 3 * h, h), Mat2.diag(1 - 2 * h, 3 * h)]
+        assert len(s.points) == len(expected)
+        for m, f in zip(s.points, expected):
+            self._assert_same(m, f)
+
+    def test_shared_coordinate_fails_the_certificate(self, monkeypatch):
+        pair = constructions._staircase_pair
+
+        def repeating(n):
+            low, high = pair(n)
+            # diag(1 - 3h, h) with the a22 of the pair before it
+            return (Mat2.diag(low.a11, F(1, 2 ** n)) if n else low), high
+        monkeypatch.setattr(constructions, "_staircase_pair", repeating)
+        with pytest.raises(ConstructionError, match="share a coordinate"):
+            staircase_points(StaircaseConfig(n_max=3, perturbation_index=1))
+
+    @pytest.mark.parametrize("moved, message", [
+        (0, "horizontal step is not rank-one"),
+        (1, "vertical step is not rank-one"),
+    ])
+    def test_chain_checks_compare_the_shared_coordinate(self, monkeypatch,
+                                                         moved, message):
+        pair = constructions._staircase_pair
+
+        def nudged(n):
+            # the low point's a22 or the high point's a11 moved off the chain
+            p = list(pair(n))
+            p[moved] = p[moved] + Mat2.diag(F(moved, 2 ** 70),
+                                            F(1 - moved, 2 ** 70))
+            return tuple(p)
+        monkeypatch.setattr(constructions, "_staircase_pair", nudged)
+        with pytest.raises(ConstructionError, match=message):
+            staircase_iterate(StaircaseConfig(n_max=5, perturbation_index=3))
 
     def test_index_beyond_truncation_rejected(self):
         with pytest.raises(ConstructionError):
